@@ -20,8 +20,9 @@ from . import __version__
 from .errors import DomainError
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
 from .stochastic import (RngStream, sample_combined, sample_combined_pair,
-                         sample_combined_times, sigma_squared, cross_sigma,
-                         _decay_factors)
+                         sample_combined_times)
+# perfbench/tracer.py wraps the kernel variances under these names too
+from .stochastic import cross_sigma, sigma_squared  # noqa: F401
 from .synthesis import synthesize, write_map_csv, write_map_image
 
 __all__ = ["ErrorCurve", "SlopeFit", "truncation_error_curve",
@@ -117,13 +118,6 @@ def _trunc_worker(j):
     return coeffs.degree_power()
 
 
-def _warm_caches(model, L, t):
-    _decay_factors(L, t, model.alpha)
-    if t > model.tau:
-        for ell in range(L + 1):
-            sigma_squared(ell, t - model.tau, model.alpha)
-
-
 def _run_jobs(worker, tasks, workers):
     """Run `worker` over `tasks`, returning results in task order regardless
     of scheduling."""
@@ -151,7 +145,6 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=None
     if n_real < 2:
         raise DomainError("truncation_error_curve: need at least 2 realizations")
     workers = resolve_workers(workers)
-    _warm_caches(model, l_tilde, t)
     _TRUNC_JOB.update(model=model, L=int(l_tilde), t=float(t), seed=int(seed))
     powers = _run_jobs(_trunc_worker, range(int(n_real)), workers)
     mean_p = np.zeros(l_tilde + 1)
@@ -202,11 +195,6 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=None,
     if n_real < 2:
         raise DomainError("increment_curve: need at least 2 realizations")
     workers = resolve_workers(workers)
-    _warm_caches(model, L, t)
-    for h in hs:
-        _warm_caches(model, L, t + h)
-        for ell in range(L + 1):
-            cross_sigma(ell, t - model.tau, h, model.alpha)
     _INC_JOB.update(model=model, L=int(L), t=float(t), seed=int(seed), hs=hs)
     tasks = [(j, hidx) for hidx in range(len(hs)) for j in range(int(n_real))]
     sums = _run_jobs(_inc_worker, tasks, workers)

@@ -377,9 +377,7 @@ def _ml_integral(alpha, beta, x):
 
 
 def _ml_alpha1(beta, x):
-    """Closed/stable forms for alpha = 1."""
-    if beta == 1.0:
-        return math.exp(-x)
+    """Closed/stable forms for alpha = 1, beta != 1."""
     if beta == 2.0:
         return -math.expm1(-x) / x if x > 0.0 else 1.0 / math.gamma(2.0)
     # E_{1,b}(z) = M(1, b, z)/Gamma(b)  (Kummer)
@@ -402,31 +400,40 @@ def ml_neg(alpha, x, beta=1.0):
     x in [0, 1e6]; for beta = 1 the value lies in (0, 1] and is strictly
     decreasing in x.  Accepts a scalar or an ndarray for x.
 
-    Three evaluation regimes are used: the defining power series with
-    compensated summation (accepted only when cancellation is provably
-    small), the algebraic asymptotic series truncated at its smallest term,
-    and a branch-cut integral for the band in between.  A result is never
-    returned from a regime whose internal error estimate exceeds the target
-    (AccuracyError instead).
+    For beta = 1 the closed forms E_{1,1}(-x) = exp(-x) and
+    E_{1/2,1}(-x) = exp(x^2) erfc(x) are evaluated on the whole array at
+    once; a scalar goes through the same array code, so both give the same
+    bits.  Otherwise three evaluation regimes are used, element by element:
+    the defining power series with compensated summation (accepted only
+    when cancellation is provably small), the algebraic asymptotic series
+    truncated at its smallest term, and a branch-cut integral for the band
+    in between.  A result is never returned from a regime whose internal
+    error estimate exceeds the target (AccuracyError instead).
     """
     params = MLParams(float(alpha), float(beta))
+    a, b = params.alpha, params.beta
+    if b == 1.0 and a in (0.5, 1.0):
+        # one contiguous buffer: the same ufunc loop for every length
+        xs = np.array(x, dtype=float, order="C")
+        bad = ~np.isfinite(xs) | (xs < 0.0)
+        if np.any(bad):
+            raise DomainError(
+                f"ml_neg: x must be finite and >= 0, got {float(xs[bad][0])!r}")
+        out = np.exp(-xs) if a == 1.0 else _erfcx(xs)
+        return out if isinstance(x, np.ndarray) else float(out)
     if isinstance(x, np.ndarray):
-        flat = [ml_neg(params.alpha, xi, params.beta) for xi in x.ravel()]
+        flat = [ml_neg(a, xi, b) for xi in x.ravel()]
         return np.array(flat).reshape(x.shape)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"ml_neg: x must be finite and >= 0, got {x!r}")
-    a, b = params.alpha, params.beta
     if x == 0.0:
         return _rgamma(b)
     if a == 1.0:
         return _ml_alpha1(b, x)
     if a == 0.5:
-        # exact identities: E_{1/2,1}(-x) = exp(x^2) erfc(x) and
-        # E_{1/2,1/2}(-x) = 1/sqrt(pi) - x exp(x^2) erfc(x); the latter
-        # cancels badly for large x, where the asymptotic series takes over
-        if b == 1.0:
-            return float(_erfcx(x))
+        # exact identity E_{1/2,1/2}(-x) = 1/sqrt(pi) - x exp(x^2) erfc(x);
+        # it cancels badly for large x, where the asymptotic series takes over
         if b == 0.5 and x <= 10.0:
             return 1.0 / math.sqrt(math.pi) - x * float(_erfcx(x))
     if x <= 1e-8:

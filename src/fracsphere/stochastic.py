@@ -17,7 +17,20 @@ integrals jointly with their exact two-time covariance
 
     cross_sigma(l, s, h) = int_0^s E(-lambda (r+h)^a) E(-lambda r^a) dr,
 
-via a Cholesky factor, so temporal increments have the true law.
+via Cholesky factors for all degrees at once, so temporal increments have
+the true law.
+
+Both kernel variances take a degree or an ndarray of degrees.  In the
+scaled time u = lambda^(1/alpha) r the kernel is E_alpha(-u^alpha), so
+
+    sigma^2_{l,s,alpha} = lambda^(-1/alpha) F_alpha(lambda^(1/alpha) s),
+    F_alpha(z) = int_0^z E_alpha(-u^alpha)^2 du,
+
+one function per alpha, tabulated lazily on fixed 20-point Gauss-Legendre
+panels that every degree shares.  cross_sigma integrates each degree over
+graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
+carries an error estimate from an embedded lower-order rule; a value whose
+summed estimate exceeds 1e-10 of itself raises AccuracyError.
 
 Randomness is counter-based: every normal variate is determined by
 (seed, realization, l, role) through a dedicated Philox key, making draws
@@ -33,7 +46,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .errors import AccuracyError, DomainError
 from .spectra import AlgebraicSpectrum, m_alpha
@@ -209,7 +221,15 @@ class CoefficientSet:
 
 
 # --------------------------------------------------------------------------
-# variance quadratures
+# kernel variances
+
+_PANELS_PER_DECADE = 4   # geometric panels, ratio 10^(1/4) between knots
+_REL_TOL = 1e-10         # summed panel error estimates, relative to the value
+_HEAD_X = 1e-3           # sigma^2 table: power series while u^alpha <= _HEAD_X
+_HEAD_TERMS = 8          # ... truncated at (u^alpha)^8 <= 1e-24
+_TABLE_BLOCK = 16        # panels added per table extension (four decades)
+_CROSS_NODES = 1 << 15   # nodes per cross_sigma degree block (256 KB per array)
+
 
 def _lambda(ell):
     return float(ell) * (float(ell) + 1.0)
@@ -221,43 +241,168 @@ def _check_ell(ell):
     return int(ell)
 
 
-def _decay_points(lam, alpha, upper):
-    """Subdivision hints for the adaptive quadrature: the kernel drops on
-    the scale lambda^(-1/alpha), steeply near 0 for small alpha."""
-    knee = lam ** (-1.0 / alpha)
-    return [p for p in (knee / 100.0, knee, 100.0 * knee) if 0.0 < p < upper]
+def _check_degrees(ells):
+    """An ndarray of degrees as floats, each a non-negative integer."""
+    arr = np.asarray(ells, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr)))
+    if np.any(bad):
+        raise DomainError(f"degree must be a non-negative integer, got {float(arr[bad][0])!r}")
+    return arr
 
 
-@functools.lru_cache(maxsize=100_000)
-def _sigma_squared_cached(ell, t, alpha):
-    lam = _lambda(ell)
+def _check_alpha(name, alpha):
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"{name}: alpha must be in (0, 1], got {alpha}")
+    return float(alpha)
 
-    def f(r):
-        return ml_neg(alpha, lam * r ** alpha) ** 2
 
-    val, err, info = _quad(f, 0.0, t, points=_decay_points(lam, alpha, t) or None,
-                           limit=500, epsabs=1e-14 * max(t, 1.0), epsrel=1e-12,
-                           full_output=True)[:3]
-    if err > max(1e-10 * max(t, 1.0), 1e-9 * abs(val)):
+@functools.cache
+def _rule():
+    """The 20-point Gauss-Legendre rule on [-1, 1]: nodes, weights, the
+    weights minus those of an embedded degree-13 interpolatory rule on 14
+    of the nodes (their difference is a panel's error estimate), and the
+    matrix that maps node values to Legendre coefficients."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(20)
+    sub = [0, 1, 3, 5, 7, 8, 9, 10, 11, 12, 14, 16, 18, 19]  # symmetric
+    moments = np.zeros(len(sub))
+    moments[0] = 2.0
+    low = np.zeros_like(w)
+    low[sub] = np.linalg.solve(leg.legvander(x[sub], len(sub) - 1).T, moments)
+    to_coef = leg.legvander(x, 19).T * w * (np.arange(20) + 0.5)[:, None]
+    return x, w, w - low, to_coef
+
+
+def _panels(f, lo, hi):
+    """Gauss-Legendre integrals of f over the panels [lo, hi] (1-d arrays),
+    their error estimates, and f at the (panels, 20) nodes.  Each panel is
+    reduced on its own, so its result does not depend on the others."""
+    x, w, dw, _ = _rule()
+    half = 0.5 * (hi - lo)
+    fu = f((0.5 * (lo + hi))[:, None] + half[:, None] * x)
+    return half * (fu * w).sum(axis=1), half * np.abs((fu * dw).sum(axis=1)), fu
+
+
+def _accuracy_check(name, val, err, ells, **where):
+    # near the underflow limit (1e-300) a value has no relative accuracy
+    bad = err > _REL_TOL * val + 1e-300
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        args = ", ".join(f"{k}={v}" for k, v in where.items())
         raise AccuracyError(
-            f"sigma_squared: quadrature failed tolerance at l={ell}, t={t}, "
-            f"alpha={alpha} (err={err:.2e})")
-    return min(val, t)  # integrand <= 1, so sigma^2 <= t
+            f"{name}: quadrature failed tolerance at l={ells[i]:.0f}, {args} "
+            f"(err={err[i]:.2e}, value={val[i]:.2e})")
+
+
+class _SquaredKernelTable:
+    """F(z) = int_0^z E_alpha(-u^alpha)^2 du for one alpha.
+
+    Below z0 = _HEAD_X^(1/alpha) F is the integrated power series.  Above
+    it the table holds F and its accumulated error estimate at the knots
+    z0 10^(k/4), and for every panel between two knots the Legendre
+    coefficients of the antiderivative of the degree-19 polynomial through
+    the panel's 20 Gauss nodes, so F anywhere in a panel costs no new
+    E_alpha evaluation.  The table grows in blocks of _TABLE_BLOCK panels,
+    always from the first block on, so a value never depends on which
+    queries came before it.
+    """
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+        self.z0 = _HEAD_X ** (1.0 / alpha)
+        # E(-x)^2 = sum_m e_m x^m with x = u^alpha, integrated term by term
+        m = np.arange(_HEAD_TERMS)
+        e = np.array([(-1.0) ** k / math.gamma(1.0 + alpha * k) for k in m])
+        self.head_coef = np.convolve(e, e)[:_HEAD_TERMS] / (1.0 + alpha * m)
+        self.knots = np.array([self.z0])
+        self.cum = self._head(self.knots)
+        self.cum_err = np.zeros(1)
+        self.anti = np.empty((0, 21))
+
+    def _head(self, z):
+        return z * np.polynomial.polynomial.polyval(z ** self.alpha, self.head_coef)
+
+    def _grow(self, zmax):
+        _, _, _, to_coef = _rule()
+        while self.knots[-1] <= zmax:
+            n = len(self.knots) - 1
+            k = np.arange(n, n + _TABLE_BLOCK + 1)
+            knots = self.z0 * 10.0 ** (k / _PANELS_PER_DECADE)
+            q, e, g = _panels(lambda u: ml_neg(self.alpha, u ** self.alpha) ** 2,
+                              knots[:-1], knots[1:])
+            coef = (g[:, None, :] * to_coef).sum(axis=2)
+            self.knots = np.concatenate([self.knots, knots[1:]])
+            self.cum = np.concatenate([self.cum, np.cumsum(np.append(self.cum[-1], q))[1:]])
+            self.cum_err = np.concatenate(
+                [self.cum_err, np.cumsum(np.append(self.cum_err[-1], e))[1:]])
+            self.anti = np.concatenate(
+                [self.anti, np.polynomial.legendre.legint(coef, lbnd=-1, axis=1)])
+
+    def __call__(self, z):
+        """F(z) and its error estimate, elementwise over a 1-d array z > 0."""
+        self._grow(z.max())
+        val = np.empty_like(z)
+        err = np.zeros_like(z)
+        head = z <= self.z0
+        val[head] = self._head(z[head])
+        zt = z[~head]
+        k = np.searchsorted(self.knots, zt, side="right") - 1
+        lo, hi = self.knots[k], self.knots[k + 1]
+        y = (2.0 * zt - lo - hi) / (hi - lo)
+        part = 0.5 * (hi - lo) * np.polynomial.legendre.legval(y, self.anti[k].T,
+                                                               tensor=False)
+        val[~head] = self.cum[k] + part
+        err[~head] = self.cum_err[k + 1]  # through the whole panel holding z
+        return val, err
+
+
+_TABLES = {}
+
+
+def _scaled(ells, alpha, t):
+    """lambda^(1/alpha) for the degrees, and lambda^(1/alpha) t: the kernel
+    E_alpha(-lambda r^alpha) is E_alpha(-u^alpha) in u = lambda^(1/alpha) r."""
+    with np.errstate(over="ignore"):
+        scale = (ells * (ells + 1.0)) ** (1.0 / alpha)
+    if not np.all(np.isfinite(scale * t)):
+        raise AccuracyError(
+            f"kernel variance: lambda^(1/alpha) t overflows at alpha={alpha}, t={t}")
+    return scale, scale * t
+
+
+def _sigma_squared(ells, t, alpha):
+    out = np.full(ells.shape, t)  # lambda_0 = 0: the integrand is identically 1
+    pos = ells > 0.0
+    if t > 0.0 and np.any(pos):
+        scale, z = _scaled(ells[pos], alpha, t)
+        table = _TABLES.get(alpha)
+        if table is None:
+            table = _TABLES[alpha] = _SquaredKernelTable(alpha)
+        val, err = table(z)
+        _accuracy_check("sigma_squared", val, err, ells[pos], t=t, alpha=alpha)
+        out[pos] = np.minimum(val / scale, t)  # integrand <= 1, so sigma^2 <= t
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _sigma_squared_one(ell, t, alpha):
+    return float(_sigma_squared(np.array([float(ell)]), t, alpha)[0])
 
 
 def sigma_squared(ell, t, alpha):
     """Variance of the stochastic integral of the decay kernel:
-    int_0^t E_alpha(-lambda_l r^alpha)^2 dr, in [0, t]."""
-    ell = _check_ell(ell)
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"sigma_squared: alpha must be in (0, 1], got {alpha}")
-    if t < 0.0:
-        raise DomainError(f"sigma_squared: t must be >= 0, got {t}")
-    if t == 0.0:
-        return 0.0
-    if ell == 0:
-        return float(t)  # lambda_0 = 0, integrand identically 1
-    return _sigma_squared_cached(ell, float(t), float(alpha))
+    int_0^t E_alpha(-lambda_l r^alpha)^2 dr, in [0, t].
+
+    ell is a degree or an ndarray of degrees (then an ndarray comes back);
+    every degree reads the same per-alpha table, and an element of an
+    array result has the same bits as the scalar call."""
+    ells = _check_degrees(ell) if isinstance(ell, np.ndarray) else _check_ell(ell)
+    alpha = _check_alpha("sigma_squared", alpha)
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"sigma_squared: t must be finite and >= 0, got {t}")
+    if isinstance(ells, np.ndarray):
+        return _sigma_squared(ells, float(t), alpha)
+    return _sigma_squared_one(ells, float(t), alpha)
 
 
 def sigma_squared_bound(ell, t, alpha):
@@ -271,8 +416,7 @@ def sigma_squared_bound(ell, t, alpha):
         raise DomainError("sigma_squared_bound: requires l >= 1")
     if not (t > 0.0):
         raise DomainError(f"sigma_squared_bound: t must be > 0, got {t}")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"sigma_squared_bound: alpha must be in (0, 1], got {alpha}")
+    alpha = _check_alpha("sigma_squared_bound", alpha)
     lam = _lambda(ell)
     if alpha < 0.5:
         return lam ** (-1.0 / alpha) + m_alpha(alpha) * t ** (1.0 - 2.0 * alpha) * lam ** -2.0
@@ -284,35 +428,68 @@ def sigma_squared_bound(ell, t, alpha):
     return lam ** (-1.0 / alpha) * (1.0 + m_alpha(alpha))
 
 
-@functools.lru_cache(maxsize=100_000)
-def _cross_sigma_cached(ell, s, h, alpha):
-    lam = _lambda(ell)
+def _cross_block(big_s, big_h, u_h, npan, alpha):
+    """int_0^S E(-(u+H)^alpha) E(-u^alpha) du and its error estimate per
+    degree: a head panel [0, u_h] in u = u_h t^4, which smooths the
+    u^alpha behaviour at 0, then npan geometric panels from u_h to S."""
+    first = np.cumsum(npan) - npan
+    owner = np.repeat(np.arange(big_s.size), npan)
+    j = np.arange(owner.size) - first[owner]
+    ratio = (big_s / u_h)[owner]
+    lo = u_h[owner] * ratio ** (j / npan[owner])
+    hi = u_h[owner] * ratio ** ((j + 1) / npan[owner])
+    hi[first + npan - 1] = big_s
 
-    def f(r):
-        return ml_neg(alpha, lam * (r + h) ** alpha) * ml_neg(alpha, lam * r ** alpha)
+    def kernel(u, shift):
+        return ml_neg(alpha, (u + shift) ** alpha) * ml_neg(alpha, u ** alpha)
 
-    val, err, info = _quad(f, 0.0, s, points=_decay_points(lam, alpha, s) or None,
-                           limit=500, epsabs=1e-14 * max(s, 1.0), epsrel=1e-12,
-                           full_output=True)[:3]
-    if err > max(1e-10 * max(s, 1.0), 1e-9 * abs(val)):
-        raise AccuracyError(
-            f"cross_sigma: quadrature failed tolerance at l={ell}, s={s}, h={h}")
-    return min(val, s)
+    def head(y):
+        t = 0.5 * (y + 1.0)
+        return kernel(u_h[:, None] * t ** 4, big_h[:, None]) * (2.0 * u_h[:, None] * t ** 3)
+
+    q, e, _ = _panels(lambda u: kernel(u, big_h[owner][:, None]), lo, hi)
+    ones = np.ones(big_s.size)
+    q_head, e_head, _ = _panels(head, -ones, ones)
+    return q_head + np.add.reduceat(q, first), e_head + np.add.reduceat(e, first)
+
+
+def _cross_sigma(ells, s, h, alpha):
+    if h == 0.0:
+        return sigma_squared(ells, s, alpha)
+    out = np.full(ells.shape, s)  # lambda_0 = 0: the integrand is identically 1
+    pos = ells > 0.0
+    if s > 0.0 and np.any(pos):
+        scale, big_s = _scaled(ells[pos], alpha, s)
+        big_h = scale * h
+        u_h = 0.01 * np.minimum(big_s, 1.0)
+        npan = np.ceil(_PANELS_PER_DECADE * np.log10(big_s / u_h)).astype(np.int64)
+        # blocks of whole degrees, about _CROSS_NODES nodes each
+        cuts = np.flatnonzero(np.diff(np.cumsum(20 * (npan + 1)) // _CROSS_NODES)) + 1
+        val, err = np.empty_like(big_s), np.empty_like(big_s)
+        for b in np.split(np.arange(big_s.size), cuts):
+            val[b], err[b] = _cross_block(big_s[b], big_h[b], u_h[b], npan[b], alpha)
+        _accuracy_check("cross_sigma", val, err, ells[pos], s=s, h=h, alpha=alpha)
+        out[pos] = np.minimum(val / scale, s)
+    return out
+
+
+@functools.lru_cache(maxsize=4096)
+def _cross_sigma_one(ell, s, h, alpha):
+    return float(_cross_sigma(np.array([float(ell)]), s, h, alpha)[0])
 
 
 def cross_sigma(ell, s, h, alpha):
     """Two-time covariance int_0^s E(-lambda (r+h)^a) E(-lambda r^a) dr of the
-    stochastic integrals at lags s and s+h; equals sigma_squared at h = 0."""
-    ell = _check_ell(ell)
-    if s < 0.0 or h < 0.0:
-        raise DomainError(f"cross_sigma: s and h must be >= 0, got s={s}, h={h}")
-    if s == 0.0:
-        return 0.0
-    if h == 0.0:
-        return sigma_squared(ell, s, alpha)
-    if ell == 0:
-        return float(s)
-    return _cross_sigma_cached(ell, float(s), float(h), float(alpha))
+    stochastic integrals at lags s and s+h; equals sigma_squared at h = 0.
+
+    ell is a degree or an ndarray of degrees, as for sigma_squared."""
+    ells = _check_degrees(ell) if isinstance(ell, np.ndarray) else _check_ell(ell)
+    alpha = _check_alpha("cross_sigma", alpha)
+    if not (0.0 <= s < math.inf and 0.0 <= h < math.inf):
+        raise DomainError(f"cross_sigma: s and h must be finite and >= 0, got s={s}, h={h}")
+    if isinstance(ells, np.ndarray):
+        return _cross_sigma(ells, float(s), float(h), alpha)
+    return _cross_sigma_one(ells, float(s), float(h), alpha)
 
 
 # --------------------------------------------------------------------------
@@ -323,7 +500,7 @@ def _decay_factors(L, t, alpha):
     if t == 0.0:
         return np.ones(L + 1)
     ells = np.arange(L + 1, dtype=float)
-    return np.array([ml_neg(alpha, lv) for lv in ells * (ells + 1.0) * t ** alpha])
+    return ml_neg(alpha, ells * (ells + 1.0) * t ** alpha)
 
 
 def sample_initial_coefficients(spec_c, L, rng, realization=0):
@@ -383,11 +560,12 @@ def _add_joint_noise(model_spec_a, alpha, outs, lags, L, rng, realization):
     """
     k = len(lags)
     all_rows = [_noise_rows(model_spec_a, L, rng, realization, slot) for slot in range(k)]
+    scales = _joint_noise_scales(L, tuple(lags), alpha)
     for ell in range(L + 1):
         if all_rows[0][ell] is None:
             continue
         al = math.sqrt(model_spec_a.value(ell))
-        chol = _joint_noise_scales(ell, lags, alpha)
+        chol = scales[ell]
         for i in range(k):
             acc0 = 0.0
             accm = np.zeros(ell, dtype=complex) if ell >= 1 else None
@@ -434,9 +612,11 @@ def sample_coefficient_rows(model, t, rng, ells, realization=0):
     Monte Carlo checks that need a few degrees at many realizations)."""
     if not (t > 0.0):
         raise DomainError(f"sample_coefficient_rows: t must be > 0, got {t}")
+    ells = [_check_ell(ell) for ell in ells]
+    if t > model.tau and ells:
+        scales = _joint_noise_scales(max(ells), (t - model.tau,), model.alpha)
     out = {}
     for ell in ells:
-        ell = _check_ell(ell)
         row = np.zeros(ell + 1, dtype=complex)
         cl = model.spec_c.value(ell)
         if cl > 0.0:
@@ -448,7 +628,7 @@ def sample_coefficient_rows(model, t, rng, ells, realization=0):
         row *= ml_neg(model.alpha, _lambda(ell) * t ** model.alpha)
         if t > model.tau and model.spec_a.value(ell) > 0.0:
             al = math.sqrt(model.spec_a.value(ell))
-            chol = _joint_noise_scales(ell, [t - model.tau], model.alpha)
+            chol = scales[ell]
             e1 = rng.normals(realization, ell, noise_role(0, 0), ell + 1)
             row[0] += al * (chol[0, 0] * e1[0])
             if ell >= 1:
@@ -458,24 +638,44 @@ def sample_coefficient_rows(model, t, rng, ells, realization=0):
     return out
 
 
-def _joint_noise_scales(ell, lags, alpha):
-    """Cholesky factor of the covariance matrix of the stochastic integrals
-    at the given increasing lags (entries Cov = cross_sigma at min lag)."""
+@functools.lru_cache(maxsize=32)
+def _joint_noise_scales(L, lags, alpha):
+    """Cholesky factors, one per degree l = 0..L, of the covariance of the
+    stochastic integrals at the increasing lags (a tuple); read-only and
+    cached, so that all realizations of a curve share one stack."""
+    cov = _covariance_stack(L, lags, alpha)
+    try:
+        scales = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        scales = np.array([_factor(c, ell, lags) for ell, c in enumerate(cov)])
+    scales.flags.writeable = False
+    return scales
+
+
+def _covariance_stack(L, lags, alpha):
+    """(L+1, k, k) covariances: entry (i, j) is cross_sigma at the smaller
+    lag and the lag difference, one vector call per entry."""
+    ells = np.arange(L + 1)
     k = len(lags)
-    cov = np.empty((k, k))
+    cov = np.empty((L + 1, k, k))
     for i in range(k):
         for j in range(i, k):
             lo, hi = lags[i], lags[j]
-            cov[i, j] = cov[j, i] = cross_sigma(ell, lo, hi - lo, alpha)
+            cov[:, i, j] = cov[:, j, i] = cross_sigma(ells, lo, hi - lo, alpha)
+    return cov
+
+
+def _factor(cov, ell, lags):
+    """Cholesky factor of one degree's covariance, or its eigen-factor when
+    quadrature roundoff leaves tiny negative eigenvalues."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        # allow tiny negative eigenvalues from quadrature roundoff
         w, v = np.linalg.eigh(cov)
         if np.min(w) < -1e-12 * max(np.max(w), 1e-300):
             raise AccuracyError(
                 f"joint noise covariance not positive semidefinite at l={ell}, "
-                f"lags={lags} (min eig {np.min(w):.2e})")
+                f"lags={list(lags)} (min eig {np.min(w):.2e})")
         w = np.clip(w, 0.0, None)
         return v * np.sqrt(w)
 

@@ -1,0 +1,26 @@
+"""The benchmark's tracer patches program names from outside the program
+(perfbench/tracer.py, WRAP_POINTS); a refactor that removes or renames one
+of them would make every benchmark run fail, so resolve them all here."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("module,path", [(m, p) for m, p, *_ in tracer.WRAP_POINTS])
+def test_wrap_point_resolves(module, path):
+    owner, attr = tracer._resolve(module, path)
+    assert callable(getattr(owner, attr))

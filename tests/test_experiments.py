@@ -9,6 +9,7 @@ from fracsphere import (AlgebraicSpectrum, DomainError, ErrorCurve,
                         coefficient_variance, evolution_snapshots,
                         fit_loglog_slope, increment_curve, ml_neg,
                         sample_combined, truncation_error_curve)
+from fracsphere import stochastic
 from fracsphere.experiments import resolve_workers
 from fracsphere.stochastic import sigma_squared, cross_sigma
 
@@ -160,6 +161,18 @@ def test_increment_sqrt_scaling(small_model):
     curve = increment_curve(small_model, 48, t, [1e-6, 4e-6], 40, seed=21)
     ratio = curve.rows[1][1] / curve.rows[0][1]
     assert ratio == pytest.approx(2.0, rel=0.15)  # sqrt(h) law within MC noise
+
+
+def test_increment_curve_builds_each_covariance_stack_once(small_model, monkeypatch):
+    built, real = [], stochastic._covariance_stack
+    monkeypatch.setattr(stochastic, "_covariance_stack",
+                        lambda L, lags, alpha: built.append(lags) or real(L, lags, alpha))
+    stochastic._joint_noise_scales.cache_clear()
+    hs = [1e-6, 2e-6, 3e-6]
+    increment_curve(small_model, 12, 2e-5, hs, 4, seed=3)
+    stochastic._joint_noise_scales.cache_clear()
+    s = 2e-5 - small_model.tau
+    assert sorted(built) == sorted((s, 2e-5 + h - small_model.tau) for h in hs)
 
 
 def test_increment_expectation_alpha1():

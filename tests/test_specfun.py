@@ -213,6 +213,17 @@ def test_ml_vs_oracle_grid(alpha, beta):
         assert ml_neg(alpha, float(x), beta=beta) == pytest.approx(ref, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_ml_closed_forms_array_matches_scalar_bitwise(alpha):
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 997), np.logspace(-9, 6, 203)])
+    vals = ml_neg(alpha, xs)
+    assert all(v == ml_neg(alpha, float(x)) for v, x in zip(vals, xs))
+    assert np.array_equal(ml_neg(alpha, xs[1::7]), vals[1::7])  # a strided view
+    with pytest.raises(DomainError):
+        ml_neg(alpha, np.array([1.0, -1.0]))
+
+
 def test_ml_alpha1_general_beta():
     # E_{1,2}(-x) = (1 - exp(-x))/x
     for x in (0.1, 1.0, 10.0, 200.0):

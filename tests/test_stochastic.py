@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
+from fracsphere import stochastic
+from fracsphere import (AccuracyError, AlgebraicSpectrum, CoefficientSet, DomainError,
                         FractionalModel, RngStream, coefficient_variance,
                         covariance_function, cross_sigma, evolve_homogeneous,
                         holder_envelope, ml_neg, sample_coefficient_rows,
@@ -11,6 +15,8 @@ from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
                         sample_combined_times, sample_inhomogeneous,
                         sample_initial_coefficients, sigma_squared,
                         sigma_squared_bound)
+
+from conftest import ml_oracle
 
 
 def closed_form_sigma2_a1(ell, t):
@@ -81,6 +87,146 @@ def test_cross_sigma_cauchy_schwarz():
                 hi = math.sqrt(sigma_squared(ell, s, alpha)
                                * sigma_squared(ell, s + h, alpha))
                 assert 0.0 <= c <= hi * (1 + 1e-10)
+
+
+# --------------------------------------------------------------------------
+# kernel variances against 20- and 30-digit oracles
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+
+
+def _kernel_oracle(e_neg, alpha, ell, s, h, w_lo, n_panels, dps=30):
+    """int_0^s E(-lambda (r+h)^a) E(-lambda r^a) dr in mpmath, with e_neg(x)
+    = E_alpha(-x).  In u = lambda^(1/a) r and then w = ln u the integrand is
+    smooth; 24-point Gauss-Legendre panels cover [w_lo, ln S], and the head
+    below e^w_lo is taken as e^w_lo times its integrand there."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        scale = (mp.mpf(ell) * (ell + 1)) ** (1 / a)
+        big_h = scale * mp.mpf(h)
+
+        def f(w):
+            u = mp.exp(w)
+            return u * e_neg((u + big_h) ** a) * e_neg(u ** a)
+
+        w_hi = mp.log(scale * mp.mpf(s))
+        total = f(mp.mpf(w_lo))
+        for k in range(n_panels):
+            lo = w_lo + (w_hi - w_lo) * k / n_panels
+            hi = w_lo + (w_hi - w_lo) * (k + 1) / n_panels
+            total += (hi - lo) / 2 * mp.fsum(
+                mp.mpf(wi) * f((lo + hi) / 2 + (hi - lo) / 2 * mp.mpf(xi))
+                for xi, wi in zip(_GL_X, _GL_W))
+        return total / scale
+
+
+def _e_half(x):
+    return mp.exp(x * x) * mp.erfc(x)
+
+
+def _e_general(alpha):
+    return lambda x: ml_oracle(alpha, x, dps=20)
+
+
+@pytest.mark.parametrize("ell,h", [(400, 0.0), (346, 1.1e-5)])
+def test_kernels_vs_oracle_alpha_half(ell, h):
+    # increments-scale inputs; the adaptive quadrature used before missed
+    # these by 1.8e-9 (sigma^2) and 1.3e-5 (cross) relative
+    ref = _kernel_oracle(_e_half, 0.5, ell, 9e-5, h, -35.0, 17)
+    assert cross_sigma(ell, 9e-5, h, 0.5) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
+def test_sigma_squared_vs_oracle_alpha_075():
+    for ell, n_panels in ((50, 12), (400, 14)):
+        ref = _kernel_oracle(_e_general(0.75), 0.75, ell, 9e-5, 0.0, -35.0, n_panels, dps=20)
+        assert sigma_squared(ell, 9e-5, 0.75) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
+def test_cross_sigma_vs_oracle_alpha_075():
+    ref = _kernel_oracle(_e_general(0.75), 0.75, 50, 9e-5, 1.1e-5, -35.0, 12, dps=20)
+    assert cross_sigma(50, 9e-5, 1.1e-5, 0.75) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
+def test_sigma_squared_vs_oracle_alpha_01_degree_1500():
+    # lambda^10 s = 3e59: the integrand is algebraic, u^(-0.2), over the
+    # last decades, which carry all but e^-30 of the integral
+    ref = _kernel_oracle(_e_general(0.1), 0.1, 1500, 9e-5, 0.0, 95.0, 1, dps=20)
+    assert sigma_squared(1500, 9e-5, 0.1) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
+def test_kernels_alpha1_degree_1500():
+    lam, s, h = 1500 * 1501, 9e-5, 1.1e-5
+    with mp.workdps(30):
+        sig = -mp.expm1(-2 * mp.mpf(lam) * s) / (2 * lam)
+        cross = mp.exp(-mp.mpf(lam) * h) * sig
+    assert sigma_squared(1500, s, 1.0) == pytest.approx(float(sig), rel=1e-10, abs=0.0)
+    assert cross_sigma(1500, s, h, 1.0) == pytest.approx(float(cross), rel=1e-10, abs=0.0)
+
+
+# --------------------------------------------------------------------------
+# kernel variances: evaluation paths
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+def test_kernel_arrays_match_scalars_bitwise(alpha):
+    ells = np.arange(61)
+    sig = sigma_squared(ells, 3e-4, alpha)
+    cross = cross_sigma(ells, 3e-4, 2e-5, alpha)
+    assert sig.shape == cross.shape == ells.shape
+    for ell in (0, 1, 7, 33, 60):
+        assert sig[ell] == sigma_squared(ell, 3e-4, alpha)
+        assert cross[ell] == cross_sigma(ell, 3e-4, 2e-5, alpha)
+    assert np.array_equal(cross_sigma(ells, 3e-4, 0.0, alpha), sig)
+
+
+_ORDER_SCRIPT = """
+import numpy as np
+from fracsphere.stochastic import sigma_squared
+{first}
+print(sigma_squared(37, 1e-3, 0.65).hex())
+"""
+
+
+def test_sigma_squared_independent_of_query_order():
+    def fresh(first):
+        out = subprocess.run([sys.executable, "-c", _ORDER_SCRIPT.format(first=first)],
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    alone = fresh("")
+    after_far = fresh("sigma_squared(np.arange(3000), 50.0, 0.65)")
+    sigma_squared(np.arange(2000), 20.0, 0.65)  # this process: grow the table first
+    here = sigma_squared(37, 1e-3, 0.65).hex()
+    assert alone == after_far == here
+
+
+def test_repeated_scalar_kernels_are_cached(monkeypatch):
+    sigma_squared(123, 2e-4, 0.75)
+    cross_sigma(123, 2e-4, 1e-5, 0.75)
+    calls, real = [], stochastic.ml_neg
+    monkeypatch.setattr(stochastic, "ml_neg",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for _ in range(2000):
+        sigma_squared(123, 2e-4, 0.75)
+        cross_sigma(123, 2e-4, 1e-5, 0.75)
+    assert calls == []
+
+
+def test_kernel_degree_and_range_checks():
+    for bad in (np.array([1.0, -1.0]), np.array([2.5]), np.array([np.nan])):
+        with pytest.raises(DomainError):
+            sigma_squared(bad, 1e-3, 0.5)
+        with pytest.raises(DomainError):
+            cross_sigma(bad, 1e-3, 1e-4, 0.5)
+    with pytest.raises(DomainError):
+        cross_sigma(np.arange(3), 1e-3, 1e-4, 1.5)
+    for bad in (math.nan, math.inf, -1e-3):
+        with pytest.raises(DomainError):
+            sigma_squared(3, bad, 0.5)
+        with pytest.raises(DomainError):
+            cross_sigma(3, 1e-3, bad, 0.5)
+    # lambda^(1/alpha) t overflows: refused, not a silent inf or 0
+    with pytest.raises(AccuracyError):
+        sigma_squared(10 ** 5, 1.0, 0.01)
 
 
 # --------------------------------------------------------------------------
