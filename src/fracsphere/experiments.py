@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .errors import DomainError
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
-from .stochastic import (RngStream, sample_combined, sample_combined_pair,
-                         sample_combined_times)
+from .stochastic import (RNG_SCHEME, RngStream, _whole, sample_combined,
+                         sample_combined_pair, sample_combined_times)
 # perfbench/tracer.py wraps the kernel variances under these names too
 from .stochastic import cross_sigma, sigma_squared  # noqa: F401
 from .synthesis import synthesize, write_map_csv, write_map_image
@@ -118,6 +118,14 @@ def _trunc_worker(j):
     return coeffs.degree_power()
 
 
+def _check_n_real(name, n_real):
+    """n_real as an int >= 2."""
+    count = _whole(n_real)
+    if count is None or count < 2:
+        raise DomainError(f"{name}: n_real must be an integer >= 2, got {n_real!r}")
+    return count
+
+
 def _run_jobs(worker, tasks, workers):
     """Run `worker` over `tasks`, returning results in task order regardless
     of scheduling."""
@@ -142,11 +150,10 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=None
         raise DomainError("truncation_error_curve: l_grid must be ascending")
     if not l_grid or l_grid[-1] >= l_tilde:
         raise DomainError("truncation_error_curve: need max(l_grid) < l_tilde")
-    if n_real < 2:
-        raise DomainError("truncation_error_curve: need at least 2 realizations")
+    n_real = _check_n_real("truncation_error_curve", n_real)
     workers = resolve_workers(workers)
     _TRUNC_JOB.update(model=model, L=int(l_tilde), t=float(t), seed=int(seed))
-    powers = _run_jobs(_trunc_worker, range(int(n_real)), workers)
+    powers = _run_jobs(_trunc_worker, range(n_real), workers)
     mean_p = np.zeros(l_tilde + 1)
     for p in powers:  # fixed order for bitwise determinism
         mean_p += p
@@ -192,11 +199,10 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=None,
         raise DomainError("increment_curve: h grid must be positive and ascending")
     if not (t > model.tau):
         raise DomainError(f"increment_curve: need t > tau, got t={t}, tau={model.tau}")
-    if n_real < 2:
-        raise DomainError("increment_curve: need at least 2 realizations")
+    n_real = _check_n_real("increment_curve", n_real)
     workers = resolve_workers(workers)
     _INC_JOB.update(model=model, L=int(L), t=float(t), seed=int(seed), hs=hs)
-    tasks = [(j, hidx) for hidx in range(len(hs)) for j in range(int(n_real))]
+    tasks = [(j, hidx) for hidx in range(len(hs)) for j in range(n_real)]
     sums = _run_jobs(_inc_worker, tasks, workers)
     c = measured_increment_c(model.alpha, override=increment_c)
     rows = []
@@ -239,6 +245,7 @@ def write_manifest(out_dir, config):
     payload = dict(config)
     payload["tool"] = "fracsphere"
     payload["version"] = __version__
+    payload["rng_scheme"] = RNG_SCHEME
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)

@@ -32,9 +32,13 @@ graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
 carries an error estimate from an embedded lower-order rule; a value whose
 summed estimate exceeds 1e-10 of itself raises AccuracyError.
 
-Randomness is counter-based: every normal variate is determined by
-(seed, realization, l, role) through a dedicated Philox key, making draws
-order-independent and identical under any work scheduling.
+Randomness is counter-based (RNG scheme 2): each (seed, realization,
+role) has its own Philox key, and variate number l(l+1)/2 + m of that
+stream belongs to coefficient (l, m), the np.tril_indices order.  A
+realization draws each role as one packed array, every variate is a pure
+function of its coordinates, and a draw at degree L has the rows of a
+draw at any larger degree, bit for bit.  Draws are order-independent and
+identical under any work scheduling.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ __all__ = [
     "FractionalModel",
     "CoefficientSet",
     "RngStream",
+    "RNG_SCHEME",
     "ROLE_INIT_RE",
     "ROLE_INIT_IM",
     "noise_role",
@@ -107,31 +112,52 @@ def noise_role(slot, component):
     return _ROLE_NOISE_BASE + 2 * slot + component
 
 
+RNG_SCHEME = 2  # version of the map from coordinates to variates
+
+
+def _whole(value):
+    """value as an int if it is a whole number (an int, a numpy integer or
+    an integral float), else None: a fractional count or coordinate is
+    refused by its callers, never truncated."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return int(value) if isinstance(value, (int, np.integer)) else None
+
+
+def _coordinate(name, value, bound):
+    """value as an int in [0, bound); a fractional value would otherwise
+    land on another coordinate's stream."""
+    as_int = _whole(value)
+    if as_int is None or not 0 <= as_int < bound:
+        raise DomainError(f"RngStream: {name} must be an integer in [0, {bound}), "
+                          f"got {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible stream of normals keyed by (seed, realization, l, role).
+    """Reproducible normals: one Philox stream per (seed, realization, role).
 
-    Identical coordinates give bit-identical variates on every platform;
-    distinct coordinates give independent Philox streams.
+    Variate number l(l+1)/2 + m of a stream belongs to coefficient (l, m),
+    so identical coordinates give bit-identical variates on every platform
+    and distinct (realization, role) pairs give independent streams.
     """
 
     seed: int
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2 ** 64):
-            raise DomainError("RngStream: seed must fit in 64 bits")
+        object.__setattr__(self, "seed", _coordinate("seed", self.seed, 2 ** 64))
 
     def normals(self, realization, ell, role, n):
-        if realization < 0 or realization >= 2 ** 36:
-            raise DomainError(f"realization index out of range: {realization}")
-        if ell < 0 or ell >= 2 ** 20:
-            raise DomainError(f"degree out of range: {ell}")
-        if role < 0 or role >= 2 ** 8:
-            raise DomainError(f"role out of range: {role}")
-        hi = (int(realization) << 28) | (int(ell) << 8) | int(role)
-        key = np.array([self.seed, hi], dtype=np.uint64)
+        """The n variates of stream (realization, role) that start at the
+        first variate of degree ell; the stream's prefix is drawn and dropped."""
+        realization = _coordinate("realization index", realization, 2 ** 56)
+        ell = _coordinate("degree", ell, 2 ** 20)
+        role = _coordinate("role", role, 2 ** 8)
+        key = np.array([self.seed, realization << 8 | role], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        return gen.standard_normal(n)
+        skip = ell * (ell + 1) // 2
+        return gen.standard_normal(skip + n)[skip:]
 
 
 # --------------------------------------------------------------------------
@@ -495,12 +521,97 @@ def cross_sigma(ell, s, h, alpha):
 # --------------------------------------------------------------------------
 # samplers
 
+_NO_SPECTRUM = AlgebraicSpectrum(0.0, 0.0, 3.0)
+
+
+@functools.lru_cache(maxsize=64)
 def _decay_factors(L, t, alpha):
-    """E_alpha(-lambda_l t^alpha) for l = 0..L."""
-    if t == 0.0:
-        return np.ones(L + 1)
+    """E_alpha(-lambda_l t^alpha) for l = 0..L; read-only and cached, so
+    that all realizations at one time share one evaluation."""
     ells = np.arange(L + 1, dtype=float)
-    return ml_neg(alpha, ells * (ells + 1.0) * t ** alpha)
+    fac = ml_neg(alpha, ells * (ells + 1.0) * t ** alpha)
+    fac.flags.writeable = False
+    return fac
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(L):
+    """The packed (l, m) order of np.tril_indices(L + 1): entries per degree,
+    the index of each degree's m = 0 entry, and the mask that scatters a
+    packed array into the lower triangle of a square one."""
+    counts = np.arange(1, L + 2)
+    starts = counts * (counts - 1) // 2
+    mask = np.tri(L + 1, dtype=bool)
+    for a in (counts, starts, mask):
+        a.flags.writeable = False
+    return counts, starts, mask
+
+
+def _packed(head, rest, L):
+    """A packed array holding head[l] at (l, 0) and rest[l] at (l, m >= 1)."""
+    counts, starts, _ = _layout(L)
+    out = np.repeat(rest, counts)
+    out[starts] = head
+    return out
+
+
+def _amplitudes(spec, L):
+    """Per degree, the standard deviation of Re V_{l,m} for a unit-variance
+    draw at m = 0, sqrt(X_l), and at m >= 1, sqrt(X_l / 2); None when the
+    spectrum vanishes on 0..L."""
+    x = spec.values(np.arange(L + 1))
+    return (np.sqrt(x), np.sqrt(x / 2.0)) if np.any(x) else None
+
+
+def _sample(model, L, times, rng, realization):
+    """Coefficient sets of one realization at the increasing times >= 0.
+
+    Each role's normals are one packed array in np.tril_indices(L + 1)
+    order, so the variate of (l, m) is number l(l+1)/2 + m of its stream
+    at any L.  The homogeneous part decays one initial draw.  Past tau the
+    noise integrals at the k lags t - tau are the Cholesky factor of their
+    covariance applied to k independent draws; lag i adds draws 0..i in
+    that order, so a time has the same bits whatever later times are drawn
+    with it.  One role's draw is held at a time, and the packed sums of
+    each time are scattered into its square output once.
+    """
+    L = _check_ell(L)
+    counts, starts, mask = _layout(L)
+    n = int(starts[-1]) + L + 1
+    amp = _amplitudes(model.spec_c, L)
+    if amp is None:
+        re = [np.zeros(n) for _ in times]  # packed Re V per time
+        im = [np.zeros(n) for _ in times]  # packed -Im V per time
+    else:
+        amp = _packed(*amp, L)
+        re, im = [], []
+        for part, role in ((re, ROLE_INIT_RE), (im, ROLE_INIT_IM)):
+            z = amp * rng.normals(realization, 0, role, n)
+            for t in times:
+                fac = np.repeat(_decay_factors(L, t, model.alpha), counts)
+                fac *= z
+                part.append(fac)
+    lags = [t - model.tau for t in times if t > model.tau]
+    amp = _amplitudes(model.spec_a, L) if lags else None
+    if amp is not None:
+        chol = _joint_noise_scales(L, tuple(lags), model.alpha)
+        first = len(times) - len(lags)
+        for j in range(len(lags)):
+            eta_re, eta_im = (rng.normals(realization, 0, noise_role(j, c), n) for c in (0, 1))
+            for i in range(j, len(lags)):
+                w = _packed(amp[0] * chol[:, i, j], amp[1] * chol[:, i, j], L)
+                re[first + i] += w * eta_re
+                im[first + i] += w * eta_im
+    outs = []
+    for i, t in enumerate(times):
+        np.negative(im[i], out=im[i])  # V_{l,m} = sigma (Z1 - i Z2)
+        im[i][starts] = 0.0            # V_{l,0} is real
+        out = CoefficientSet.zeros(L, time=t, seed=rng.seed, realization=realization)
+        out.values.real[mask] = re[i]
+        out.values.imag[mask] = im[i]
+        re[i] = im[i] = None
+        outs.append(out)
+    return outs
 
 
 def sample_initial_coefficients(spec_c, L, rng, realization=0):
@@ -508,18 +619,8 @@ def sample_initial_coefficients(spec_c, L, rng, realization=0):
 
     V_{l,0} = sqrt(C_l) Z1_{l,0};  V_{l,m} = sqrt(C_l/2)(Z1_{l,m} - i Z2_{l,m}).
     """
-    L = _check_ell(L)
-    out = CoefficientSet.zeros(L, time=0.0, seed=rng.seed, realization=realization)
-    for ell in range(L + 1):
-        cl = spec_c.value(ell)
-        if cl == 0.0:
-            continue
-        z1 = rng.normals(realization, ell, ROLE_INIT_RE, ell + 1)
-        out.values[ell, 0] = math.sqrt(cl) * z1[0]
-        if ell >= 1:
-            z2 = rng.normals(realization, ell, ROLE_INIT_IM, ell)
-            out.values[ell, 1: ell + 1] = math.sqrt(cl / 2.0) * (z1[1:] - 1j * z2)
-    return out
+    model = FractionalModel(1.0, math.inf, spec_c, _NO_SPECTRUM)
+    return _sample(model, L, [0.0], rng, realization)[0]
 
 
 def evolve_homogeneous(init, t, alpha):
@@ -530,66 +631,15 @@ def evolve_homogeneous(init, t, alpha):
     out.time = float(t)
     if t == 0.0:
         return out
-    fac = _decay_factors(init.L, t, alpha)
-    out.values *= fac[:, None]
+    out.values *= _decay_factors(init.L, float(t), alpha)[:, None]
     return out
-
-
-def _noise_rows(spec_a, L, rng, realization, slot):
-    """Unit-variance complex noise rows eta_{l,m} for one time slot
-    (None for rows with A_l = 0)."""
-    rows = []
-    for ell in range(L + 1):
-        if spec_a.value(ell) == 0.0:
-            rows.append(None)
-            continue
-        e1 = rng.normals(realization, ell, noise_role(slot, 0), ell + 1)
-        e2 = rng.normals(realization, ell, noise_role(slot, 1), ell) if ell >= 1 else None
-        rows.append((e1, e2))
-    return rows
-
-
-def _add_joint_noise(model_spec_a, alpha, outs, lags, L, rng, realization):
-    """Add the stochastic-integral part jointly at the given increasing
-    lags, one output set per lag.
-
-    Per (l, m) the vector (I(s_1), ..., I(s_k)) is Gaussian with
-    Cov(i, j) = cross_sigma at the lag pair; the Cholesky factor maps
-    independent slot draws onto it.  The k = 1 case is the plain
-    single-time draw (identical bits, since chol[0,0] = sqrt(sigma^2)).
-    """
-    k = len(lags)
-    all_rows = [_noise_rows(model_spec_a, L, rng, realization, slot) for slot in range(k)]
-    scales = _joint_noise_scales(L, tuple(lags), alpha)
-    for ell in range(L + 1):
-        if all_rows[0][ell] is None:
-            continue
-        al = math.sqrt(model_spec_a.value(ell))
-        chol = scales[ell]
-        for i in range(k):
-            acc0 = 0.0
-            accm = np.zeros(ell, dtype=complex) if ell >= 1 else None
-            for j in range(i + 1):
-                e1, e2 = all_rows[j][ell]
-                acc0 += chol[i, j] * e1[0]
-                if ell >= 1:
-                    accm = accm + chol[i, j] * (e1[1:] - 1j * e2)
-            outs[i].values[ell, 0] += al * acc0
-            if ell >= 1:
-                outs[i].values[ell, 1: ell + 1] += al / math.sqrt(2.0) * accm
 
 
 def sample_inhomogeneous(spec_a, L, t, tau, alpha, rng, realization=0):
     """Draw the noise-driven part at time t: zero for t <= tau, otherwise
     V built from I ~ N(0, sigma^2_{l,t-tau,alpha}) with the A_l scaling."""
-    L = _check_ell(L)
-    if not (tau > 0.0):
-        raise DomainError(f"sample_inhomogeneous: tau must be > 0, got {tau}")
-    out = CoefficientSet.zeros(L, time=float(t), seed=rng.seed, realization=realization)
-    if t <= tau:
-        return out
-    _add_joint_noise(spec_a, alpha, [out], [t - tau], L, rng, realization)
-    return out
+    model = FractionalModel(alpha, tau, _NO_SPECTRUM, spec_a)
+    return _sample(model, L, [float(t)], rng, realization)[0]
 
 
 def sample_combined(model, L, t, rng, realization=0):
@@ -597,45 +647,19 @@ def sample_combined(model, L, t, rng, realization=0):
     an initial draw plus, past tau, the independent noise integral)."""
     if not (t > 0.0):
         raise DomainError(f"sample_combined: t must be > 0, got {t}")
-    init = sample_initial_coefficients(model.spec_c, L, rng, realization)
-    out = evolve_homogeneous(init, t, model.alpha)
-    if t > model.tau:
-        noise = sample_inhomogeneous(model.spec_a, L, t, model.tau, model.alpha,
-                                     rng, realization)
-        out.values += noise.values
-    return out
+    return _sample(model, L, [float(t)], rng, realization)[0]
 
 
 def sample_coefficient_rows(model, t, rng, ells, realization=0):
-    """Rows {l: (V_{l,0..l})} of sample_combined at time t, drawing only the
-    requested degrees (bit-identical to the full sampler's rows; used by
-    Monte Carlo checks that need a few degrees at many realizations)."""
+    """Rows {l: (V_{l,0..l})} of sample_combined at time t, cut from one
+    draw at degree max(ells): the rows of a draw at any degree, bit for bit."""
     if not (t > 0.0):
         raise DomainError(f"sample_coefficient_rows: t must be > 0, got {t}")
     ells = [_check_ell(ell) for ell in ells]
-    if t > model.tau and ells:
-        scales = _joint_noise_scales(max(ells), (t - model.tau,), model.alpha)
-    out = {}
-    for ell in ells:
-        row = np.zeros(ell + 1, dtype=complex)
-        cl = model.spec_c.value(ell)
-        if cl > 0.0:
-            z1 = rng.normals(realization, ell, ROLE_INIT_RE, ell + 1)
-            row[0] = math.sqrt(cl) * z1[0]
-            if ell >= 1:
-                z2 = rng.normals(realization, ell, ROLE_INIT_IM, ell)
-                row[1:] = math.sqrt(cl / 2.0) * (z1[1:] - 1j * z2)
-        row *= ml_neg(model.alpha, _lambda(ell) * t ** model.alpha)
-        if t > model.tau and model.spec_a.value(ell) > 0.0:
-            al = math.sqrt(model.spec_a.value(ell))
-            chol = scales[ell]
-            e1 = rng.normals(realization, ell, noise_role(0, 0), ell + 1)
-            row[0] += al * (chol[0, 0] * e1[0])
-            if ell >= 1:
-                e2 = rng.normals(realization, ell, noise_role(0, 1), ell)
-                row[1:] += al / math.sqrt(2.0) * (chol[0, 0] * (e1[1:] - 1j * e2))
-        out[ell] = row
-    return out
+    if not ells:
+        return {}
+    full = sample_combined(model, max(ells), t, rng, realization).values
+    return {ell: full[ell, : ell + 1] for ell in ells}
 
 
 @functools.lru_cache(maxsize=32)
@@ -691,15 +715,7 @@ def sample_combined_times(model, L, times, rng, realization=0):
     times = [float(t) for t in times]
     if any(t <= 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
         raise DomainError("sample_combined_times: times must be positive and increasing")
-    L = _check_ell(L)
-    init = sample_initial_coefficients(model.spec_c, L, rng, realization)
-    outs = [evolve_homogeneous(init, t, model.alpha) for t in times]
-    lags = [t - model.tau for t in times if t > model.tau]
-    if lags:
-        first = len(times) - len(lags)
-        _add_joint_noise(model.spec_a, model.alpha, outs[first:], lags, L,
-                         rng, realization)
-    return outs
+    return _sample(model, L, times, rng, realization)
 
 
 def sample_combined_pair(model, L, t, h, rng, realization=0):
@@ -709,7 +725,7 @@ def sample_combined_pair(model, L, t, h, rng, realization=0):
         raise DomainError(f"sample_combined_pair: need t > tau, got t={t}, tau={model.tau}")
     if not (h > 0.0):
         raise DomainError(f"sample_combined_pair: h must be > 0, got {h}")
-    a, b = sample_combined_times(model, L, [t, t + h], rng, realization)
+    a, b = _sample(model, L, [float(t), float(t) + float(h)], rng, realization)
     return a, b
 
 

@@ -1,8 +1,10 @@
 """The benchmark's tracer patches program names from outside the program
 (perfbench/tracer.py, WRAP_POINTS); a refactor that removes or renames one
-of them would make every benchmark run fail, so resolve them all here."""
+of them would make every benchmark run fail, so resolve them all here, and
+check the argument positions its unit counters read."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,10 @@ tracer = _load_tracer()
 def test_wrap_point_resolves(module, path):
     owner, attr = tracer._resolve(module, path)
     assert callable(getattr(owner, attr))
+
+
+def test_rng_normals_signature():
+    # the tracer counts the variates drawn as the fifth positional argument
+    from fracsphere.stochastic import RngStream
+    params = list(inspect.signature(RngStream.normals).parameters)
+    assert params == ["self", "realization", "ell", "role", "n"]

@@ -146,6 +146,40 @@ def test_truncation_input_validation(small_model):
         truncation_error_curve(small_model, 16, [4], 1e-4, 1, 1)
 
 
+@pytest.mark.parametrize("n_real", [2.5, math.nan, "4"])
+def test_curves_refuse_fractional_n_real(small_model, n_real):
+    # 2.5 used to draw 2 realizations and divide by 2.5
+    with pytest.raises(DomainError):
+        truncation_error_curve(small_model, 16, [4, 8], 1e-4, n_real, 1)
+    with pytest.raises(DomainError):
+        increment_curve(small_model, 8, 2e-5, [1e-6, 2e-6], n_real, 1)
+
+
+def test_curves_accept_integral_float_n_real(small_model):
+    a = truncation_error_curve(small_model, 16, [4, 8], 1e-4, 3.0, 1)
+    b = truncation_error_curve(small_model, 16, [4, 8], 1e-4, 3, 1)
+    assert a.rows == b.rows
+
+
+def test_truncation_ml_neg_calls_independent_of_n_real(monkeypatch):
+    # the decay factors are evaluated once per (L, t, alpha), not per draw
+    m = FractionalModel(0.75, 1e-5, AlgebraicSpectrum(1.0, 1.0, 2.3),
+                        AlgebraicSpectrum(1e4, 1e4, 2.5))
+    kw = dict(l_tilde=60, l_grid=[10, 20], t=1e-4, seed=4)
+    truncation_error_curve(m, n_real=2, **kw)  # grow the per-alpha sigma^2 table
+    calls, real = [], stochastic.ml_neg
+    monkeypatch.setattr(stochastic, "ml_neg",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    counts = []
+    for n_real in (2, 6):
+        stochastic._decay_factors.cache_clear()
+        stochastic._joint_noise_scales.cache_clear()
+        calls.clear()
+        truncation_error_curve(m, n_real=n_real, **kw)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] >= 1
+
+
 # --------------------------------------------------------------------------
 # increment curves
 
@@ -228,6 +262,7 @@ def test_snapshots_shared_draw(small_model, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 8 and manifest["L"] == 16
     assert manifest["tool"] == "fracsphere"
+    assert manifest["rng_scheme"] == 2
 
 
 def test_snapshots_time_zero_is_initial_draw(small_model, tmp_path):

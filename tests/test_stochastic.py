@@ -15,6 +15,7 @@ from fracsphere import (AccuracyError, AlgebraicSpectrum, CoefficientSet, Domain
                         sample_combined_times, sample_inhomogeneous,
                         sample_initial_coefficients, sigma_squared,
                         sigma_squared_bound)
+from fracsphere.stochastic import ROLE_INIT_IM, ROLE_INIT_RE
 
 from conftest import ml_oracle
 
@@ -37,7 +38,7 @@ def test_sigma_squared_alpha1_closed_form():
     for ell in (1, 2, 7, 30, 100):
         for t in (1e-4, 1e-2, 1.0, 10.0):
             ref = closed_form_sigma2_a1(ell, t)
-            assert sigma_squared(ell, t, 1.0) == pytest.approx(ref, rel=1e-9)
+            assert sigma_squared(ell, t, 1.0) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_sigma_squared_le_t_and_monotone():
@@ -57,7 +58,7 @@ def test_sigma_squared_bound_values_and_domination():
     # placed examples
     assert sigma_squared_bound(1, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
     ref = 30.0 ** -2.0 * (1.0 + math.pi / 4.0 * math.log(900.0 * 10.0))
-    assert sigma_squared_bound(5, 10.0, 0.5) == pytest.approx(ref, rel=1e-14)
+    assert sigma_squared_bound(5, 10.0, 0.5) == pytest.approx(ref, rel=1e-14, abs=0.0)
     # domination wherever the regime assumptions hold
     for alpha in (0.3, 0.5, 0.75, 1.0):
         for ell in (1, 4, 15, 60, 200):
@@ -253,6 +254,57 @@ def test_sampler_determinism(model):
     assert not np.array_equal(a.values, d.values)
 
 
+def test_rng_stream_refuses_fractional_coordinates():
+    for bad in (1.5, -1, 2 ** 64, "3"):
+        with pytest.raises(DomainError):
+            RngStream(bad)
+    rng = RngStream(1)
+    for args in ((0.5, 0, 0), (0, 2.5, 0), (0, 0, 1.5), (-1, 0, 0), (0, 0, 256),
+                 (math.nan, 0, 0)):
+        with pytest.raises(DomainError):
+            rng.normals(*args, 4)
+    # a whole number is the same coordinate in any numeric type
+    same = RngStream(3.0).normals(np.int64(2), 1.0, 0, 4)
+    assert np.array_equal(same, RngStream(3).normals(2, 1, 0, 4))
+
+
+def test_rng_stream_packed_order(spectra):
+    # variate l(l+1)/2 + m of stream (seed, realization, role) is (l, m)'s
+    rng = RngStream(8)
+    whole = rng.normals(3, 0, ROLE_INIT_RE, 21)
+    for ell in (0, 1, 4):
+        assert np.array_equal(rng.normals(3, ell, ROLE_INIT_RE, 2),
+                              whole[ell * (ell + 1) // 2:][:2])
+    spec_c, _ = spectra
+    init = sample_initial_coefficients(spec_c, 5, rng, realization=3)
+    z_im = rng.normals(3, 0, ROLE_INIT_IM, 21)
+    ell, m = 5, 2
+    k = ell * (ell + 1) // 2 + m
+    amp = math.sqrt(spec_c.value(ell) / 2.0)
+    assert init.values[ell, m] == pytest.approx(amp * (whole[k] - 1j * z_im[k]),
+                                                rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+def test_sampler_prefix_across_degrees(alpha, spectra):
+    # rows l <= 50 of a degree-50 draw are those of a degree-400 draw
+    m = FractionalModel(alpha, 1e-5, *spectra)
+    rng = RngStream(606)
+    for t in (m.tau / 2, 10 * m.tau):
+        small = sample_combined(m, 50, t, rng, realization=5)
+        big = sample_combined(m, 400, t, rng, realization=5)
+        assert np.array_equal(small.values, big.values[:51, :51])
+
+
+def test_pair_prefix_across_degrees(model):
+    # alpha = 1/2 only: a general-alpha cross_sigma stack at L = 400 takes ~30 s
+    rng = RngStream(606)
+    small = sample_combined_pair(model, 50, 2e-5, 3e-6, rng, realization=5)
+    big = sample_combined_pair(model, 400, 2e-5, 3e-6, rng, realization=5)
+    for a, b in zip(small, big):
+        assert np.array_equal(a.values, b.values[:51, :51])
+
+
 def test_initial_sampler_structure(spectra):
     spec_c, _ = spectra
     rng = RngStream(5)
@@ -273,7 +325,8 @@ def test_evolve_homogeneous(model):
     later = evolve_homogeneous(init, 0.5, model.alpha)
     assert later.values[0, 0] == init.values[0, 0]  # lambda_0 = 0
     fac = ml_neg(model.alpha, 2.0 * 0.5 ** model.alpha)
-    assert later.values[1, 1] == pytest.approx(fac * init.values[1, 1], rel=1e-14)
+    assert later.values[1, 1] == pytest.approx(fac * init.values[1, 1], rel=1e-14,
+                                               abs=0.0)
 
 
 def test_inhomogeneous_zero_until_onset(model):
@@ -456,17 +509,17 @@ def test_pair_marginal_distribution(model):
 
 def test_coefficient_variance_cases(model):
     assert coefficient_variance(model, 0, model.tau / 2) == pytest.approx(
-        model.spec_c.value(0), rel=1e-12)
+        model.spec_c.value(0), rel=1e-12, abs=0.0)
     nonoise = FractionalModel(model.alpha, model.tau, model.spec_c,
                               AlgebraicSpectrum(0, 0, 2.5))
     t = 10 * model.tau
     lam = 110.0
     e = ml_neg(0.5, lam * math.sqrt(t))
     assert coefficient_variance(nonoise, 10, t) == pytest.approx(
-        model.spec_c.value(10) * e * e, rel=1e-11)
+        model.spec_c.value(10) * e * e, rel=1e-11, abs=0.0)
     assert coefficient_variance(model, 10, t) == pytest.approx(
         model.spec_c.value(10) * e * e
-        + model.spec_a.value(10) * sigma_squared(10, t - model.tau, 0.5), rel=1e-11)
+        + model.spec_a.value(10) * sigma_squared(10, t - model.tau, 0.5), rel=1e-11, abs=0.0)
 
 
 def test_covariance_function_at_one(model):
