@@ -169,10 +169,10 @@ def _safe_fit(curve):
 
 def cmd_truncation(args):
     cfg = load_config(args.config)
+    if args.full_scale:
+        cfg.update(FULLSCALE_PRESET)  # before the flags, so that they win
     _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t",
                                  "l_tilde", "n_real", "workers"])
-    if args.full_scale:
-        cfg.update(FULLSCALE_PRESET)
     model = model_from_config(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     curve = truncation_error_curve(model, cfg["l_tilde"], cfg["l_grid"],
@@ -191,10 +191,10 @@ def cmd_truncation(args):
 
 def cmd_increments(args):
     cfg = load_config(args.config)
+    if args.full_scale:
+        cfg.update(FULLSCALE_PRESET)  # before the flags, so that they win
     _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t", "L",
                                  "n_real", "workers"])
-    if args.full_scale:
-        cfg.update(FULLSCALE_PRESET)
     model = model_from_config(cfg)
     os.makedirs(cfg["out"], exist_ok=True)
     curve = increment_curve(model, cfg["L"], cfg["t"], cfg["h_grid"],

@@ -37,6 +37,7 @@ __all__ = [
     "legendre_p",
     "assoc_legendre_norm",
     "assoc_legendre_norm_all",
+    "assoc_legendre_norm_table",
     "spherical_harmonic",
     "ml_neg",
 ]
@@ -122,13 +123,15 @@ def _check_degree(ell):
     return int(ell)
 
 
-def _norm_assoc_rows(L, m, x):
-    """N_{l,m}(x) for l = m..L, vectorized over x (1-d array).
+def _norm_assoc_order(L, m, x):
+    """N_{l,m}(x) for l = m..L at one order m, vectorized over x (1-d array).
 
     Returns an array of shape (L-m+1, len(x)).  The recurrence works on the
     fully normalized functions so magnitudes stay O(sqrt(l)); no overflow up
     to l of a few thousand (values underflow harmlessly to 0 near |x| = 1
-    for large m).
+    for large m).  This per-degree form is the scalar path's own
+    recurrence, kept separate from the all-orders one below so that each
+    can check the other.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
@@ -149,6 +152,75 @@ def _norm_assoc_rows(L, m, x):
     return rows
 
 
+def _norm_assoc_diagonals(L, x, m_max=None):
+    """All-orders recurrence: for d = 0..L yield (d, N) with
+    N[m, j] = N_{m+d,m}(x_j) for m = 0..min(m_max, L-d).
+
+    One step per d = l - m over every order at once (L numpy steps instead
+    of ~L^2/2).  Each element goes through the same floating-point
+    operations as in _norm_assoc_order, so the values are bit-identical to
+    the per-degree recurrence.  Only the last two steps are kept, so a
+    caller that consumes each step as it comes needs O(L len(x)) memory.
+    """
+    x = np.asarray(x, dtype=float)
+    m_max = L if m_max is None else m_max
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    j = np.arange(1, m_max + 1, dtype=float)[:, None]
+    factors = np.empty((m_max + 1, x.size))
+    factors[0] = 1.0
+    factors[1:] = -s * np.sqrt((2 * j + 1) / (2 * j))
+    prev2 = np.multiply.accumulate(factors, axis=0)  # N_{m,m}
+    yield 0, prev2
+    if L == 0:
+        return
+    m = np.arange(m_max + 1, dtype=float)[:, None]
+    k = min(m_max, L - 1) + 1
+    prev1 = np.sqrt(2 * m[:k] + 3) * x * prev2[:k]
+    yield 1, prev1
+    for d in range(2, L + 1):
+        k = min(m_max, L - d) + 1
+        mk = m[:k]
+        ell = mk + d
+        a = np.sqrt((2 * ell + 1) * (2 * ell - 1) / (d * (2 * mk + d)))
+        b = np.sqrt((2 * ell + 1) * (d - 1) * (2 * mk + d - 1)
+                    / ((2 * ell - 3) * d * (2 * mk + d)))
+        cur = a * x
+        cur *= prev1[:k]
+        cur -= b * prev2[:k]
+        yield d, cur
+        prev2, prev1 = prev1, cur
+
+
+def _norm_assoc_rows(values, x):
+    """Ring sums g[j, m] = sum_{l=m..L} values[l, m] N_{l,m}(x_j).
+
+    `values` is an (L+1, L+1) array of coefficients for 0 <= m <= l and x
+    holds cos(theta) of each map row (ring).  The all-orders recurrence adds
+    values[m+d, m] N_{m+d,m}(x) into the sums at each step, so the
+    (l, m, ring) table is never formed.  Returns a complex (len(x), L+1)
+    array.
+    """
+    x = np.asarray(x, dtype=float)
+    L = values.shape[0] - 1
+    re = np.zeros((L + 1, x.size))
+    im = np.zeros((L + 1, x.size))
+    for d, rows in _norm_assoc_diagonals(L, x):
+        v = np.diagonal(values, -d)  # values[m+d, m], m = 0..L-d
+        re[:L + 1 - d] += v.real[:, None] * rows
+        im[:L + 1 - d] += v.imag[:, None] * rows
+    g = np.empty((x.size, L + 1), dtype=complex)
+    g.real = re.T
+    g.imag = im.T
+    return g
+
+
+def _check_unit_interval(name, x):
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(xs) > 1.0 + 1e-14):
+        raise DomainError(f"{name}: |x| must be <= 1")
+    return np.clip(xs, -1.0, 1.0)
+
+
 def assoc_legendre_norm(ell, m, x):
     """Pre-normalized associated Legendre function N_{l,m}(x).
 
@@ -163,24 +235,43 @@ def assoc_legendre_norm(ell, m, x):
     if abs(x) > 1.0 + 1e-14:
         raise DomainError("assoc_legendre_norm: |x| must be <= 1")
     x = min(1.0, max(-1.0, float(x)))
-    rows = _norm_assoc_rows(ell, m, np.array([x]))
+    rows = _norm_assoc_order(ell, m, np.array([x]))
     return float(rows[-1, 0])
 
 
 def assoc_legendre_norm_all(L, m, x):
     """N_{l,m}(x) for all l = m..L at once; x may be an array.
 
-    Used by the ring synthesis; shares the recurrence with
-    assoc_legendre_norm.
+    Returns shape (L-m+1, len(x)), from the all-orders recurrence (orders
+    0..m only); bit-identical to assoc_legendre_norm.
     """
     L = _check_degree(L)
     m = _check_degree(m)
     if m > L:
         raise DomainError(f"assoc_legendre_norm_all: need m <= L, got L={L}, m={m}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xs) > 1.0 + 1e-14):
-        raise DomainError("assoc_legendre_norm_all: |x| must be <= 1")
-    return _norm_assoc_rows(L, m, np.clip(xs, -1.0, 1.0))
+    xs = _check_unit_interval("assoc_legendre_norm_all", x)
+    out = np.empty((L - m + 1, xs.size))
+    for d, rows in _norm_assoc_diagonals(L, xs, m_max=m):
+        if d > L - m:
+            break
+        out[d] = rows[m]
+    return out
+
+
+def assoc_legendre_norm_table(L, x):
+    """N_{l,m}(x_j) for every 0 <= m <= l <= L and every point x_j.
+
+    Returns shape (len(x), L+1, L+1), indexed [j, l, m], zero for m > l;
+    one pass of the all-orders recurrence, bit-identical to
+    assoc_legendre_norm.
+    """
+    L = _check_degree(L)
+    xs = _check_unit_interval("assoc_legendre_norm_table", x)
+    table = np.zeros((xs.size, L + 1, L + 1))
+    orders = np.arange(L + 1)
+    for d, rows in _norm_assoc_diagonals(L, xs):
+        table[:, orders[:L + 1 - d] + d, orders[:L + 1 - d]] = rows.T
+    return table
 
 
 # --------------------------------------------------------------------------

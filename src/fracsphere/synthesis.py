@@ -5,10 +5,13 @@ A real field with coefficients {V_{l,m} : m >= 0} is evaluated as
     f(theta, phi) = sum_l [ V_{l,0} N_{l,0}(cos theta)
                     + 2 sum_{m>=1} Re( V_{l,m} N_{l,m}(cos theta) e^{i m phi} ) ]
 
-ring by ring: for each latitude the per-m complex ring coefficients
-g_m = sum_l V_{l,m} N_{l,m}(cos theta) are accumulated with the normalized
-Legendre recurrence (O(L^2 nLat)), then the longitude sum is one dense
-complex DFT matrix product (O(nLat nLon L)).
+in two passes.  First the ring sums g_m(theta_j) = sum_l V_{l,m}
+N_{l,m}(cos theta_j) for every order and latitude come from one all-orders
+normalized Legendre recurrence (specfun._norm_assoc_rows: L array steps,
+O(L^2 nLat) work, no (l, m, ring) table).  Then each ring is one FFT over
+longitude: order m is folded into bin m mod nLon of a length-nLon spectrum,
+which keeps the sum exact when nLon < 2L+1 (aliased orders land on the
+same phases e^{2 pi i m k / nLon} as their bins).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import _norm_assoc_rows
+from .stochastic import _whole
 
 __all__ = ["GridSpec", "FieldMap", "synthesize", "write_map_csv",
            "read_map_csv", "write_map_image"]
@@ -43,10 +47,13 @@ class GridSpec:
     gauss: bool = False
 
     def __post_init__(self):
-        if self.n_lat < 2:
-            raise DomainError(f"GridSpec: n_lat must be >= 2, got {self.n_lat}")
-        if self.n_lon < 1:
-            raise DomainError(f"GridSpec: n_lon must be >= 1, got {self.n_lon}")
+        for name, least in (("n_lat", 2), ("n_lon", 1)):
+            value = getattr(self, name)
+            count = None if isinstance(value, bool) else _whole(value)
+            if count is None or count < least:
+                raise DomainError(f"GridSpec: {name} must be an integer >= {least}, "
+                                  f"got {value!r}")
+            object.__setattr__(self, name, count)
 
     def colatitudes(self):
         if self.gauss:
@@ -92,15 +99,15 @@ class FieldMap:
 def synthesize(coeffs, grid):
     """Evaluate a coefficient set on a grid (see module docstring)."""
     L = coeffs.L
-    x = np.cos(grid.colatitudes())
-    # ring coefficients g[j, m] = sum_l V[l, m] N_{l,m}(x_j), weight 2 for m >= 1
-    g = np.zeros((grid.n_lat, L + 1), dtype=complex)
-    for m in range(L + 1):
-        rows = _norm_assoc_rows(L, m, x)  # (L-m+1, n_lat)
-        g[:, m] = rows.T @ coeffs.values[m:, m]
+    g = _norm_assoc_rows(coeffs.values, np.cos(grid.colatitudes()))  # (n_lat, L+1)
     g[:, 1:] *= 2.0
-    phases = np.exp(1j * np.outer(np.arange(L + 1), grid.longitudes()))
-    vals = np.real(g @ phases)
+    n_lon = grid.n_lon
+    spectrum = np.zeros((grid.n_lat, n_lon), dtype=complex)
+    for start in range(0, L + 1, n_lon):
+        block = g[:, start:start + n_lon]
+        spectrum[:, :block.shape[1]] += block
+    # unscaled inverse DFT: sum_b spectrum[b] e^{2 pi i b k / n_lon}
+    vals = np.fft.ifft(spectrum, axis=1, norm="forward").real.copy()
     return FieldMap(grid=grid, values=vals, time=coeffs.time,
                     meta={"L": L, "seed": coeffs.seed, "realization": coeffs.realization})
 
@@ -110,15 +117,17 @@ def synthesize(coeffs, grid):
 
 def write_map_csv(fmap, path):
     """Write `theta,phi,value` rows, latitude-major, 17 significant digits
-    (round-trips exactly; decimal point independent of locale)."""
-    thetas = fmap.grid.colatitudes()
-    phis = fmap.grid.longitudes()
+    (round-trips exactly; decimal point independent of locale).
+
+    Each latitude row is one `%` on a template of preformatted longitudes,
+    with the row's colatitude put in place of the NUL placeholders, and is
+    written as soon as it is formatted."""
+    phis = ["%.17g" % ph for ph in fmap.grid.longitudes()]
+    row_format = "".join("\0," + ph + ",%.17g\n" for ph in phis)
     with open(path, "w", newline="") as f:
         f.write("theta,phi,value\n")
-        for j, th in enumerate(thetas):
-            row = fmap.values[j]
-            for k, ph in enumerate(phis):
-                f.write("%.17g,%.17g,%.17g\n" % (th, ph, row[k]))
+        for th, row in zip(fmap.grid.colatitudes(), fmap.values):
+            f.write(row_format.replace("\0", "%.17g" % th) % tuple(row.tolist()))
 
 
 def read_map_csv(path, grid):

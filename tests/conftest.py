@@ -74,17 +74,14 @@ def unit_points(n, seed):
 
 
 def harmonic_table(point, lmax):
-    """Y_{l,m}(point) for 0 <= m <= l <= lmax via the package's normalized
-    Legendre recurrences (vectorized companion to spherical_harmonic)."""
-    from fracsphere.specfun import assoc_legendre_norm_all
+    """Y_{l,m}(point) for 0 <= m <= l <= lmax via the package's all-orders
+    normalized Legendre table (vectorized companion to spherical_harmonic)."""
+    from fracsphere.specfun import assoc_legendre_norm_table
 
-    x = math.cos(point.theta)
-    table = np.zeros((lmax + 1, lmax + 1), dtype=complex)
-    for m in range(lmax + 1):
-        rows = assoc_legendre_norm_all(lmax, m, np.array([x]))[:, 0]
-        phase = complex(math.cos(m * point.phi), math.sin(m * point.phi))
-        table[m:, m] = rows * phase
-    return table
+    radial = assoc_legendre_norm_table(lmax, [math.cos(point.theta)])[0]
+    phase = np.array([complex(math.cos(m * point.phi), math.sin(m * point.phi))
+                      for m in range(lmax + 1)])
+    return radial * phase
 
 
 def addition_sum(table_x, table_y, ell):

@@ -33,3 +33,21 @@ def test_rng_normals_signature():
     from fracsphere.stochastic import RngStream
     params = list(inspect.signature(RngStream.normals).parameters)
     assert params == ["self", "realization", "ell", "role", "n"]
+
+
+def test_synthesize_calls_traced_legendre_name(monkeypatch):
+    # the tracer times the Legendre work as fracsphere.synthesis._norm_assoc_rows
+    # and fails a traced simulate run in which that name records no call
+    import fracsphere.synthesis as synthesis
+    from fracsphere.stochastic import CoefficientSet
+
+    calls = []
+    inner = synthesis._norm_assoc_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "_norm_assoc_rows", counted)
+    synthesis.synthesize(CoefficientSet.zeros(4), synthesis.GridSpec(3, 4))
+    assert calls

@@ -131,3 +131,26 @@ def test_simulate_run(tmp_path):
     assert (tmp_path / "map_t0.0001.csv").exists()
     sidecar = json.loads((tmp_path / "map_t0.0001.json").read_text())
     assert sidecar["colormap"] == "coolwarm"
+
+
+def test_simulate_fractional_grid_refused(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "maps"
+    cfg.write_text(json.dumps({"L": 8, "n_lat": 6.5, "n_lon": 8, "times": [1e-4],
+                               "out": str(out)}))
+    code, _ = run_cli("simulate", "--config", str(cfg))
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_full_scale_flags_win(tmp_path):
+    # the preset sets L 1500 and n_real 100 (hours); explicit flags replace it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h_grid": [1e-6, 2e-6], "t": 2e-5, "seed": 5,
+                               "out": str(tmp_path / "run")}))
+    code, _ = run_cli("increments", "--config", str(cfg), "--full-scale",
+                      "--L", "8", "--n-real", "2")
+    assert code == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["L"] == 8 and manifest["n_real"] == 2
+    assert manifest["l_tilde"] == 1500  # unflagged preset keys still apply

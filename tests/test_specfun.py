@@ -8,7 +8,8 @@ from scipy.special import lpmv
 from fracsphere import DomainError, SphPoint, gamma, legendre_p, ml_neg, spherical_harmonic
 from fracsphere.specfun import (MLParams, _ml_asymptotic, _ml_integral,
                                 _ml_series, assoc_legendre_norm,
-                                assoc_legendre_norm_all)
+                                assoc_legendre_norm_all,
+                                assoc_legendre_norm_table)
 
 from conftest import addition_sum, harmonic_table, ml_oracle, unit_points
 
@@ -107,6 +108,22 @@ def test_assoc_legendre_no_overflow_high_degree():
     assert np.all(np.isfinite(rows))
     v = assoc_legendre_norm(2000, 1000, 0.3)
     assert math.isfinite(v)
+
+
+def test_all_orders_table_bitwise_matches_scalar():
+    # the all-orders recurrence and the scalar per-degree one must agree to
+    # the last bit for every (l, m)
+    L = 60
+    xs = [-1.0, -0.77, 0.0, 0.3, 0.999, 1.0]
+    table = assoc_legendre_norm_table(L, xs)
+    ref = np.zeros_like(table)
+    for j, x in enumerate(xs):
+        for ell in range(L + 1):
+            for m in range(ell + 1):
+                ref[j, ell, m] = assoc_legendre_norm(ell, m, x)
+    assert np.array_equal(table, ref)
+    for m in (0, 1, 17, 60):
+        assert np.array_equal(assoc_legendre_norm_all(L, m, xs), ref[:, m:, m].T)
 
 
 def test_assoc_legendre_domain():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
                         GridSpec, RngStream, SphPoint,
                         sample_initial_coefficients, spherical_harmonic,
                         synthesize, write_map_csv, write_map_image)
+from fracsphere.specfun import assoc_legendre_norm_table
 from fracsphere.synthesis import read_map_csv
 
 
@@ -94,11 +96,62 @@ def test_single_mode_longitudinal_content():
     assert np.sum(other) <= 1e-9 * np.sum(spec)
 
 
+def test_l400_pixels_match_scipy_harmonics():
+    # scipy's harmonics are orthonormal on the unit-area sphere; ours are
+    # sqrt(4 pi) times them.  sph_harm_y_all gives every (l, m) of a ring at
+    # phi = 0 (the radial factor), and each pixel adds its own e^{i m phi}.
+    from scipy.special import sph_harm_y_all
+
+    L = 400
+    c = random_coeffs(L, seed=13)
+    grid = GridSpec(96, 200)  # n_lon < 2L+1: the longitude fold aliases
+    fmap = synthesize(c, grid)
+    scale = np.max(np.abs(fmap.values))
+    thetas, phis = grid.colatitudes(), grid.longitudes()
+    rng = np.random.default_rng(17)
+    rows, cols = rng.integers(0, 96, 300), rng.integers(0, 200, 300)
+    m = np.arange(L + 1)
+    worst = 0.0
+    for j in np.unique(rows):
+        radial = math.sqrt(4.0 * math.pi) * sph_harm_y_all(L, L, thetas[j], 0.0)[:, :L + 1].real
+        ring = (c.values * radial).sum(axis=0) * np.where(m == 0, 1.0, 2.0)
+        ks = cols[rows == j]
+        ref = (np.exp(1j * np.outer(phis[ks], m)) @ ring).real
+        worst = max(worst, float(np.max(np.abs(fmap.values[j, ks] - ref))))
+    assert worst <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n_lon", [1, 2, 7, 13, 40, 64])
+def test_fft_fold_matches_dense_sum(n_lon):
+    # L = 20 needs 41 longitudes to resolve every order; fewer alias, and
+    # the fold must still give the dense sum over all orders exactly
+    L = 20
+    c = random_coeffs(L, seed=n_lon)
+    grid = GridSpec(9, n_lon)
+    fmap = synthesize(c, grid)
+    radial = assoc_legendre_norm_table(L, np.cos(grid.colatitudes()))  # [j, l, m]
+    ring = np.einsum("jlm,lm->jm", radial, c.values)
+    ring[:, 1:] *= 2.0
+    dense = (ring @ np.exp(1j * np.outer(np.arange(L + 1), grid.longitudes()))).real
+    assert np.max(np.abs(fmap.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         GridSpec(1, 8)
     with pytest.raises(DomainError):
         GridSpec(4, 0)
+
+
+def test_grid_counts_must_be_whole():
+    for bad in (6.5, True, float("nan"), "8", None):
+        with pytest.raises(DomainError):
+            GridSpec(bad, 8)
+        with pytest.raises(DomainError):
+            GridSpec(8, bad)
+    grid = GridSpec(6.0, np.int64(8))
+    assert (grid.n_lat, grid.n_lon) == (6, 8) and type(grid.n_lat) is int
+    assert grid.colatitudes().size == 6
 
 
 def test_csv_round_trip(tmp_path):
@@ -112,6 +165,23 @@ def test_csv_round_trip(tmp_path):
     assert len(lines) == 1 + 4 * 6
     back = read_map_csv(path, grid)
     assert np.array_equal(back.values, fmap.values)
+
+
+def test_csv_bytes_match_per_value_format(tmp_path):
+    # the row-template writer must give the bytes of one
+    # "%.17g,%.17g,%.17g\n" per value, also for signed zeros, subnormals and
+    # extreme magnitudes
+    grid = GridSpec(33, 64)
+    fmap = synthesize(random_coeffs(32, seed=21), grid)
+    fmap.values[1, :7] = [-0.0, 0.0, 5e-324, -1e300, 1.0, 123456789.0, 1e-17]
+    ref = ["theta,phi,value\n"]
+    for j, th in enumerate(grid.colatitudes()):
+        for k, ph in enumerate(grid.longitudes()):
+            ref.append("%.17g,%.17g,%.17g\n" % (th, ph, fmap.values[j, k]))
+    path = tmp_path / "map.csv"
+    write_map_csv(fmap, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == hashlib.sha256("".join(ref).encode()).hexdigest())
 
 
 def test_zero_map_csv(tmp_path):
