@@ -19,8 +19,9 @@ import numpy as np
 from . import __version__
 from .errors import DomainError
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
-from .stochastic import (RNG_SCHEME, RngStream, _whole, sample_combined,
-                         sample_combined_pair, sample_combined_times)
+from .stochastic import (RNG_SCHEME, RngStream, _check_ell, _whole,
+                         sample_combined, sample_combined_pair,
+                         sample_combined_times)
 # perfbench/tracer.py wraps the kernel variances under these names too
 from .stochastic import cross_sigma, sigma_squared  # noqa: F401
 from .synthesis import synthesize, write_map_csv, write_map_image
@@ -126,6 +127,26 @@ def _check_n_real(name, n_real):
     return count
 
 
+def _check_grid(name, values, whole=False):
+    """values as a list of floats (of ints with whole=True): a non-empty
+    list of finite real numbers, whole ones with whole=True.  Bools and
+    numeric strings are refused, not converted."""
+    try:
+        items = list(values)
+    except TypeError:
+        items = []
+    if whole:
+        out = [_whole(v) for v in items]
+    else:
+        out = [float(v) if isinstance(v, (int, float, np.integer, np.floating))
+               and not isinstance(v, bool) and math.isfinite(v) else None
+               for v in items]
+    if not out or None in out:
+        kind = "whole numbers" if whole else "real numbers"
+        raise DomainError(f"{name} must be a non-empty list of {kind}, got {values!r}")
+    return out
+
+
 def _run_jobs(worker, tasks, workers):
     """Run `worker` over `tasks`, returning results in task order regardless
     of scheduling."""
@@ -145,14 +166,15 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=None
     with p_l the per-degree Parseval power.  The bound column is the
     combined truncation bound; rows whose case conditions fail are flagged.
     """
-    l_grid = [int(L) for L in l_grid]
+    l_tilde = _check_ell(l_tilde)
+    l_grid = _check_grid("truncation_error_curve: l_grid", l_grid, whole=True)
     if sorted(l_grid) != l_grid:
         raise DomainError("truncation_error_curve: l_grid must be ascending")
-    if not l_grid or l_grid[-1] >= l_tilde:
-        raise DomainError("truncation_error_curve: need max(l_grid) < l_tilde")
+    if l_grid[0] < 0 or l_grid[-1] >= l_tilde:
+        raise DomainError("truncation_error_curve: need 0 <= l_grid < l_tilde")
     n_real = _check_n_real("truncation_error_curve", n_real)
     workers = resolve_workers(workers)
-    _TRUNC_JOB.update(model=model, L=int(l_tilde), t=float(t), seed=int(seed))
+    _TRUNC_JOB.update(model=model, L=l_tilde, t=float(t), seed=int(seed))
     powers = _run_jobs(_trunc_worker, range(n_real), workers)
     mean_p = np.zeros(l_tilde + 1)
     for p in powers:  # fixed order for bitwise determinism
@@ -197,14 +219,15 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=None,
     """Estimate the mean-square temporal increment curve
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
     q(t) sqrt(h) bound (measured constant unless overridden)."""
-    hs = [float(h) for h in h_grid]
+    L = _check_ell(L)
+    hs = _check_grid("increment_curve: h_grid", h_grid)
     if any(h <= 0 for h in hs) or sorted(hs) != hs:
         raise DomainError("increment_curve: h grid must be positive and ascending")
     if not (t > model.tau):
         raise DomainError(f"increment_curve: need t > tau, got t={t}, tau={model.tau}")
     n_real = _check_n_real("increment_curve", n_real)
     workers = resolve_workers(workers)
-    _INC_JOB.update(model=model, L=int(L), t=float(t), seed=int(seed), hs=hs)
+    _INC_JOB.update(model=model, L=L, t=float(t), seed=int(seed), hs=hs)
     tasks = [(j, hidx) for hidx in range(len(hs)) for j in range(n_real)]
     sums = _run_jobs(_inc_worker, tasks, workers)
     c = measured_increment_c(model.alpha, override=increment_c)
@@ -224,9 +247,9 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
                         vrange=None, realization=0):
     """Simulate one realization jointly at the given ascending times, render
     each as an image + CSV under out_dir, and return the field maps."""
-    times = [float(t) for t in times]
-    os.makedirs(out_dir, exist_ok=True)
+    times = _check_grid("evolution_snapshots: times", times)
     sets = sample_combined_times(model, L, times, RngStream(seed), realization)
+    os.makedirs(out_dir, exist_ok=True)
     maps = []
     for t, coeffs in zip(times, sets):
         fmap = synthesize(coeffs, grid)

@@ -36,7 +36,6 @@ __all__ = [
     "gamma",
     "legendre_p",
     "assoc_legendre_norm",
-    "assoc_legendre_norm_all",
     "assoc_legendre_norm_table",
     "spherical_harmonic",
     "ml_neg",
@@ -152,9 +151,9 @@ def _norm_assoc_order(L, m, x):
     return rows
 
 
-def _norm_assoc_diagonals(L, x, m_max=None):
+def _norm_assoc_diagonals(L, x):
     """All-orders recurrence: for d = 0..L yield (d, N) with
-    N[m, j] = N_{m+d,m}(x_j) for m = 0..min(m_max, L-d).
+    N[m, j] = N_{m+d,m}(x_j) for m = 0..L-d.
 
     One step per d = l - m over every order at once (L numpy steps instead
     of ~L^2/2).  Each element goes through the same floating-point
@@ -163,22 +162,20 @@ def _norm_assoc_diagonals(L, x, m_max=None):
     caller that consumes each step as it comes needs O(L len(x)) memory.
     """
     x = np.asarray(x, dtype=float)
-    m_max = L if m_max is None else m_max
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    j = np.arange(1, m_max + 1, dtype=float)[:, None]
-    factors = np.empty((m_max + 1, x.size))
+    j = np.arange(1, L + 1, dtype=float)[:, None]
+    factors = np.empty((L + 1, x.size))
     factors[0] = 1.0
     factors[1:] = -s * np.sqrt((2 * j + 1) / (2 * j))
     prev2 = np.multiply.accumulate(factors, axis=0)  # N_{m,m}
     yield 0, prev2
     if L == 0:
         return
-    m = np.arange(m_max + 1, dtype=float)[:, None]
-    k = min(m_max, L - 1) + 1
-    prev1 = np.sqrt(2 * m[:k] + 3) * x * prev2[:k]
+    m = np.arange(L + 1, dtype=float)[:, None]
+    prev1 = np.sqrt(2 * m[:L] + 3) * x * prev2[:L]
     yield 1, prev1
     for d in range(2, L + 1):
-        k = min(m_max, L - d) + 1
+        k = L - d + 1
         mk = m[:k]
         ell = mk + d
         a = np.sqrt((2 * ell + 1) * (2 * ell - 1) / (d * (2 * mk + d)))
@@ -192,26 +189,27 @@ def _norm_assoc_diagonals(L, x, m_max=None):
 
 
 def _norm_assoc_rows(values, x):
-    """Ring sums g[j, m] = sum_{l=m..L} values[l, m] N_{l,m}(x_j).
+    """Ring sums split by the parity of d = l - m: returns (even, odd), each
+    of shape (2, L+1, len(x)), where even[:, m, j] holds the real and
+    imaginary parts of sum_{l-m even} values[l, m] N_{l,m}(x_j) and odd the
+    same over odd l - m.
 
-    `values` is an (L+1, L+1) array of coefficients for 0 <= m <= l and x
-    holds cos(theta) of each map row (ring).  The all-orders recurrence adds
-    values[m+d, m] N_{m+d,m}(x) into the sums at each step, so the
-    (l, m, ring) table is never formed.  Returns a complex (len(x), L+1)
-    array.
+    `values` is an (L+1, L+1) array of coefficients for 0 <= m <= l.  As
+    N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x), even + odd is the ring sum at x_j
+    and even - odd the ring sum at -x_j, so one pass serves a ring and its
+    mirror.  The all-orders recurrence adds values[m+d, m] N_{m+d,m}(x)
+    into the half of parity d at each step, so the (l, m, ring) table is
+    never formed.
     """
     x = np.asarray(x, dtype=float)
     L = values.shape[0] - 1
-    re = np.zeros((L + 1, x.size))
-    im = np.zeros((L + 1, x.size))
+    sums = np.zeros((2, 2, L + 1, x.size))
     for d, rows in _norm_assoc_diagonals(L, x):
         v = np.diagonal(values, -d)  # values[m+d, m], m = 0..L-d
-        re[:L + 1 - d] += v.real[:, None] * rows
-        im[:L + 1 - d] += v.imag[:, None] * rows
-    g = np.empty((x.size, L + 1), dtype=complex)
-    g.real = re.T
-    g.imag = im.T
-    return g
+        half = sums[d & 1, :, :L + 1 - d]
+        half[0] += v.real[:, None] * rows
+        half[1] += v.imag[:, None] * rows
+    return sums[0], sums[1]
 
 
 def _check_unit_interval(name, x):
@@ -237,25 +235,6 @@ def assoc_legendre_norm(ell, m, x):
     x = min(1.0, max(-1.0, float(x)))
     rows = _norm_assoc_order(ell, m, np.array([x]))
     return float(rows[-1, 0])
-
-
-def assoc_legendre_norm_all(L, m, x):
-    """N_{l,m}(x) for all l = m..L at once; x may be an array.
-
-    Returns shape (L-m+1, len(x)), from the all-orders recurrence (orders
-    0..m only); bit-identical to assoc_legendre_norm.
-    """
-    L = _check_degree(L)
-    m = _check_degree(m)
-    if m > L:
-        raise DomainError(f"assoc_legendre_norm_all: need m <= L, got L={L}, m={m}")
-    xs = _check_unit_interval("assoc_legendre_norm_all", x)
-    out = np.empty((L - m + 1, xs.size))
-    for d, rows in _norm_assoc_diagonals(L, xs, m_max=m):
-        if d > L - m:
-            break
-        out[d] = rows[m]
-    return out
 
 
 def assoc_legendre_norm_table(L, x):

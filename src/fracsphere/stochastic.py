@@ -117,8 +117,10 @@ RNG_SCHEME = 2  # version of the map from coordinates to variates
 
 def _whole(value):
     """value as an int if it is a whole number (an int, a numpy integer or
-    an integral float), else None: a fractional count or coordinate is
-    refused by its callers, never truncated."""
+    an integral float, not a bool), else None: a fractional count or
+    coordinate is refused by its callers, never truncated."""
+    if isinstance(value, bool):
+        return None
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     return int(value) if isinstance(value, (int, np.integer)) else None
@@ -262,9 +264,10 @@ def _lambda(ell):
 
 
 def _check_ell(ell):
-    if not float(ell).is_integer() or ell < 0:
+    as_int = _whole(ell)
+    if as_int is None or as_int < 0:
         raise DomainError(f"degree must be a non-negative integer, got {ell!r}")
-    return int(ell)
+    return as_int
 
 
 def _check_degrees(ells):

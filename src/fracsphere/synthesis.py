@@ -8,7 +8,12 @@ A real field with coefficients {V_{l,m} : m >= 0} is evaluated as
 in two passes.  First the ring sums g_m(theta_j) = sum_l V_{l,m}
 N_{l,m}(cos theta_j) for every order and latitude come from one all-orders
 normalized Legendre recurrence (specfun._norm_assoc_rows: L array steps,
-O(L^2 nLat) work, no (l, m, ring) table).  Then each ring is one FFT over
+O(L^2 nLat) work, no (l, m, ring) table).  Every grid kind has mirrored
+rings, theta_{nLat-1-j} = pi - theta_j, and N_{l,m}(-x) = (-1)^(l-m)
+N_{l,m}(x), so the recurrence runs on the northern rings only (the equator
+ring included when nLat is odd) and keeps the sums over even and odd l - m
+apart: their sum is the northern ring and their difference its southern
+mirror, evaluated at -cos theta_j.  Then each ring is one FFT over
 longitude: order m is folded into bin m mod nLon of a length-nLon spectrum,
 which keeps the sum exact when nLon < 2L+1 (aliased orders land on the
 same phases e^{2 pi i m k / nLon} as their bins).
@@ -39,7 +44,9 @@ class GridSpec:
     both poles.  With gauss=True the colatitudes are Gauss-Legendre nodes
     in cos(theta), which makes the quadrature of degree <= 2*nLat-1
     integrands over the normalized measure exact (used for Parseval checks).
-    Longitudes are phi_k = 2*pi*k/nLon.
+    Both kinds are mirrored about the equator, theta_{nLat-1-j} =
+    pi - theta_j, which synthesize relies on.  Longitudes are
+    phi_k = 2*pi*k/nLon.
     """
 
     n_lat: int
@@ -49,7 +56,7 @@ class GridSpec:
     def __post_init__(self):
         for name, least in (("n_lat", 2), ("n_lon", 1)):
             value = getattr(self, name)
-            count = None if isinstance(value, bool) else _whole(value)
+            count = _whole(value)
             if count is None or count < least:
                 raise DomainError(f"GridSpec: {name} must be an integer >= {least}, "
                                   f"got {value!r}")
@@ -99,13 +106,21 @@ class FieldMap:
 def synthesize(coeffs, grid):
     """Evaluate a coefficient set on a grid (see module docstring)."""
     L = coeffs.L
-    g = _norm_assoc_rows(coeffs.values, np.cos(grid.colatitudes()))  # (n_lat, L+1)
-    g[:, 1:] *= 2.0
-    n_lon = grid.n_lon
-    spectrum = np.zeros((grid.n_lat, n_lon), dtype=complex)
+    n_lat, n_lon = grid.n_lat, grid.n_lon
+    north = (n_lat + 1) // 2  # rings 0..north-1, the equator ring included
+    south = n_lat // 2  # ring n_lat-1-j mirrors ring j < south
+    even, odd = _norm_assoc_rows(coeffs.values, np.cos(grid.colatitudes()[:north]))
+    even[:, 1:] *= 2.0
+    odd[:, 1:] *= 2.0
+    spectrum = np.zeros((n_lat, n_lon), dtype=complex)
+    parts = spectrum.view(float).reshape(n_lat, n_lon, 2)  # [ring, bin, re/im]
     for start in range(0, L + 1, n_lon):
-        block = g[:, start:start + n_lon]
-        spectrum[:, :block.shape[1]] += block
+        e = even[:, start:start + n_lon].T  # [ring, order, re/im]
+        o = odd[:, start:start + n_lon].T
+        width = e.shape[1]
+        parts[:north, :width] += e + o
+        parts[::-1][:south, :width] += e[:south] - o[:south]
+    del even, odd, e, o  # views of the ring sums, freed before the FFT
     # unscaled inverse DFT: sum_b spectrum[b] e^{2 pi i b k / n_lon}
     vals = np.fft.ifft(spectrum, axis=1, norm="forward").real.copy()
     return FieldMap(grid=grid, values=vals, time=coeffs.time,

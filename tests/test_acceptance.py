@@ -155,11 +155,12 @@ def _trunc_slope(alpha, t):
 
 
 def test_criterion_5_truncation_slope_case_I():
-    # NOTE: expected to fail.  For a kappa1 = 2.3 spectrum the estimator
-    # measures sqrt(sum_{L<l<=400}), and 400^(-0.3) is not negligible
-    # against L^(-0.3) anywhere in [50, 300]: the finite reference degree
-    # steepens the measured slope to about -0.66 regardless of Monte Carlo
-    # effort, so the theoretical -0.15 cannot be observed at this scale.
+    # NOTE: expected to fail.  The exact expected slope of the estimator
+    # over [50, 300] is -0.657 at l_tilde = 400 (what the fit measures),
+    # -0.439 at 2000 and -0.438 from 1e5 to 1e6: no reference degree
+    # reaches -0.15, because E_{1/2}(-lambda_l t^{1/2}) decays past
+    # l ~ t^(-1/4) = 1000 and steepens the tail even at l_tilde = infinity.
+    # The -0.15 comes from a bound that takes E_alpha <= 1.
     t0 = time.perf_counter()
     fit, _ = _trunc_slope(0.5, 1e-12)
     target = -0.15

@@ -154,3 +154,34 @@ def test_full_scale_flags_win(tmp_path):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["L"] == 8 and manifest["n_real"] == 2
     assert manifest["l_tilde"] == 1500  # unflagged preset keys still apply
+
+
+SMALL_RUNS = {
+    "simulate": {"L": 8, "n_lat": 6, "n_lon": 8, "times": [1e-4]},
+    "increments": {"L": 8, "h_grid": [1e-6, 2e-6], "n_real": 2, "t": 2e-5},
+    "truncation": {"l_tilde": 16, "l_grid": [4, 8, 12], "n_real": 2},
+}
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("simulate", {"times": "abc"}),
+    ("simulate", {"times": []}),
+    ("simulate", {"times": ["1e-4"]}),
+    ("simulate", {"L": True}),
+    ("increments", {"L": True}),
+    ("increments", {"h_grid": ["x", 2e-6]}),
+    ("increments", {"h_grid": "abc"}),
+    ("truncation", {"l_grid": [5.5, 8]}),
+    ("truncation", {"l_grid": [-4, 8]}),
+    ("truncation", {"l_grid": "abc"}),
+])
+def test_bad_grid_values_refused(tmp_path, command, bad):
+    # each value used to run on (truncated, as L = 1, or with a negative
+    # degree indexing the tail from its end), write nothing, or end in a
+    # traceback with exit 1
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    cfg.write_text(json.dumps({**SMALL_RUNS[command], **bad, "out": str(out)}))
+    code, _ = run_cli(command, "--config", str(cfg))
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())

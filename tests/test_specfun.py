@@ -8,7 +8,6 @@ from scipy.special import lpmv
 from fracsphere import DomainError, SphPoint, gamma, legendre_p, ml_neg, spherical_harmonic
 from fracsphere.specfun import (MLParams, _ml_asymptotic, _ml_integral,
                                 _ml_series, assoc_legendre_norm,
-                                assoc_legendre_norm_all,
                                 assoc_legendre_norm_table)
 
 from conftest import addition_sum, harmonic_table, ml_oracle, unit_points
@@ -104,7 +103,7 @@ def test_assoc_legendre_self_normalization():
 
 
 def test_assoc_legendre_no_overflow_high_degree():
-    rows = assoc_legendre_norm_all(2000, 0, np.array([0.3]))
+    rows = assoc_legendre_norm_table(2000, [0.3])[0, :, 0]
     assert np.all(np.isfinite(rows))
     v = assoc_legendre_norm(2000, 1000, 0.3)
     assert math.isfinite(v)
@@ -122,8 +121,6 @@ def test_all_orders_table_bitwise_matches_scalar():
             for m in range(ell + 1):
                 ref[j, ell, m] = assoc_legendre_norm(ell, m, x)
     assert np.array_equal(table, ref)
-    for m in (0, 1, 17, 60):
-        assert np.array_equal(assoc_legendre_norm_all(L, m, xs), ref[:, m:, m].T)
 
 
 def test_assoc_legendre_domain():

@@ -6,21 +6,22 @@ import numpy as np
 import pytest
 
 from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
-                        GridSpec, RngStream, SphPoint,
-                        sample_initial_coefficients, spherical_harmonic,
+                        GridSpec, RngStream, sample_initial_coefficients,
                         synthesize, write_map_csv, write_map_image)
-from fracsphere.specfun import assoc_legendre_norm_table
+from fracsphere.specfun import _norm_assoc_order, assoc_legendre_norm_table
 from fracsphere.synthesis import read_map_csv
 
 
-def naive_eval(coeffs, theta, phi):
-    """Independent pointwise oracle: direct sum over the scalar harmonics."""
-    p = SphPoint(theta, phi)
-    total = 0.0
-    for ell in range(coeffs.L + 1):
-        total += (coeffs.values[ell, 0] * spherical_harmonic(ell, 0, p)).real
-        total += 2.0 * sum((coeffs.values[ell, m] * spherical_harmonic(ell, m, p)).real
-                           for m in range(1, ell + 1))
+def naive_eval(coeffs, thetas, phis):
+    """Independent pointwise oracle: the scalar path's per-order recurrence
+    at each pixel's own cos(theta), one call per order for all pixels, with
+    the phases applied here."""
+    x = np.cos(thetas)
+    total = np.zeros(x.size)
+    for m in range(coeffs.L + 1):
+        radial = _norm_assoc_order(coeffs.L, m, x)  # [l - m, pixel]
+        ring = coeffs.values[m:, m] @ radial
+        total += (1.0 if m == 0 else 2.0) * (ring * np.exp(1j * m * phis)).real
     return total
 
 
@@ -65,13 +66,10 @@ def test_fast_vs_naive_l64():
     grid = GridSpec(16, 32)  # 512 points
     fmap = synthesize(c, grid)
     scale = np.max(np.abs(fmap.values))
-    thetas, phis = grid.colatitudes(), grid.longitudes()
     rng = np.random.default_rng(3)
-    idx = [(int(j), int(k)) for j, k in zip(rng.integers(0, 16, 60),
-                                            rng.integers(0, 32, 60))]
-    for j, k in idx:
-        ref = naive_eval(c, float(thetas[j]), float(phis[k]))
-        assert abs(fmap.values[j, k] - ref) <= 1e-9 * scale
+    rows, cols = rng.integers(0, 16, 60), rng.integers(0, 32, 60)
+    ref = naive_eval(c, grid.colatitudes()[rows], grid.longitudes()[cols])
+    assert np.max(np.abs(fmap.values[rows, cols] - ref)) <= 1e-9 * scale
 
 
 def test_parseval_gauss_grid():
@@ -124,16 +122,31 @@ def test_l400_pixels_match_scipy_harmonics():
 @pytest.mark.parametrize("n_lon", [1, 2, 7, 13, 40, 64])
 def test_fft_fold_matches_dense_sum(n_lon):
     # L = 20 needs 41 longitudes to resolve every order; fewer alias, and
-    # the fold must still give the dense sum over all orders exactly
+    # the fold must still give the dense sum over all orders exactly.  The
+    # southern rings, mirrored from the northern ones, are checked against
+    # sums at their own cos(theta): poles only, an equator ring, even and
+    # odd ring counts, on both grid kinds
     L = 20
     c = random_coeffs(L, seed=n_lon)
-    grid = GridSpec(9, n_lon)
-    fmap = synthesize(c, grid)
-    radial = assoc_legendre_norm_table(L, np.cos(grid.colatitudes()))  # [j, l, m]
-    ring = np.einsum("jlm,lm->jm", radial, c.values)
-    ring[:, 1:] *= 2.0
-    dense = (ring @ np.exp(1j * np.outer(np.arange(L + 1), grid.longitudes()))).real
-    assert np.max(np.abs(fmap.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+    for n_lat in (2, 3, 8, 9):
+        for gauss in (False, True):
+            grid = GridSpec(n_lat, n_lon, gauss=gauss)
+            fmap = synthesize(c, grid)
+            radial = assoc_legendre_norm_table(L, np.cos(grid.colatitudes()))  # [j, l, m]
+            ring = np.einsum("jlm,lm->jm", radial, c.values)
+            ring[:, 1:] *= 2.0
+            phases = np.exp(1j * np.outer(np.arange(L + 1), grid.longitudes()))
+            dense = (ring @ phases).real
+            assert np.max(np.abs(fmap.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("gauss", [False, True])
+def test_colatitudes_mirror_symmetric(gauss):
+    # synthesize evaluates ring n_lat-1-j at -cos(theta_j), from the
+    # recurrence of ring j, so every grid kind must keep the rings mirrored
+    for n_lat in (2, 3, 8, 9, 96, 512, 1025):
+        theta = GridSpec(n_lat, 1, gauss=gauss).colatitudes()
+        assert np.max(np.abs(theta + theta[::-1] - math.pi)) <= 2 * np.spacing(math.pi)
 
 
 def test_grid_validation():
