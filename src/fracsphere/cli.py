@@ -49,7 +49,6 @@ DEFAULT_CONFIG = {
     "n_lat": 512,           # map rows (simulate)
     "n_lon": 1024,          # map columns (simulate)
     "colormap": "coolwarm",  # map colormap: coolwarm | gray
-    "beta_star": 0.1,       # spatial regularity exponent (bounds report)
     "increment_c": None,    # override for the measured increment constant
     "workers": 1,           # Monte Carlo worker processes
     "out": "out",           # output directory

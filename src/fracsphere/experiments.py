@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DomainError
+from .errors import DomainError, check_degree, check_list, check_real
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
-from .stochastic import (RNG_SCHEME, RngStream, _check_ell, _whole,
-                         sample_combined, sample_combined_pair,
-                         sample_combined_times)
+from .stochastic import (RNG_SCHEME, RngStream, sample_combined,
+                         sample_combined_pair, sample_combined_times)
 # perfbench/tracer.py wraps the kernel variances under these names too
 from .stochastic import cross_sigma, sigma_squared  # noqa: F401
 from .synthesis import synthesize, write_map_csv, write_map_image
@@ -30,16 +29,9 @@ __all__ = ["ErrorCurve", "SlopeFit", "truncation_error_curve",
            "increment_curve", "evolution_snapshots", "fit_loglog_slope",
            "resolve_workers", "write_manifest"]
 
-WORKER_ENV = "SPHERE_FRACDIFF_THREADS"
-
-
 def resolve_workers(requested):
-    """Worker count: requested (default 1), capped by SPHERE_FRACDIFF_THREADS."""
-    n = 1 if requested is None else max(1, int(requested))
-    cap = os.environ.get(WORKER_ENV)
-    if cap:
-        n = min(n, max(1, int(cap)))
-    return n
+    """Worker count: requested, a whole number >= 1 (default 1)."""
+    return 1 if requested is None else check_degree("workers", requested, 1)
 
 
 @dataclass
@@ -113,38 +105,10 @@ _TRUNC_JOB = {}
 
 
 def _trunc_worker(j):
-    model, L, t, seed = (_TRUNC_JOB["model"], _TRUNC_JOB["L"],
-                         _TRUNC_JOB["t"], _TRUNC_JOB["seed"])
-    coeffs = sample_combined(model, L, t, RngStream(seed), realization=j)
+    model, L, t, rng = (_TRUNC_JOB["model"], _TRUNC_JOB["L"],
+                        _TRUNC_JOB["t"], _TRUNC_JOB["rng"])
+    coeffs = sample_combined(model, L, t, rng, realization=j)
     return coeffs.degree_power()
-
-
-def _check_n_real(name, n_real):
-    """n_real as an int >= 2."""
-    count = _whole(n_real)
-    if count is None or count < 2:
-        raise DomainError(f"{name}: n_real must be an integer >= 2, got {n_real!r}")
-    return count
-
-
-def _check_grid(name, values, whole=False):
-    """values as a list of floats (of ints with whole=True): a non-empty
-    list of finite real numbers, whole ones with whole=True.  Bools and
-    numeric strings are refused, not converted."""
-    try:
-        items = list(values)
-    except TypeError:
-        items = []
-    if whole:
-        out = [_whole(v) for v in items]
-    else:
-        out = [float(v) if isinstance(v, (int, float, np.integer, np.floating))
-               and not isinstance(v, bool) and math.isfinite(v) else None
-               for v in items]
-    if not out or None in out:
-        kind = "whole numbers" if whole else "real numbers"
-        raise DomainError(f"{name} must be a non-empty list of {kind}, got {values!r}")
-    return out
 
 
 def _run_jobs(worker, tasks, workers):
@@ -166,15 +130,16 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=None
     with p_l the per-degree Parseval power.  The bound column is the
     combined truncation bound; rows whose case conditions fail are flagged.
     """
-    l_tilde = _check_ell(l_tilde)
-    l_grid = _check_grid("truncation_error_curve: l_grid", l_grid, whole=True)
+    l_tilde = check_degree("truncation_error_curve: l_tilde", l_tilde)
+    l_grid = check_list("truncation_error_curve: l_grid", l_grid, check_degree)
     if sorted(l_grid) != l_grid:
         raise DomainError("truncation_error_curve: l_grid must be ascending")
-    if l_grid[0] < 0 or l_grid[-1] >= l_tilde:
-        raise DomainError("truncation_error_curve: need 0 <= l_grid < l_tilde")
-    n_real = _check_n_real("truncation_error_curve", n_real)
+    if l_grid[-1] >= l_tilde:
+        raise DomainError("truncation_error_curve: need l_grid < l_tilde")
+    t = check_real("truncation_error_curve: t", t)
+    n_real = check_degree("truncation_error_curve: n_real", n_real, 2)
     workers = resolve_workers(workers)
-    _TRUNC_JOB.update(model=model, L=l_tilde, t=float(t), seed=int(seed))
+    _TRUNC_JOB.update(model=model, L=l_tilde, t=t, rng=RngStream(seed))
     powers = _run_jobs(_trunc_worker, range(n_real), workers)
     mean_p = np.zeros(l_tilde + 1)
     for p in powers:  # fixed order for bitwise determinism
@@ -201,11 +166,11 @@ _INC_JOB = {}
 
 def _inc_worker(task):
     j, hidx = task
-    model, L, t, seed, hs = (_INC_JOB["model"], _INC_JOB["L"], _INC_JOB["t"],
-                             _INC_JOB["seed"], _INC_JOB["hs"])
+    model, L, t, rng, hs = (_INC_JOB["model"], _INC_JOB["L"], _INC_JOB["t"],
+                            _INC_JOB["rng"], _INC_JOB["hs"])
     # independent realization stream per (h, j): column-specific realizations
     real = j * len(hs) + hidx
-    a, b = sample_combined_pair(model, L, t, hs[hidx], RngStream(seed), realization=real)
+    a, b = sample_combined_pair(model, L, t, hs[hidx], rng, realization=real)
     diff = b.values - a.values
     # |diff|^2 summed per degree on the (re, im) view: no complex modulus
     parts = diff.view(float)
@@ -219,18 +184,17 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=None,
     """Estimate the mean-square temporal increment curve
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
     q(t) sqrt(h) bound (measured constant unless overridden)."""
-    L = _check_ell(L)
-    hs = _check_grid("increment_curve: h_grid", h_grid)
-    if any(h <= 0 for h in hs) or sorted(hs) != hs:
-        raise DomainError("increment_curve: h grid must be positive and ascending")
-    if not (t > model.tau):
-        raise DomainError(f"increment_curve: need t > tau, got t={t}, tau={model.tau}")
-    n_real = _check_n_real("increment_curve", n_real)
+    L = check_degree("increment_curve: L", L)
+    hs = check_list("increment_curve: h_grid", h_grid, check_real)
+    if sorted(hs) != hs:
+        raise DomainError("increment_curve: h_grid must be ascending")
+    t = check_real("increment_curve: t (above tau)", t, model.tau)
+    n_real = check_degree("increment_curve: n_real", n_real, 2)
     workers = resolve_workers(workers)
-    _INC_JOB.update(model=model, L=L, t=float(t), seed=int(seed), hs=hs)
+    c = measured_increment_c(model.alpha, override=increment_c)
+    _INC_JOB.update(model=model, L=L, t=t, rng=RngStream(seed), hs=hs)
     tasks = [(j, hidx) for hidx in range(len(hs)) for j in range(n_real)]
     sums = _run_jobs(_inc_worker, tasks, workers)
-    c = measured_increment_c(model.alpha, override=increment_c)
     rows = []
     for hidx, h in enumerate(hs):
         vals = sums[hidx * n_real:(hidx + 1) * n_real]
@@ -247,7 +211,7 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
                         vrange=None, realization=0):
     """Simulate one realization jointly at the given ascending times, render
     each as an image + CSV under out_dir, and return the field maps."""
-    times = _check_grid("evolution_snapshots: times", times)
+    times = check_list("evolution_snapshots: times", times, check_real)
     sets = sample_combined_times(model, L, times, RngStream(seed), realization)
     os.makedirs(out_dir, exist_ok=True)
     maps = []

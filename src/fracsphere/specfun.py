@@ -28,10 +28,10 @@ import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.special import erfcx as _erfcx, hyp1f1 as _hyp1f1
 
-from .errors import AccuracyError, DomainError
+from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
+                     check_real, check_unit_interval, whole)
 
 __all__ = [
-    "MLParams",
     "SphPoint",
     "gamma",
     "legendre_p",
@@ -51,10 +51,7 @@ def gamma(x):
     Relative error is at the level of the C library (< 1e-14 on [0.1, 50]).
     Raises DomainError for non-positive or non-finite input.
     """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"gamma: argument must be finite and > 0, got {x!r}")
-    return math.gamma(x)
+    return math.gamma(check_real("gamma: argument", x))
 
 
 def _sinpi(y):
@@ -97,11 +94,8 @@ def legendre_p(ell, x):
 
     Accepts a scalar or an ndarray for x.
     """
-    ell = _check_degree(ell)
-    xs = np.asarray(x, dtype=float)
-    if np.any(np.abs(xs) > 1.0 + 1e-14):
-        raise DomainError("legendre_p: |x| must be <= 1")
-    xs = np.clip(xs, -1.0, 1.0)
+    ell = check_degree("legendre_p: degree", ell)
+    xs = check_unit_interval("legendre_p", x)
     if ell == 0:
         out = np.ones_like(xs)
     elif ell == 1:
@@ -114,12 +108,6 @@ def legendre_p(ell, x):
             pkm1, pk = pk, pkp1
         out = pk
     return out if isinstance(x, np.ndarray) else float(out)
-
-
-def _check_degree(ell):
-    if not float(ell).is_integer() or ell < 0:
-        raise DomainError(f"degree must be a non-negative integer, got {ell!r}")
-    return int(ell)
 
 
 def _norm_assoc_order(L, m, x):
@@ -212,13 +200,6 @@ def _norm_assoc_rows(values, x):
     return sums[0], sums[1]
 
 
-def _check_unit_interval(name, x):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xs) > 1.0 + 1e-14):
-        raise DomainError(f"{name}: |x| must be <= 1")
-    return np.clip(xs, -1.0, 1.0)
-
-
 def assoc_legendre_norm(ell, m, x):
     """Pre-normalized associated Legendre function N_{l,m}(x).
 
@@ -226,13 +207,11 @@ def assoc_legendre_norm(ell, m, x):
     Y_{l,m}; Condon-Shortley phase included.  Finite for l up to a few
     thousand.
     """
-    ell = _check_degree(ell)
-    m = _check_degree(m)
+    ell = check_degree("assoc_legendre_norm: degree", ell)
+    m = check_degree("assoc_legendre_norm: order", m)
     if m > ell:
         raise DomainError(f"assoc_legendre_norm: need m <= l, got l={ell}, m={m}")
-    if abs(x) > 1.0 + 1e-14:
-        raise DomainError("assoc_legendre_norm: |x| must be <= 1")
-    x = min(1.0, max(-1.0, float(x)))
+    x = float(check_unit_interval("assoc_legendre_norm", x))
     rows = _norm_assoc_order(ell, m, np.array([x]))
     return float(rows[-1, 0])
 
@@ -244,8 +223,8 @@ def assoc_legendre_norm_table(L, x):
     one pass of the all-orders recurrence, bit-identical to
     assoc_legendre_norm.
     """
-    L = _check_degree(L)
-    xs = _check_unit_interval("assoc_legendre_norm_table", x)
+    L = check_degree("assoc_legendre_norm_table: degree", L)
+    xs = np.atleast_1d(check_unit_interval("assoc_legendre_norm_table", x))
     table = np.zeros((xs.size, L + 1, L + 1))
     orders = np.arange(L + 1)
     for d, rows in _norm_assoc_diagonals(L, xs):
@@ -265,10 +244,13 @@ class SphPoint:
     phi: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise DomainError(f"SphPoint: theta must be in [0, pi], got {self.theta}")
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise DomainError(f"SphPoint: phi must be in [0, 2*pi), got {self.phi}")
+        theta = check_real("SphPoint: theta", self.theta, strict=False)
+        phi = check_real("SphPoint: phi", self.phi, strict=False)
+        if theta > math.pi or phi >= 2.0 * math.pi:
+            raise DomainError(f"SphPoint: need theta in [0, pi] and phi in [0, 2*pi), "
+                              f"got theta={theta}, phi={phi}")
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
 
     def unit_vector(self):
         st = math.sin(self.theta)
@@ -295,12 +277,12 @@ def spherical_harmonic(ell, m, point):
     `point` is a SphPoint or a (theta, phi) pair.  For m < 0 the value is
     obtained from Y_{l,-m} by (-1)^m conjugation.
     """
-    ell = _check_degree(ell)
-    if not float(m).is_integer():
-        raise DomainError(f"spherical_harmonic: m must be an integer, got {m!r}")
-    m = int(m)
-    if abs(m) > ell:
-        raise DomainError(f"spherical_harmonic: need |m| <= l, got l={ell}, m={m}")
+    ell = check_degree("spherical_harmonic: degree", ell)
+    order = whole(m)
+    if order is None or abs(order) > ell:
+        raise DomainError(f"spherical_harmonic: need an integer m with |m| <= l, "
+                          f"got l={ell}, m={m!r}")
+    m = order
     if not isinstance(point, SphPoint):
         point = SphPoint(*point)
     am = abs(m)
@@ -315,20 +297,6 @@ def spherical_harmonic(ell, m, point):
 
 # --------------------------------------------------------------------------
 # Mittag-Leffler E_{alpha,beta}(-x), x >= 0, alpha in (0,1], beta > 0
-
-@dataclass(frozen=True)
-class MLParams:
-    """Parameters of the two-parameter Mittag-Leffler function."""
-
-    alpha: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0) or not math.isfinite(self.alpha):
-            raise DomainError(f"MLParams: alpha must be in (0, 1], got {self.alpha}")
-        if not (self.beta > 0.0) or not math.isfinite(self.beta):
-            raise DomainError(f"MLParams: beta must be > 0, got {self.beta}")
-
 
 # the series result is accepted only if the largest partial term did not
 # exceed _SERIES_PEAK_MAX times the sum (keeps cancellation error ~1e-13)
@@ -480,23 +448,25 @@ def ml_neg(alpha, x, beta=1.0):
     in between.  A result is never returned from a regime whose internal
     error estimate exceeds the target (AccuracyError instead).
     """
-    params = MLParams(float(alpha), float(beta))
-    a, b = params.alpha, params.beta
+    a = check_alpha("ml_neg: alpha", alpha)
+    b = check_real("ml_neg: beta", beta)
     if b == 1.0 and a in (0.5, 1.0):
+        xs = np.asarray(x)
+        if xs.dtype.kind not in "iuf" or not np.all((xs >= 0.0) & (xs < math.inf)):
+            raise DomainError(f"ml_neg: x must be finite and >= 0, got {x!r}")
         # one contiguous buffer: the same ufunc loop for every length
-        xs = np.array(x, dtype=float, order="C")
-        bad = ~np.isfinite(xs) | (xs < 0.0)
-        if np.any(bad):
-            raise DomainError(
-                f"ml_neg: x must be finite and >= 0, got {float(xs[bad][0])!r}")
+        xs = np.array(xs, dtype=float, order="C")
         out = np.exp(-xs) if a == 1.0 else _erfcx(xs)
         return out if isinstance(x, np.ndarray) else float(out)
     if isinstance(x, np.ndarray):
-        flat = [ml_neg(a, xi, b) for xi in x.ravel()]
-        return np.array(flat).reshape(x.shape)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"ml_neg: x must be finite and >= 0, got {x!r}")
+        flat = [_ml_general(a, b, xi) for xi in x.ravel().tolist()]
+        return np.array(flat, dtype=float).reshape(x.shape)
+    return _ml_general(a, b, x)
+
+
+def _ml_general(a, b, x):
+    """E_{a,b}(-x) for one x by the first regime that meets its target."""
+    x = check_real("ml_neg: x", x, strict=False)
     if x == 0.0:
         return _rgamma(b)
     if a == 1.0:

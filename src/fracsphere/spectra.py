@@ -1,4 +1,4 @@
-"""Angular power-spectrum models and closed-form constants of the
+"""The algebraic angular power spectrum and the closed-form constants of the
 truncation / temporal-increment error bounds.
 
 All bounds below are for the two-stage model
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (DomainError, check_alpha, check_degree, check_degrees,
+                     check_real)
 from .specfun import gamma, ml_neg
 
 __all__ = [
     "AlgebraicSpectrum",
-    "TabulatedSpectrum",
     "BoundConstants",
     "tail_constant",
     "m_alpha",
@@ -49,59 +49,23 @@ class AlgebraicSpectrum:
     kappa: float
 
     def __post_init__(self):
-        if self.head < 0 or not math.isfinite(self.head):
-            raise DomainError(f"AlgebraicSpectrum: head must be >= 0, got {self.head}")
-        if self.coeff < 0 or not math.isfinite(self.coeff):
-            raise DomainError(f"AlgebraicSpectrum: coeff must be >= 0, got {self.coeff}")
-        if not (self.kappa > 2.0):
-            raise DomainError(
-                f"AlgebraicSpectrum: kappa must be > 2 for summability, got {self.kappa}")
+        for name, least, strict in (("head", 0.0, False), ("coeff", 0.0, False),
+                                    ("kappa", 2.0, True)):
+            value = check_real(f"AlgebraicSpectrum: {name}", getattr(self, name),
+                               least, strict)
+            object.__setattr__(self, name, value)
 
     def value(self, ell):
-        if not float(ell).is_integer() or ell < 0:
-            raise DomainError(f"spectrum value: l must be a non-negative integer, got {ell!r}")
-        ell = int(ell)
-        return self.head if ell == 0 else self.coeff * float(ell) ** (-self.kappa)
-
-    def values(self, ells):
-        ells = np.asarray(ells)
-        out = np.empty(ells.shape, dtype=float)
-        zero = ells == 0
-        out[zero] = self.head
-        nz = ~zero
-        out[nz] = self.coeff * ells[nz].astype(float) ** (-self.kappa)
-        return out
-
-
-@dataclass(frozen=True)
-class TabulatedSpectrum:
-    """Power spectrum given as a plain list X_0, X_1, ... (zero beyond the
-    end).  Usable wherever a spectrum is sampled or summed; the closed-form
-    tail bounds need an algebraic decay and do not apply."""
-
-    table: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.table)
-        if any(v < 0 or not math.isfinite(v) for v in vals):
-            raise DomainError("TabulatedSpectrum: values must be finite and >= 0")
-        object.__setattr__(self, "table", vals)
-
-    def value(self, ell):
-        if not float(ell).is_integer() or ell < 0:
-            raise DomainError(f"spectrum value: l must be a non-negative integer, got {ell!r}")
-        ell = int(ell)
-        return self.table[ell] if ell < len(self.table) else 0.0
-
-    def values(self, ells):
-        return np.array([self.value(ell) for ell in np.asarray(ells).ravel()]
-                        ).reshape(np.asarray(ells).shape)
-
-
-def _check_alpha(alpha):
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    return float(alpha)
+        """X_l for a degree, or an ndarray of them for an ndarray of degrees.
+        A scalar runs through the array code, so both give the same bits."""
+        if isinstance(ell, np.ndarray):
+            ells = check_degrees("spectrum value: degree", ell)
+        else:
+            ells = np.array([check_degree("spectrum value: degree", ell)], dtype=float)
+        out = np.full(ells.shape, self.head)
+        nz = ells != 0.0
+        out[nz] = self.coeff * ells[nz] ** (-self.kappa)
+        return out if isinstance(ell, np.ndarray) else float(out[0])
 
 
 def tail_constant(spectrum):
@@ -114,7 +78,7 @@ def tail_constant(spectrum):
 def m_alpha(alpha):
     """Gamma(1+alpha)^2 / |2 alpha - 1| away from alpha = 1/2, and
     Gamma(3/2)^2 there."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha("m_alpha: alpha", alpha)
     if alpha == 0.5:
         return gamma(1.5) ** 2
     return gamma(1.0 + alpha) ** 2 / abs(2.0 * alpha - 1.0)
@@ -124,21 +88,19 @@ def gamma_alpha_kappa(alpha, kappa2):
     """Decay exponent of the inhomogeneous truncation bound for
     t well past the knee: kappa2+2 (alpha < 1/2), kappa2 + 2/alpha - 2
     (alpha > 1/2), kappa2 (alpha = 1/2)."""
-    alpha = _check_alpha(alpha)
-    if not (kappa2 > 2.0):
-        raise DomainError(f"gamma_alpha_kappa: kappa2 must be > 2, got {kappa2}")
+    alpha = check_alpha("gamma_alpha_kappa: alpha", alpha)
+    kappa2 = check_real("gamma_alpha_kappa: kappa2", kappa2, 2.0)
     if alpha < 0.5:
         return kappa2 + 2.0
     if alpha == 0.5:
-        return float(kappa2)
+        return kappa2
     return kappa2 + 2.0 / alpha - 2.0
 
 
 def psi_h(alpha, t):
     """Gamma(1+alpha) * t^-alpha, the time factor of the homogeneous bound."""
-    alpha = _check_alpha(alpha)
-    if not (t > 0.0):
-        raise DomainError(f"psi_h: t must be > 0, got {t}")
+    alpha = check_alpha("psi_h: alpha", alpha)
+    t = check_real("psi_h: t", t)
     return gamma(1.0 + alpha) * t ** (-alpha)
 
 
@@ -152,9 +114,8 @@ def _k_half(t):
 def psi_i(alpha, t):
     """Time factor of the inhomogeneous bound; logarithmic K(t) at the
     critical order alpha = 1/2."""
-    alpha = _check_alpha(alpha)
-    if not (t > 0.0):
-        raise DomainError(f"psi_i: t must be > 0, got {t}")
+    alpha = check_alpha("psi_i: alpha", alpha)
+    t = check_real("psi_i: t", t)
     if alpha < 0.5:
         return math.sqrt(1.0 + m_alpha(alpha) * t ** (1.0 - 2.0 * alpha))
     if alpha == 0.5:
@@ -162,26 +123,15 @@ def psi_i(alpha, t):
     return math.sqrt(1.0 + m_alpha(alpha))
 
 
-def _lambda(L):
-    return float(L) * (float(L) + 1.0)
-
-
-def _check_L(L):
-    if not float(L).is_integer() or L < 1:
-        raise DomainError(f"truncation degree L must be an integer >= 1, got {L!r}")
-    return int(L)
-
-
 def bound_qh(L, t, alpha, spec_c):
     """Upper bound for the homogeneous truncation error Q^H_L(t).
 
     Points exactly on the regime boundary go to the earlier regime.
     """
-    L = _check_L(L)
-    alpha = _check_alpha(alpha)
-    if not (t > 0.0):
-        raise DomainError(f"bound_qh: t must be > 0, got {t}")
-    knee = _lambda(L) ** (-1.0 / alpha)
+    L = check_degree("bound_qh: L", L, 1)
+    alpha = check_alpha("bound_qh: alpha", alpha)
+    t = check_real("bound_qh: t", t)
+    knee = (L * (L + 1.0)) ** (-1.0 / alpha)
     ct = tail_constant(spec_c)
     if t <= knee:
         return ct * L ** (-(spec_c.kappa - 2.0) / 2.0)
@@ -190,13 +140,11 @@ def bound_qh(L, t, alpha, spec_c):
 
 def bound_qi(L, t, tau, alpha, spec_a):
     """Upper bound for the inhomogeneous truncation error Q^I_L(t), t > tau."""
-    L = _check_L(L)
-    alpha = _check_alpha(alpha)
-    if not (tau > 0.0):
-        raise DomainError(f"bound_qi: tau must be > 0, got {tau}")
-    if not (t > tau):
-        raise DomainError(f"bound_qi: need t > tau, got t={t}, tau={tau}")
-    knee = _lambda(L) ** (-1.0 / alpha)
+    L = check_degree("bound_qi: L", L, 1)
+    alpha = check_alpha("bound_qi: alpha", alpha)
+    tau = check_real("bound_qi: tau", tau)
+    t = check_real("bound_qi: t (above tau)", t, tau)
+    knee = (L * (L + 1.0)) ** (-1.0 / alpha)
     at = tail_constant(spec_a)
     if t <= tau + knee:
         return at * L ** (-(spec_a.kappa + 2.0 / alpha - 2.0) / 2.0)
@@ -207,13 +155,11 @@ def combined_case(L, t, tau, alpha):
     """Which case of the combined truncation bound applies at (L, t):
     1, 2 or 3.  Raises DomainError naming the violated condition when no
     case applies (t at or below the knee but tau below it too)."""
-    L = _check_L(L)
-    alpha = _check_alpha(alpha)
-    if not (t > 0.0):
-        raise DomainError(f"combined bound: t must be > 0, got {t}")
-    if not (tau > 0.0):
-        raise DomainError(f"combined bound: tau must be > 0, got {tau}")
-    knee = _lambda(L) ** (-1.0 / alpha)
+    L = check_degree("combined bound: L", L, 1)
+    alpha = check_alpha("combined bound: alpha", alpha)
+    t = check_real("combined bound: t", t)
+    tau = check_real("combined bound: tau", tau)
+    knee = (L * (L + 1.0)) ** (-1.0 / alpha)
     if t <= knee:
         if tau >= knee:
             return 1
@@ -256,11 +202,9 @@ def measured_increment_c(alpha, override=None):
 
     `override` substitutes a user-configured value.
     """
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha("measured_increment_c: alpha", alpha)
     if override is not None:
-        if not (override > 0.0):
-            raise DomainError(f"increment constant override must be > 0, got {override}")
-        return float(override)
+        return check_real("increment constant override", override)
     if alpha not in _measured_c_cache:
         xs = np.logspace(-6.0, 8.0, 200)
         vals = (1.0 + xs) * np.array([ml_neg(alpha, x, beta=alpha) for x in xs])
@@ -271,15 +215,11 @@ def measured_increment_c(alpha, override=None):
 
 def increment_bound(t, h, tau, alpha, spec_c, spec_a, c):
     """q(t) * sqrt(h) with q(t) = sqrt(c*Ctail^2/t + (1+c)*Atail^2)."""
-    _check_alpha(alpha)
-    if not (tau > 0.0):
-        raise DomainError(f"increment_bound: tau must be > 0, got {tau}")
-    if not (t > tau):
-        raise DomainError(f"increment_bound: need t > tau, got t={t}, tau={tau}")
-    if not (h > 0.0):
-        raise DomainError(f"increment_bound: h must be > 0, got {h}")
-    if not (c > 0.0):
-        raise DomainError(f"increment_bound: c must be > 0, got {c}")
+    check_alpha("increment_bound: alpha", alpha)
+    tau = check_real("increment_bound: tau", tau)
+    t = check_real("increment_bound: t (above tau)", t, tau)
+    h = check_real("increment_bound: h", h)
+    c = check_real("increment_bound: c", c)
     ct2 = tail_constant(spec_c) ** 2
     at2 = tail_constant(spec_a) ** 2
     q = math.sqrt(c * ct2 / t + (1.0 + c) * at2)
@@ -304,15 +244,14 @@ def holder_envelope(beta_star, t, tau, spec_c, spec_a, lmax=100_000):
     added (so the reported value is an upper bound, monotone in lmax).
     Requires kappa1, kappa2 > 2(1 + beta*).
     """
-    if not (0.0 < beta_star <= 1.0):
-        raise DomainError(f"holder_envelope: beta* must be in (0, 1], got {beta_star}")
+    beta_star = check_alpha("holder_envelope: beta*", beta_star)
     need = 2.0 * (1.0 + beta_star)
     if spec_c.kappa <= need or spec_a.kappa <= need:
         raise DomainError(
             f"holder_envelope: requires kappa1, kappa2 > {need}, got "
             f"{spec_c.kappa}, {spec_a.kappa}")
-    if not (tau > 0.0):
-        raise DomainError(f"holder_envelope: tau must be > 0, got {tau}")
+    tau = check_real("holder_envelope: tau", tau)
+    t = check_real("holder_envelope: t", t)
     expo = 1.0 + 2.0 * beta_star
     k1 = _weighted_tail_sum(spec_c, expo, int(lmax))
     out = k1

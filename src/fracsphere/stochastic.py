@@ -44,14 +44,13 @@ identical under any work scheduling.
 from __future__ import annotations
 
 import functools
-import io
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
+                     check_degrees, check_real, check_unit_interval, whole)
 from .spectra import AlgebraicSpectrum, m_alpha
 from .specfun import ml_neg
 
@@ -81,7 +80,7 @@ __all__ = [
 @dataclass(frozen=True)
 class FractionalModel:
     """A full problem instance: fractional order, noise onset time, and the
-    two angular power spectra."""
+    two angular power spectra.  tau = inf is a model without noise."""
 
     alpha: float
     tau: float
@@ -89,10 +88,9 @@ class FractionalModel:
     spec_a: AlgebraicSpectrum
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"FractionalModel: alpha must be in (0, 1], got {self.alpha}")
-        if not (self.tau > 0.0):
-            raise DomainError(f"FractionalModel: tau must be > 0, got {self.tau}")
+        object.__setattr__(self, "alpha", check_alpha("FractionalModel: alpha", self.alpha))
+        if self.tau != math.inf:
+            object.__setattr__(self, "tau", check_real("FractionalModel: tau", self.tau))
 
 
 # --------------------------------------------------------------------------
@@ -115,21 +113,10 @@ def noise_role(slot, component):
 RNG_SCHEME = 2  # version of the map from coordinates to variates
 
 
-def _whole(value):
-    """value as an int if it is a whole number (an int, a numpy integer or
-    an integral float, not a bool), else None: a fractional count or
-    coordinate is refused by its callers, never truncated."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    return int(value) if isinstance(value, (int, np.integer)) else None
-
-
 def _coordinate(name, value, bound):
     """value as an int in [0, bound); a fractional value would otherwise
     land on another coordinate's stream."""
-    as_int = _whole(value)
+    as_int = whole(value)
     if as_int is None or not 0 <= as_int < bound:
         raise DomainError(f"RngStream: {name} must be an integer in [0, {bound}), "
                           f"got {value!r}")
@@ -194,59 +181,6 @@ class CoefficientSet:
         """sum_{l > L_low} p_l, the squared truncation remainder of this draw."""
         return float(self.degree_power()[L_low + 1:].sum())
 
-    # -- serialization ------------------------------------------------------
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            f.write("ell,m,re,im\n")
-            for ell in range(self.L + 1):
-                row = self.values[ell]
-                for m in range(ell + 1):
-                    f.write("%d,%d,%.17g,%.17g\n" % (ell, m, row[m].real, row[m].imag))
-
-    @classmethod
-    def read_csv(cls, path, time=0.0):
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        data = np.atleast_2d(data)
-        L = int(data[:, 0].max())
-        out = cls.zeros(L, time=time)
-        for ell, m, re, im in data:
-            out.values[int(ell), int(m)] = complex(re, im)
-        return out
-
-    _MAGIC = b"SFDC"
-    _VERSION = 1
-
-    def write_binary(self, path):
-        buf = io.BytesIO()
-        buf.write(self._MAGIC)
-        buf.write(struct.pack("<II", self._VERSION, self.L))
-        for ell in range(self.L + 1):
-            row = self.values[ell, : ell + 1]
-            pairs = np.empty(2 * (ell + 1))
-            pairs[0::2] = row.real
-            pairs[1::2] = row.imag
-            buf.write(pairs.astype("<f8").tobytes())
-        with open(path, "wb") as f:
-            f.write(buf.getvalue())
-
-    @classmethod
-    def read_binary(cls, path, time=0.0):
-        with open(path, "rb") as f:
-            raw = f.read()
-        if raw[:4] != cls._MAGIC:
-            raise DomainError(f"not a coefficient file (bad magic): {path}")
-        version, L = struct.unpack_from("<II", raw, 4)
-        if version != cls._VERSION:
-            raise DomainError(f"unsupported coefficient file version {version}")
-        out = cls.zeros(L, time=time)
-        off = 12
-        for ell in range(L + 1):
-            pairs = np.frombuffer(raw, dtype="<f8", count=2 * (ell + 1), offset=off)
-            off += 16 * (ell + 1)
-            out.values[ell, : ell + 1] = pairs[0::2] + 1j * pairs[1::2]
-        return out
-
 
 # --------------------------------------------------------------------------
 # kernel variances
@@ -259,30 +193,11 @@ _TABLE_BLOCK = 16        # panels added per table extension (four decades)
 _CROSS_NODES = 1 << 15   # nodes per cross_sigma degree block (256 KB per array)
 
 
-def _lambda(ell):
-    return float(ell) * (float(ell) + 1.0)
-
-
-def _check_ell(ell):
-    as_int = _whole(ell)
-    if as_int is None or as_int < 0:
-        raise DomainError(f"degree must be a non-negative integer, got {ell!r}")
-    return as_int
-
-
-def _check_degrees(ells):
-    """An ndarray of degrees as floats, each a non-negative integer."""
-    arr = np.asarray(ells, dtype=float)
-    bad = ~(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr)))
-    if np.any(bad):
-        raise DomainError(f"degree must be a non-negative integer, got {float(arr[bad][0])!r}")
-    return arr
-
-
-def _check_alpha(name, alpha):
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"{name}: alpha must be in (0, 1], got {alpha}")
-    return float(alpha)
+def _degrees(name, ell):
+    """A degree as an int, or an ndarray of degrees as floats."""
+    if isinstance(ell, np.ndarray):
+        return check_degrees(f"{name}: degree", ell)
+    return check_degree(f"{name}: degree", ell)
 
 
 @functools.cache
@@ -425,13 +340,12 @@ def sigma_squared(ell, t, alpha):
     ell is a degree or an ndarray of degrees (then an ndarray comes back);
     every degree reads the same per-alpha table, and an element of an
     array result has the same bits as the scalar call."""
-    ells = _check_degrees(ell) if isinstance(ell, np.ndarray) else _check_ell(ell)
-    alpha = _check_alpha("sigma_squared", alpha)
-    if not (0.0 <= t < math.inf):
-        raise DomainError(f"sigma_squared: t must be finite and >= 0, got {t}")
+    ells = _degrees("sigma_squared", ell)
+    alpha = check_alpha("sigma_squared: alpha", alpha)
+    t = check_real("sigma_squared: t", t, strict=False)
     if isinstance(ells, np.ndarray):
-        return _sigma_squared(ells, float(t), alpha)
-    return _sigma_squared_one(ells, float(t), alpha)
+        return _sigma_squared(ells, t, alpha)
+    return _sigma_squared_one(ells, t, alpha)
 
 
 def sigma_squared_bound(ell, t, alpha):
@@ -440,13 +354,10 @@ def sigma_squared_bound(ell, t, alpha):
     The alpha = 1/2 branch contains ln(lambda^2 t) and is only valid when
     lambda^2 t > 1; outside that regime a DomainError is raised.
     """
-    ell = _check_ell(ell)
-    if ell < 1:
-        raise DomainError("sigma_squared_bound: requires l >= 1")
-    if not (t > 0.0):
-        raise DomainError(f"sigma_squared_bound: t must be > 0, got {t}")
-    alpha = _check_alpha("sigma_squared_bound", alpha)
-    lam = _lambda(ell)
+    ell = check_degree("sigma_squared_bound: degree", ell, 1)
+    t = check_real("sigma_squared_bound: t", t)
+    alpha = check_alpha("sigma_squared_bound: alpha", alpha)
+    lam = ell * (ell + 1.0)
     if alpha < 0.5:
         return lam ** (-1.0 / alpha) + m_alpha(alpha) * t ** (1.0 - 2.0 * alpha) * lam ** -2.0
     if alpha == 0.5:
@@ -512,13 +423,13 @@ def cross_sigma(ell, s, h, alpha):
     stochastic integrals at lags s and s+h; equals sigma_squared at h = 0.
 
     ell is a degree or an ndarray of degrees, as for sigma_squared."""
-    ells = _check_degrees(ell) if isinstance(ell, np.ndarray) else _check_ell(ell)
-    alpha = _check_alpha("cross_sigma", alpha)
-    if not (0.0 <= s < math.inf and 0.0 <= h < math.inf):
-        raise DomainError(f"cross_sigma: s and h must be finite and >= 0, got s={s}, h={h}")
+    ells = _degrees("cross_sigma", ell)
+    alpha = check_alpha("cross_sigma: alpha", alpha)
+    s = check_real("cross_sigma: s", s, strict=False)
+    h = check_real("cross_sigma: h", h, strict=False)
     if isinstance(ells, np.ndarray):
-        return _cross_sigma(ells, float(s), float(h), alpha)
-    return _cross_sigma_one(ells, float(s), float(h), alpha)
+        return _cross_sigma(ells, s, h, alpha)
+    return _cross_sigma_one(ells, s, h, alpha)
 
 
 # --------------------------------------------------------------------------
@@ -562,7 +473,7 @@ def _amplitudes(spec, L):
     """Per degree, the standard deviation of Re V_{l,m} for a unit-variance
     draw at m = 0, sqrt(X_l), and at m >= 1, sqrt(X_l / 2); None when the
     spectrum vanishes on 0..L."""
-    x = spec.values(np.arange(L + 1))
+    x = spec.value(np.arange(L + 1))
     return (np.sqrt(x), np.sqrt(x / 2.0)) if np.any(x) else None
 
 
@@ -578,7 +489,7 @@ def _sample(model, L, times, rng, realization):
     with it.  One role's draw is held at a time, and the packed sums of
     each time are scattered into its square output once.
     """
-    L = _check_ell(L)
+    L = check_degree("degree L", L)
     counts, starts, mask = _layout(L)
     n = int(starts[-1]) + L + 1
     amp = _amplitudes(model.spec_c, L)
@@ -628,13 +539,13 @@ def sample_initial_coefficients(spec_c, L, rng, realization=0):
 
 def evolve_homogeneous(init, t, alpha):
     """Decay every coefficient by E_alpha(-lambda_l t^alpha); identity at t = 0."""
-    if t < 0.0:
-        raise DomainError(f"evolve_homogeneous: t must be >= 0, got {t}")
+    t = check_real("evolve_homogeneous: t", t, strict=False)
+    alpha = check_alpha("evolve_homogeneous: alpha", alpha)
     out = init.copy()
-    out.time = float(t)
+    out.time = t
     if t == 0.0:
         return out
-    out.values *= _decay_factors(init.L, float(t), alpha)[:, None]
+    out.values *= _decay_factors(init.L, t, alpha)[:, None]
     return out
 
 
@@ -642,23 +553,22 @@ def sample_inhomogeneous(spec_a, L, t, tau, alpha, rng, realization=0):
     """Draw the noise-driven part at time t: zero for t <= tau, otherwise
     V built from I ~ N(0, sigma^2_{l,t-tau,alpha}) with the A_l scaling."""
     model = FractionalModel(alpha, tau, _NO_SPECTRUM, spec_a)
-    return _sample(model, L, [float(t)], rng, realization)[0]
+    t = check_real("sample_inhomogeneous: t", t, strict=False)
+    return _sample(model, L, [t], rng, realization)[0]
 
 
 def sample_combined(model, L, t, rng, realization=0):
     """Draw the full solution's coefficients at time t (homogeneous decay of
     an initial draw plus, past tau, the independent noise integral)."""
-    if not (t > 0.0):
-        raise DomainError(f"sample_combined: t must be > 0, got {t}")
-    return _sample(model, L, [float(t)], rng, realization)[0]
+    t = check_real("sample_combined: t", t)
+    return _sample(model, L, [t], rng, realization)[0]
 
 
 def sample_coefficient_rows(model, t, rng, ells, realization=0):
     """Rows {l: (V_{l,0..l})} of sample_combined at time t, cut from one
     draw at degree max(ells): the rows of a draw at any degree, bit for bit."""
-    if not (t > 0.0):
-        raise DomainError(f"sample_coefficient_rows: t must be > 0, got {t}")
-    ells = [_check_ell(ell) for ell in ells]
+    t = check_real("sample_coefficient_rows: t", t)
+    ells = [check_degree("sample_coefficient_rows: degree", ell) for ell in ells]
     if not ells:
         return {}
     full = sample_combined(model, max(ells), t, rng, realization).values
@@ -715,20 +625,18 @@ def sample_combined_times(model, L, times, rng, realization=0):
     the cross-covariance Cholesky factor, so differences between times have
     the true increment law.
     """
-    times = [float(t) for t in times]
-    if any(t <= 0.0 for t in times) or any(b <= a for a, b in zip(times, times[1:])):
-        raise DomainError("sample_combined_times: times must be positive and increasing")
+    times = [check_real("sample_combined_times: time", t) for t in times]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise DomainError("sample_combined_times: times must be increasing")
     return _sample(model, L, times, rng, realization)
 
 
 def sample_combined_pair(model, L, t, h, rng, realization=0):
     """Draw (U(t), U(t+h)) jointly, t > tau, h > 0; the marginal at t is
     bit-identical to sample_combined with the same coordinates."""
-    if not (t > model.tau):
-        raise DomainError(f"sample_combined_pair: need t > tau, got t={t}, tau={model.tau}")
-    if not (h > 0.0):
-        raise DomainError(f"sample_combined_pair: h must be > 0, got {h}")
-    a, b = _sample(model, L, [float(t), float(t) + float(h)], rng, realization)
+    t = check_real("sample_combined_pair: t (above tau)", t, model.tau)
+    h = check_real("sample_combined_pair: h", h)
+    a, b = _sample(model, L, [t, t + h], rng, realization)
     return a, b
 
 
@@ -737,24 +645,27 @@ def sample_combined_pair(model, L, t, h, rng, realization=0):
 
 def coefficient_variance(model, ell, t):
     """E|V_{l,m}(t)|^2 = C_l E_alpha(-lambda_l t^alpha)^2
-    + 1_{t>tau} A_l sigma^2_{l,t-tau,alpha}."""
-    ell = _check_ell(ell)
-    if not (t > 0.0):
-        raise DomainError(f"coefficient_variance: t must be > 0, got {t}")
-    lam = _lambda(ell)
-    e = ml_neg(model.alpha, lam * t ** model.alpha)
-    v = model.spec_c.value(ell) * e * e
+    + 1_{t>tau} A_l sigma^2_{l,t-tau,alpha}.
+
+    ell is a degree or an ndarray of degrees (then an ndarray comes back);
+    a scalar runs through the array code, so an element of an array result
+    has the same bits as the scalar call."""
+    ells = _degrees("coefficient_variance", ell)
+    if not isinstance(ells, np.ndarray):
+        ells = np.array([ells], dtype=float)
+    t = check_real("coefficient_variance: t", t)
+    e = ml_neg(model.alpha, ells * (ells + 1.0) * t ** model.alpha)
+    v = model.spec_c.value(ells) * e * e
     if t > model.tau:
-        v += model.spec_a.value(ell) * sigma_squared(ell, t - model.tau, model.alpha)
-    return v
+        v += model.spec_a.value(ells) * sigma_squared(ells, t - model.tau, model.alpha)
+    return v if isinstance(ell, np.ndarray) else float(v[0])
 
 
 def covariance_function(model, t, cos_angle, lmax):
     """Truncated covariance series sum_l (2l+1) Var_l(t) P_l(cos angle);
     at cos_angle = 1 this is the pointwise field variance."""
-    if abs(cos_angle) > 1.0 + 1e-14:
-        raise DomainError(f"covariance_function: |cos_angle| must be <= 1, got {cos_angle}")
-    lmax = _check_ell(lmax)
-    var = np.array([coefficient_variance(model, ell, t) for ell in range(lmax + 1)])
+    x = check_unit_interval("covariance_function: cos_angle", cos_angle)
+    lmax = check_degree("covariance_function: lmax", lmax)
+    var = coefficient_variance(model, np.arange(lmax + 1), t)
     coeffs = (2.0 * np.arange(lmax + 1) + 1.0) * var
-    return float(np.polynomial.legendre.legval(min(1.0, max(-1.0, cos_angle)), coeffs))
+    return float(np.polynomial.legendre.legval(x, coeffs))

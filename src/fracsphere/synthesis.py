@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_degree
 from .specfun import _norm_assoc_rows
-from .stochastic import _whole
 
 __all__ = ["GridSpec", "FieldMap", "synthesize", "write_map_csv",
            "read_map_csv", "write_map_image"]
@@ -55,11 +54,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name, least in (("n_lat", 2), ("n_lon", 1)):
-            value = getattr(self, name)
-            count = _whole(value)
-            if count is None or count < least:
-                raise DomainError(f"GridSpec: {name} must be an integer >= {least}, "
-                                  f"got {value!r}")
+            count = check_degree(f"GridSpec: {name}", getattr(self, name), least)
             object.__setattr__(self, name, count)
 
     def colatitudes(self):

@@ -1,25 +1,29 @@
 """The benchmark's tracer patches program names from outside the program
-(perfbench/tracer.py, WRAP_POINTS); a refactor that removes or renames one
-of them would make every benchmark run fail, so resolve them all here, and
-check the argument positions its unit counters read."""
+(perfbench/tracer.py, WRAP_POINTS), and its gate (perfbench/gate.py) calls
+the program's scalar API; a refactor that removes, renames or breaks one
+of them would make every benchmark run fail, so resolve them all here,
+check the argument positions the tracer's unit counters read, and run the
+gate's expectations."""
 
 import importlib.util
 import inspect
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", PERFBENCH / "tracer.py")
 
 
 @pytest.mark.parametrize("module,path", [(m, p) for m, p, *_ in tracer.WRAP_POINTS])
@@ -51,3 +55,18 @@ def test_synthesize_calls_traced_legendre_name(monkeypatch):
     monkeypatch.setattr(synthesis, "_norm_assoc_rows", counted)
     synthesis.synthesize(CoefficientSet.zeros(4), synthesis.GridSpec(3, 4))
     assert calls
+
+
+@pytest.mark.parametrize("workload", ["trunc-a075", "increments-a050"])
+def test_gate_expectation_runs(workload, monkeypatch):
+    # the gate's exact expectation calls scalar coefficient_variance,
+    # spec.value, ml_neg, sigma_squared, cross_sigma and model_from_config
+    gate = _load("gate", PERFBENCH / "gate.py")
+    monkeypatch.setitem(sys.modules, "gate", gate)  # run.py imports it by name
+    run = _load("perfbench_run", PERFBENCH / "run.py")
+    wl = run.WORKLOADS[workload]
+    cfg = {**run.MODEL, **wl["config"], **wl["tiny"]}
+    rows = gate.curve_expectation(wl["command"], cfg)
+    xs = cfg["l_grid"] if wl["command"] == "truncation" else cfg["h_grid"]
+    assert [x for x, _, _ in rows] == [float(x) for x in xs]
+    assert all(0.0 < mean < math.inf and 0.0 < se < math.inf for _, mean, se in rows)

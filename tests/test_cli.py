@@ -160,6 +160,7 @@ SMALL_RUNS = {
     "simulate": {"L": 8, "n_lat": 6, "n_lon": 8, "times": [1e-4]},
     "increments": {"L": 8, "h_grid": [1e-6, 2e-6], "n_real": 2, "t": 2e-5},
     "truncation": {"l_tilde": 16, "l_grid": [4, 8, 12], "n_real": 2},
+    "bounds": {},
 }
 
 
@@ -174,11 +175,23 @@ SMALL_RUNS = {
     ("truncation", {"l_grid": [5.5, 8]}),
     ("truncation", {"l_grid": [-4, 8]}),
     ("truncation", {"l_grid": "abc"}),
+    ("bounds", {"alpha": "0.5"}),
+    ("truncation", {"alpha": "0.5"}),
+    ("truncation", {"tau": "x"}),
+    ("truncation", {"t": "1e-4"}),
+    ("increments", {"t": "1e-4"}),
+    ("simulate", {"kappa1": None}),
+    ("truncation", {"c_head": "x"}),
+    ("bounds", {"increment_c": "x"}),
+    ("increments", {"increment_c": "x"}),
+    ("truncation", {"workers": 1.7}),
+    ("increments", {"workers": True}),
+    ("truncation", {"seed": "x"}),
 ])
 def test_bad_grid_values_refused(tmp_path, command, bad):
-    # each value used to run on (truncated, as L = 1, or with a negative
-    # degree indexing the tail from its end), write nothing, or end in a
-    # traceback with exit 1
+    # each value used to run on (truncated, as L = 1, with a negative
+    # degree indexing the tail from its end, or with 1.7 workers recorded
+    # in the manifest), write nothing, or end in a traceback with exit 1
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "run"
     cfg.write_text(json.dumps({**SMALL_RUNS[command], **bad, "out": str(out)}))

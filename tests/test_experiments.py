@@ -317,14 +317,15 @@ def test_snapshot_pointwise_variance(small_model):
 
 
 # --------------------------------------------------------------------------
-# workers env cap
+# worker count
 
-def test_resolve_workers(monkeypatch):
+def test_resolve_workers():
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 4
-    monkeypatch.setenv("SPHERE_FRACDIFF_THREADS", "2")
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
+    assert resolve_workers(2.0) == 2
+    for bad in (0, -3, 1.7, True, "2", math.nan):
+        with pytest.raises(DomainError):
+            resolve_workers(bad)
 
 
 def test_truncation_bound_dominates_at_scale(small_model):

@@ -6,9 +6,8 @@ import pytest
 from scipy.special import lpmv
 
 from fracsphere import DomainError, SphPoint, gamma, legendre_p, ml_neg, spherical_harmonic
-from fracsphere.specfun import (MLParams, _ml_asymptotic, _ml_integral,
-                                _ml_series, assoc_legendre_norm,
-                                assoc_legendre_norm_table)
+from fracsphere.specfun import (_ml_asymptotic, _ml_integral, _ml_series,
+                                assoc_legendre_norm, assoc_legendre_norm_table)
 
 from conftest import addition_sum, harmonic_table, ml_oracle, unit_points
 
@@ -196,9 +195,12 @@ def test_ml_trivial_values():
 
 def test_ml_params_domain():
     for bad in ({"alpha": 0.0}, {"alpha": 1.5}, {"alpha": 0.5, "beta": 0.0},
-                {"alpha": math.nan}):
+                {"alpha": math.nan}, {"alpha": True}, {"alpha": "0.5"},
+                {"alpha": None}, {"alpha": math.inf}, {"alpha": 0.5, "beta": True},
+                {"alpha": 0.5, "beta": "1"}, {"alpha": 0.5, "beta": None},
+                {"alpha": 0.5, "beta": math.nan}, {"alpha": 0.5, "beta": math.inf}):
         with pytest.raises(DomainError):
-            MLParams(**{"beta": 1.0, **bad})
+            ml_neg(x=1.0, **{"beta": 1.0, **bad})
     with pytest.raises(DomainError):
         ml_neg(0.5, -1.0)
     with pytest.raises(DomainError):

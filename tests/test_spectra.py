@@ -26,7 +26,16 @@ def test_spectrum_values(spec_c, spec_a):
     assert spec_a.value(10) == pytest.approx(1e4 * 10 ** -2.5, rel=1e-14)
     assert spec_a.value(10) == pytest.approx(31.6227766, rel=1e-8)
     assert spec_c.value(1) == spec_c.coeff  # 1^-kappa = 1
-    assert spec_a.values(np.array([0, 1, 10]))[2] == pytest.approx(spec_a.value(10))
+    assert spec_a.value(np.array([0, 1, 10]))[2] == pytest.approx(spec_a.value(10))
+
+
+def test_spectrum_array_matches_scalars_bitwise(spec_a):
+    ells = np.arange(401)
+    vals = spec_a.value(ells)
+    assert vals.shape == ells.shape
+    assert np.array_equal(vals, [spec_a.value(int(ell)) for ell in ells])
+    with pytest.raises(DomainError):
+        spec_a.value(np.array([1.5]))
 
 
 def test_spectrum_validation():
@@ -241,17 +250,3 @@ def test_bound_constants_report(spec_c, spec_a):
     assert bc.gamma_alpha == 2.5
     assert bc.increment_c > 0.0
 
-
-def test_tabulated_spectrum_sampling():
-    from fracsphere import (FractionalModel, RngStream, TabulatedSpectrum,
-                            coefficient_variance, sample_combined)
-
-    tab = TabulatedSpectrum((2.0, 0.5, 0.25))
-    assert tab.value(0) == 2.0
-    assert tab.value(7) == 0.0  # beyond the table
-    with pytest.raises(DomainError):
-        TabulatedSpectrum((1.0, -2.0))
-    m = FractionalModel(0.5, 1e-5, tab, TabulatedSpectrum((0.0, 1.0)))
-    c = sample_combined(m, 4, 1e-4, RngStream(5))
-    assert np.all(c.values[3:] == 0.0)  # no power past the table
-    assert coefficient_variance(m, 1, 1e-4) > 0.0

@@ -522,6 +522,18 @@ def test_coefficient_variance_cases(model):
         + model.spec_a.value(10) * sigma_squared(10, t - model.tau, 0.5), rel=1e-11, abs=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+def test_coefficient_variance_array_matches_scalars_bitwise(spectra, alpha):
+    m = FractionalModel(alpha, 1e-5, *spectra)
+    ells = np.arange(61)
+    for t in (5e-6, 1e-4):  # before and after the noise onset
+        var = coefficient_variance(m, ells, t)
+        assert var.shape == ells.shape
+        assert np.array_equal(var, [coefficient_variance(m, int(ell), t) for ell in ells])
+    with pytest.raises(DomainError):
+        coefficient_variance(m, np.array([2.5]), 1e-4)
+
+
 def test_covariance_function_at_one(model):
     t = 10 * model.tau
     lmax = 60
@@ -539,35 +551,6 @@ def test_covariance_holder_consistency(model):
     for theta in np.logspace(-3, math.log10(math.pi), 9):
         v = 2.0 * (c1 - covariance_function(model, t, math.cos(theta), lmax))
         assert v <= k * theta ** 0.2 * (1 + 1e-9)
-
-
-# --------------------------------------------------------------------------
-# serialization
-
-def test_csv_round_trip(model, tmp_path):
-    c = sample_combined(model, 12, 1e-4, RngStream(3), realization=0)
-    path = tmp_path / "coeffs.csv"
-    c.write_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "ell,m,re,im"
-    back = CoefficientSet.read_csv(path)
-    assert back.L == 12
-    assert np.array_equal(back.values, c.values)
-
-
-def test_binary_round_trip(model, tmp_path):
-    c = sample_combined(model, 9, 1e-4, RngStream(3), realization=1)
-    path = tmp_path / "coeffs.sfdc"
-    c.write_binary(path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"SFDC"
-    back = CoefficientSet.read_binary(path)
-    assert back.L == 9
-    assert np.array_equal(back.values, c.values)
-    with pytest.raises(DomainError):
-        bad = tmp_path / "bad.sfdc"
-        bad.write_bytes(b"NOPE" + raw[4:])
-        CoefficientSet.read_binary(bad)
 
 
 def test_degree_power():
