@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, check_path
 from .spectra import AlgebraicSpectrum, bound_constants
 from .stochastic import FractionalModel, sigma_squared, sigma_squared_bound
 from .specfun import ml_neg
@@ -166,6 +166,20 @@ def _safe_fit(curve):
     return None
 
 
+def _write_curve(cfg, curve, prefix, experiment):
+    """Write the curve as <prefix>_<alpha>.csv/.json and the manifest under
+    the out directory, and emit the slope fit."""
+    stem = os.path.join(cfg["out"], f"{prefix}_{cfg['alpha']:g}")
+    curve.write_csv(stem + ".csv")
+    curve.write_json(stem + ".json")
+    fit = _safe_fit(curve)
+    write_manifest(cfg["out"], {"experiment": experiment, **cfg})
+    _emit({"csv": stem + ".csv", "slope": fit.slope if fit else None,
+           "r2": fit.r2 if fit else None,
+           "window": list(fit.window) if fit else None})
+    return 0
+
+
 def cmd_truncation(args):
     cfg = load_config(args.config)
     if args.full_scale:
@@ -173,19 +187,11 @@ def cmd_truncation(args):
     _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t",
                                  "l_tilde", "n_real", "workers"])
     model = model_from_config(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
+    os.makedirs(check_path("config key out", cfg["out"]), exist_ok=True)
     curve = truncation_error_curve(model, cfg["l_tilde"], cfg["l_grid"],
                                    cfg["t"], cfg["n_real"], cfg["seed"],
                                    workers=cfg["workers"])
-    stem = os.path.join(cfg["out"], f"trunc_{cfg['alpha']:g}")
-    curve.write_csv(stem + ".csv")
-    curve.write_json(stem + ".json")
-    fit = _safe_fit(curve)
-    write_manifest(cfg["out"], {"experiment": "truncation", **cfg})
-    _emit({"csv": stem + ".csv", "slope": fit.slope if fit else None,
-           "r2": fit.r2 if fit else None,
-           "window": list(fit.window) if fit else None})
-    return 0
+    return _write_curve(cfg, curve, "trunc", "truncation")
 
 
 def cmd_increments(args):
@@ -195,19 +201,11 @@ def cmd_increments(args):
     _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t", "L",
                                  "n_real", "workers"])
     model = model_from_config(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
+    os.makedirs(check_path("config key out", cfg["out"]), exist_ok=True)
     curve = increment_curve(model, cfg["L"], cfg["t"], cfg["h_grid"],
                             cfg["n_real"], cfg["seed"], workers=cfg["workers"],
                             increment_c=cfg["increment_c"])
-    stem = os.path.join(cfg["out"], f"inc_{cfg['alpha']:g}")
-    curve.write_csv(stem + ".csv")
-    curve.write_json(stem + ".json")
-    fit = _safe_fit(curve)
-    write_manifest(cfg["out"], {"experiment": "increments", **cfg})
-    _emit({"csv": stem + ".csv", "slope": fit.slope if fit else None,
-           "r2": fit.r2 if fit else None,
-           "window": list(fit.window) if fit else None})
-    return 0
+    return _write_curve(cfg, curve, "inc", "increments")
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +311,7 @@ def _selftest_checks(cfg):
 def cmd_selftest(args):
     cfg = load_config(args.config)
     _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "workers"])
+    check_path("config key out", cfg["out"])
     failed = 0
     for name, ok, detail in _selftest_checks(cfg):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

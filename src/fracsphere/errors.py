@@ -98,6 +98,13 @@ def check_list(name, values, check):
     return [check(name, item) for item in items]
 
 
+def check_path(name, value):
+    """value as a non-empty string: a file or directory name."""
+    if not isinstance(value, str) or not value:
+        raise DomainError(f"{name} must be a non-empty path string, got {value!r}")
+    return value
+
+
 def check_unit_interval(name, x):
     """x (a number or an array) as floats clipped to [-1, 1]; values more
     than 1e-14 outside it, NaN, bools and strings are refused."""

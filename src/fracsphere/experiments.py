@@ -3,7 +3,9 @@ overlays, temporal-increment scaling, evolution snapshots, slope fits.
 
 Monte Carlo realizations are independent counter-based RNG substreams, so
 results are bit-identical for any worker count; reductions run in fixed
-realization order.
+realization order.  Both curves run one task function, _power, over
+explicit argument tuples: in-process for one worker, else on a process
+pool with the platform's default start method.
 """
 
 from __future__ import annotations
@@ -17,21 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, check_degree, check_list, check_real
+from .errors import DomainError, check_degree, check_list, check_path, check_real
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
-from .stochastic import (RNG_SCHEME, RngStream, sample_combined,
+from .stochastic import (RNG_SCHEME, CoefficientSet, RngStream, sample_combined,
                          sample_combined_pair, sample_combined_times)
 # perfbench/tracer.py wraps the kernel variances under these names too
 from .stochastic import cross_sigma, sigma_squared  # noqa: F401
-from .synthesis import synthesize, write_map_csv, write_map_image
+from .synthesis import _colormap_table, synthesize, write_map_csv, write_map_image
 
 __all__ = ["ErrorCurve", "SlopeFit", "truncation_error_curve",
            "increment_curve", "evolution_snapshots", "fit_loglog_slope",
-           "resolve_workers", "write_manifest"]
-
-def resolve_workers(requested):
-    """Worker count: requested, a whole number >= 1 (default 1)."""
-    return 1 if requested is None else check_degree("workers", requested, 1)
+           "write_manifest"]
 
 
 @dataclass
@@ -99,29 +97,27 @@ def fit_loglog_slope(curve, window=None, include_flagged=False):
 
 
 # --------------------------------------------------------------------------
-# worker payloads (module level so they fork/pickle cleanly)
+# Monte Carlo tasks: every argument travels with the task, so the pool works
+# under any start method
 
-_TRUNC_JOB = {}
-
-
-def _trunc_worker(j):
-    model, L, t, rng = (_TRUNC_JOB["model"], _TRUNC_JOB["L"],
-                        _TRUNC_JOB["t"], _TRUNC_JOB["rng"])
-    coeffs = sample_combined(model, L, t, rng, realization=j)
-    return coeffs.degree_power()
-
-
-def _run_jobs(worker, tasks, workers):
-    """Run `worker` over `tasks`, returning results in task order regardless
-    of scheduling."""
-    if workers <= 1:
-        return [worker(task) for task in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(worker, tasks)
+def _power(model, L, t, h, rng, realization):
+    """Per-degree Parseval power of one draw of U(t) (h None), or of the
+    increment U(t+h) - U(t)."""
+    if h is None:
+        return sample_combined(model, L, t, rng, realization=realization).degree_power()
+    a, b = sample_combined_pair(model, L, t, h, rng, realization=realization)
+    return CoefficientSet(L, b.values - a.values).degree_power()
 
 
-def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=None):
+def _run_jobs(tasks, workers):
+    """_power over the argument tuples in `tasks`, results in task order."""
+    if workers == 1:
+        return [_power(*task) for task in tasks]
+    with multiprocessing.Pool(workers) as pool:
+        return pool.starmap(_power, tasks)
+
+
+def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=1):
     """Estimate the mean-square truncation error curve.
 
     One degree-l_tilde draw per realization serves every L in l_grid (the
@@ -138,9 +134,10 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=None
         raise DomainError("truncation_error_curve: need l_grid < l_tilde")
     t = check_real("truncation_error_curve: t", t)
     n_real = check_degree("truncation_error_curve: n_real", n_real, 2)
-    workers = resolve_workers(workers)
-    _TRUNC_JOB.update(model=model, L=l_tilde, t=t, rng=RngStream(seed))
-    powers = _run_jobs(_trunc_worker, range(n_real), workers)
+    workers = check_degree("truncation_error_curve: workers", workers, 1)
+    rng = RngStream(seed)
+    powers = _run_jobs([(model, l_tilde, t, None, rng, j) for j in range(n_real)],
+                       workers)
     mean_p = np.zeros(l_tilde + 1)
     for p in powers:  # fixed order for bitwise determinism
         mean_p += p
@@ -161,25 +158,7 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=None
     return ErrorCurve(kind="degree", rows=rows, meta=meta)
 
 
-_INC_JOB = {}
-
-
-def _inc_worker(task):
-    j, hidx = task
-    model, L, t, rng, hs = (_INC_JOB["model"], _INC_JOB["L"], _INC_JOB["t"],
-                            _INC_JOB["rng"], _INC_JOB["hs"])
-    # independent realization stream per (h, j): column-specific realizations
-    real = j * len(hs) + hidx
-    a, b = sample_combined_pair(model, L, t, hs[hidx], rng, realization=real)
-    diff = b.values - a.values
-    # |diff|^2 summed per degree on the (re, im) view: no complex modulus
-    parts = diff.view(float)
-    col0 = diff[:, 0]
-    p = 2.0 * np.einsum("ij,ij->i", parts, parts) - (col0.real ** 2 + col0.imag ** 2)
-    return float(p.sum())
-
-
-def increment_curve(model, L, t, h_grid, n_real, seed, workers=None,
+def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
                     increment_c=None):
     """Estimate the mean-square temporal increment curve
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
@@ -190,15 +169,17 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=None,
         raise DomainError("increment_curve: h_grid must be ascending")
     t = check_real("increment_curve: t (above tau)", t, model.tau)
     n_real = check_degree("increment_curve: n_real", n_real, 2)
-    workers = resolve_workers(workers)
+    workers = check_degree("increment_curve: workers", workers, 1)
     c = measured_increment_c(model.alpha, override=increment_c)
-    _INC_JOB.update(model=model, L=L, t=t, rng=RngStream(seed), hs=hs)
-    tasks = [(j, hidx) for hidx in range(len(hs)) for j in range(n_real)]
-    sums = _run_jobs(_inc_worker, tasks, workers)
+    rng = RngStream(seed)
+    # independent realization stream per (h, j): column-specific realizations
+    tasks = [(model, L, t, h, rng, j * len(hs) + i)
+             for i, h in enumerate(hs) for j in range(n_real)]
+    powers = _run_jobs(tasks, workers)
     rows = []
-    for hidx, h in enumerate(hs):
-        vals = sums[hidx * n_real:(hidx + 1) * n_real]
-        emp = math.sqrt(sum(vals) / n_real)
+    for i, h in enumerate(hs):
+        sums = [float(p.sum()) for p in powers[i * n_real:(i + 1) * n_real]]
+        emp = math.sqrt(sum(sums) / n_real)
         bound = increment_bound(t, h, model.tau, model.alpha,
                                 model.spec_c, model.spec_a, c)
         rows.append((h, emp, bound, 0))
@@ -212,6 +193,8 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
     """Simulate one realization jointly at the given ascending times, render
     each as an image + CSV under out_dir, and return the field maps."""
     times = check_list("evolution_snapshots: times", times, check_real)
+    out_dir = check_path("evolution_snapshots: out_dir", out_dir)
+    _colormap_table(colormap)  # refuse an unknown name before drawing
     sets = sample_combined_times(model, L, times, RngStream(seed), realization)
     os.makedirs(out_dir, exist_ok=True)
     maps = []

@@ -173,9 +173,12 @@ class CoefficientSet:
                               self.seed, self.realization)
 
     def degree_power(self):
-        """Per-degree Parseval power p_l = |V_{l,0}|^2 + 2 sum_{m>=1} |V_{l,m}|^2."""
-        a = np.abs(self.values) ** 2
-        return 2.0 * a.sum(axis=1) - a[:, 0]
+        """Per-degree Parseval power p_l = |V_{l,0}|^2 + 2 sum_{m>=1} |V_{l,m}|^2,
+        summed on the (re, im) view: no complex modulus."""
+        values = np.ascontiguousarray(self.values, dtype=complex)
+        parts = values.view(float)
+        col0 = values[:, 0]
+        return 2.0 * np.einsum("ij,ij->i", parts, parts) - (col0.real ** 2 + col0.imag ** 2)
 
     def tail_power(self, L_low):
         """sum_{l > L_low} p_l, the squared truncation remainder of this draw."""

@@ -57,6 +57,34 @@ def test_synthesize_calls_traced_legendre_name(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("curve,sampler", [("truncation_error_curve", "sample_combined"),
+                                           ("increment_curve", "sample_combined_pair")])
+def test_curves_call_traced_sampler_names(curve, sampler, model05, monkeypatch):
+    # the tracer times the draws as fracsphere.experiments.sample_combined*
+    # and the reduction as CoefficientSet.degree_power; a traced run in
+    # which a workload's layer records no call fails
+    import fracsphere.experiments as experiments
+    from fracsphere.stochastic import CoefficientSet
+
+    calls = []
+
+    def record(owner, name):
+        inner = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(experiments, sampler)
+    record(CoefficientSet, "degree_power")
+    if curve == "truncation_error_curve":
+        experiments.truncation_error_curve(model05, 16, [4, 8], 1e-4, 2, 1)
+    else:
+        experiments.increment_curve(model05, 8, 2e-5, [1e-6], 2, 1)
+    assert sorted(set(calls)) == sorted([sampler, "degree_power"])
+
+
 @pytest.mark.parametrize("workload", ["trunc-a075", "increments-a050"])
 def test_gate_expectation_runs(workload, monkeypatch):
     # the gate's exact expectation calls scalar coefficient_variance,

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,6 @@ from fracsphere import (AlgebraicSpectrum, DomainError, ErrorCurve,
                         fit_loglog_slope, increment_curve, ml_neg,
                         sample_combined, truncation_error_curve)
 from fracsphere import stochastic
-from fracsphere.experiments import resolve_workers
 from fracsphere.stochastic import sigma_squared, cross_sigma
 
 
@@ -319,13 +321,41 @@ def test_snapshot_pointwise_variance(small_model):
 # --------------------------------------------------------------------------
 # worker count
 
-def test_resolve_workers():
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    assert resolve_workers(2.0) == 2
-    for bad in (0, -3, 1.7, True, "2", math.nan):
-        with pytest.raises(DomainError):
-            resolve_workers(bad)
+@pytest.mark.parametrize("workers", [0, -3, 1.7, True, "2", math.nan, None])
+def test_curves_refuse_bad_workers(small_model, workers):
+    with pytest.raises(DomainError):
+        truncation_error_curve(small_model, 16, [4, 8], 1e-4, 3, 1, workers=workers)
+    with pytest.raises(DomainError):
+        increment_curve(small_model, 8, 2e-5, [1e-6, 2e-6], 3, 1, workers=workers)
+
+
+_SPAWN_SCRIPT = """
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+from fracsphere import (AlgebraicSpectrum, FractionalModel, increment_curve,
+                        truncation_error_curve)
+model = FractionalModel(0.5, 1e-5, AlgebraicSpectrum(1.0, 1.0, 2.3),
+                        AlgebraicSpectrum(1e4, 1e4, 2.5))
+for workers in (1, 2, 3):
+    trunc = truncation_error_curve(model, 40, [8, 16, 32], 1e-4, 6, 99, workers=workers)
+    inc = increment_curve(model, 24, 2e-5, [1e-6, 2e-6], 4, 31, workers=workers)
+    print(repr(trunc.rows), repr(inc.rows))
+"""
+
+
+def test_curves_worker_count_invariant_under_spawn():
+    # spawned workers inherit no module state from the parent: each task
+    # carries its model, seed and realization index
+    import fracsphere
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracsphere.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", _SPAWN_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 3 and lines[0] == lines[1] == lines[2]
 
 
 def test_truncation_bound_dominates_at_scale(small_model):
