@@ -25,6 +25,22 @@ def model075(ref_spectra):
     return FractionalModel(0.75, 1e-5, *ref_spectra)
 
 
+@pytest.fixture
+def record_calls(monkeypatch):
+    """record_calls(owner, *names) wraps each named function of owner so
+    that every call appends its name to the returned list (one per test)."""
+    calls = []
+
+    def record(owner, *names):
+        for name in names:
+            def recorded(*args, _name=name, _inner=getattr(owner, name), **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, recorded)
+        return calls
+    return record
+
+
 def ml_oracle(alpha, x, beta=1.0, dps=35):
     """High-precision E_{alpha,beta}(-x) oracle (mpmath).
 

@@ -59,25 +59,15 @@ def test_synthesize_calls_traced_legendre_name(monkeypatch):
 
 @pytest.mark.parametrize("curve,sampler", [("truncation_error_curve", "sample_combined"),
                                            ("increment_curve", "sample_combined_pair")])
-def test_curves_call_traced_sampler_names(curve, sampler, model05, monkeypatch):
+def test_curves_call_traced_sampler_names(curve, sampler, model05, record_calls):
     # the tracer times the draws as fracsphere.experiments.sample_combined*
     # and the reduction as CoefficientSet.degree_power; a traced run in
     # which a workload's layer records no call fails
     import fracsphere.experiments as experiments
     from fracsphere.stochastic import CoefficientSet
 
-    calls = []
-
-    def record(owner, name):
-        inner = getattr(owner, name)
-
-        def recorded(*args, **kwargs):
-            calls.append(name)
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(owner, name, recorded)
-
-    record(experiments, sampler)
-    record(CoefficientSet, "degree_power")
+    record_calls(experiments, sampler)
+    calls = record_calls(CoefficientSet, "degree_power")
     if curve == "truncation_error_curve":
         experiments.truncation_error_curve(model05, 16, [4, 8], 1e-4, 2, 1)
     else:

@@ -200,26 +200,14 @@ def test_bad_grid_values_refused(tmp_path, command, bad):
     assert not out.exists() or not any(out.iterdir())
 
 
-def _record_calls(monkeypatch, module, names):
-    """Wrap each named function of module so that it records its calls."""
-    calls = []
-    for name in names:
-        def recorded(*args, _inner=getattr(module, name), **kwargs):
-            calls.append(1)
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(module, name, recorded)
-    return calls
-
-
 @pytest.mark.parametrize("command", ["truncation", "simulate"])
 @pytest.mark.parametrize("bad_out", [5, "", None])
-def test_bad_out_refused_before_drawing(tmp_path, monkeypatch, command, bad_out):
+def test_bad_out_refused_before_drawing(tmp_path, record_calls, command, bad_out):
     # a number used to reach os.makedirs and end in a TypeError traceback,
     # in simulate only after the whole draw and synthesis
     from fracsphere import experiments
 
-    calls = _record_calls(monkeypatch, experiments,
-                          ["sample_combined", "sample_combined_times"])
+    calls = record_calls(experiments, "sample_combined", "sample_combined_times")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_RUNS[command], "out": bad_out}))
     code, _ = run_cli(command, "--config", str(cfg))
@@ -227,12 +215,12 @@ def test_bad_out_refused_before_drawing(tmp_path, monkeypatch, command, bad_out)
     assert not calls
 
 
-def test_unknown_colormap_refused_before_drawing(tmp_path, monkeypatch):
+def test_unknown_colormap_refused_before_drawing(tmp_path, record_calls):
     # an unknown colormap used to exit 2 only after sampling and synthesis,
     # leaving an empty output directory behind
     from fracsphere import experiments
 
-    calls = _record_calls(monkeypatch, experiments, ["sample_combined_times"])
+    calls = record_calls(experiments, "sample_combined_times")
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "maps"
     cfg.write_text(json.dumps({**SMALL_RUNS["simulate"], "colormap": "jet",
