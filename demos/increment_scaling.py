@@ -4,8 +4,11 @@
 Just after the noise switches on (t = tau + delta), the mean-square
 distance between the field at t and at t + h is governed by the fresh
 Brownian input, so the root-mean-square increment grows like h^(1/2).
-Pairs are drawn with their exact joint law (shared initial draw, correlated
-noise integrals), which is what makes the small-h behavior measurable.
+Each increment U(t+h) - U(t) is drawn directly from its exact law: the
+decay difference times the shared initial draw, plus a noise increment
+whose variance comes from the two-time covariance of the noise integrals.
+That exact law is what makes the small-h behavior measurable; an
+independent redraw at t + h would inflate it.
 """
 
 from fracsphere import (AlgebraicSpectrum, FractionalModel, fit_loglog_slope,

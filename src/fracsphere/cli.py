@@ -169,6 +169,7 @@ def _safe_fit(curve):
 def _write_curve(cfg, curve, prefix, experiment):
     """Write the curve as <prefix>_<alpha>.csv/.json and the manifest under
     the out directory, and emit the slope fit."""
+    os.makedirs(cfg["out"], exist_ok=True)  # only once the curve exists
     stem = os.path.join(cfg["out"], f"{prefix}_{cfg['alpha']:g}")
     curve.write_csv(stem + ".csv")
     curve.write_json(stem + ".json")
@@ -187,7 +188,7 @@ def cmd_truncation(args):
     _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t",
                                  "l_tilde", "n_real", "workers"])
     model = model_from_config(cfg)
-    os.makedirs(check_path("config key out", cfg["out"]), exist_ok=True)
+    check_path("config key out", cfg["out"])
     curve = truncation_error_curve(model, cfg["l_tilde"], cfg["l_grid"],
                                    cfg["t"], cfg["n_real"], cfg["seed"],
                                    workers=cfg["workers"])
@@ -201,7 +202,7 @@ def cmd_increments(args):
     _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t", "L",
                                  "n_real", "workers"])
     model = model_from_config(cfg)
-    os.makedirs(check_path("config key out", cfg["out"]), exist_ok=True)
+    check_path("config key out", cfg["out"])
     curve = increment_curve(model, cfg["L"], cfg["t"], cfg["h_grid"],
                             cfg["n_real"], cfg["seed"], workers=cfg["workers"],
                             increment_c=cfg["increment_c"])

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, check_degree, check_list, check_path, check_real
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
-from .stochastic import (RNG_SCHEME, CoefficientSet, RngStream, sample_combined,
+from .stochastic import (RNG_SCHEME, RngStream, sample_combined,
                          sample_combined_pair, sample_combined_times)
 # perfbench/tracer.py wraps the kernel variances under these names too
 from .stochastic import cross_sigma, sigma_squared  # noqa: F401
@@ -105,8 +105,8 @@ def _power(model, L, t, h, rng, realization):
     increment U(t+h) - U(t)."""
     if h is None:
         return sample_combined(model, L, t, rng, realization=realization).degree_power()
-    a, b = sample_combined_pair(model, L, t, h, rng, realization=realization)
-    return CoefficientSet(L, b.values - a.values).degree_power()
+    return sample_combined_pair(model, L, t, h, rng, realization=realization,
+                                increment=True).degree_power()
 
 
 def _run_jobs(tasks, workers):
@@ -162,7 +162,11 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
                     increment_c=None):
     """Estimate the mean-square temporal increment curve
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
-    q(t) sqrt(h) bound (measured constant unless overridden)."""
+    q(t) sqrt(h) bound (measured constant unless overridden).
+
+    Each realization draws the increment directly from its exact law
+    (sample_combined_pair with increment=True), four normal arrays; the
+    noise-increment variances D_l are computed once per h."""
     L = check_degree("increment_curve: L", L)
     hs = check_list("increment_curve: h_grid", h_grid, check_real)
     if sorted(hs) != hs:

@@ -18,7 +18,15 @@ integrals jointly with their exact two-time covariance
     cross_sigma(l, s, h) = int_0^s E(-lambda (r+h)^a) E(-lambda r^a) dr,
 
 via Cholesky factors for all degrees at once, so temporal increments have
-the true law.
+the true law.  A Monte Carlo increment needs only U(t+h) - U(t), whose
+coefficients are again independent Gaussians: the decay difference
+E_alpha(-lambda_l (t+h)^alpha) - E_alpha(-lambda_l t^alpha) times the
+initial draw, plus a noise increment of variance A_l D_l with
+
+    D_l = sigma^2_{l,s+h} + sigma^2_{l,s} - 2 cross_sigma(l, s, h),  s = t - tau,
+
+so it is drawn directly from four normal arrays instead of two full draws
+from six.
 
 Both kernel variances take a degree or an ndarray of degrees.  In the
 scaled time u = lambda^(1/alpha) r the kernel is E_alpha(-u^alpha), so
@@ -32,9 +40,11 @@ graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
 carries an error estimate from an embedded lower-order rule; a value whose
 summed estimate exceeds 1e-10 of itself raises AccuracyError.
 
-Randomness is counter-based (RNG scheme 2): each (seed, realization,
+Randomness is counter-based (RNG scheme 3): each (seed, realization,
 role) has its own Philox key, and variate number l(l+1)/2 + m of that
-stream belongs to coefficient (l, m), the np.tril_indices order.  A
+stream belongs to coefficient (l, m), the np.tril_indices order.  Roles 0
+and 1 are the initial draw, 2 and 3 a direct increment's noise, and 16 + 2k
+and 17 + 2k the noise of the k-th time past tau.  A
 realization draws each role as one packed array, every variate is a pure
 function of its coordinates, and a draw at degree L has the rows of a
 draw at any larger degree, bit for bit.  Draws are order-independent and
@@ -61,6 +71,8 @@ __all__ = [
     "RNG_SCHEME",
     "ROLE_INIT_RE",
     "ROLE_INIT_IM",
+    "ROLE_INC_RE",
+    "ROLE_INC_IM",
     "noise_role",
     "sigma_squared",
     "sigma_squared_bound",
@@ -98,6 +110,8 @@ class FractionalModel:
 
 ROLE_INIT_RE = 0
 ROLE_INIT_IM = 1
+ROLE_INC_RE = 2   # noise of a direct increment draw (sample_combined_pair)
+ROLE_INC_IM = 3
 _ROLE_NOISE_BASE = 16
 _MAX_NOISE_SLOTS = 100
 
@@ -110,7 +124,7 @@ def noise_role(slot, component):
     return _ROLE_NOISE_BASE + 2 * slot + component
 
 
-RNG_SCHEME = 2  # version of the map from coordinates to variates
+RNG_SCHEME = 3  # version of the map from coordinates to variates
 
 
 def _coordinate(name, value, bound):
@@ -404,7 +418,8 @@ def _cross_sigma(ells, s, h, alpha):
     if s > 0.0 and np.any(pos):
         scale, big_s = _scaled(ells[pos], alpha, s)
         big_h = scale * h
-        u_h = 0.01 * np.minimum(big_s, 1.0)
+        # the head panel also grades the kink of (u + H)^alpha at u = -H
+        u_h = 0.01 * np.minimum(np.minimum(big_s, 1.0), big_h)
         npan = np.ceil(_PANELS_PER_DECADE * np.log10(big_s / u_h)).astype(np.int64)
         # blocks of whole degrees, about _CROSS_NODES nodes each
         cuts = np.flatnonzero(np.diff(np.cumsum(20 * (npan + 1)) // _CROSS_NODES)) + 1
@@ -480,8 +495,10 @@ def _amplitudes(spec, L):
     return (np.sqrt(x), np.sqrt(x / 2.0)) if np.any(x) else None
 
 
-def _sample(model, L, times, rng, realization):
-    """Coefficient sets of one realization at the increasing times >= 0.
+def _sample(model, L, times, rng, realization, increment=False):
+    """Coefficient sets of one realization at the increasing times >= 0;
+    with increment=True and times (t, t + h) past tau, the one set of
+    U(t+h) - U(t), stamped with time t + h.
 
     Each role's normals are one packed array in np.tril_indices(L + 1)
     order, so the variate of (l, m) is number l(l+1)/2 + m of its stream
@@ -489,34 +506,48 @@ def _sample(model, L, times, rng, realization):
     noise integrals at the k lags t - tau are the Cholesky factor of their
     covariance applied to k independent draws; lag i adds draws 0..i in
     that order, so a time has the same bits whatever later times are drawn
-    with it.  One role's draw is held at a time, and the packed sums of
-    each time are scattered into its square output once.
+    with it.  An increment's homogeneous part is the decay difference
+    times the initial draw, and its noise is sqrt(D_l) (_increment_variance)
+    times one pair of draws, roles ROLE_INC_RE and ROLE_INC_IM.  One role's
+    draw is held at a time, and the packed sums of each output are
+    scattered into its square array once.
     """
     L = check_degree("degree L", L)
     counts, starts, mask = _layout(L)
     n = int(starts[-1]) + L + 1
+    lags = tuple(t - model.tau for t in times if t > model.tau)
+    if increment:
+        t, t_h = times
+        decays = [_decay_factors(L, t_h, model.alpha) - _decay_factors(L, t, model.alpha)]
+        times = [t_h]
+    else:
+        decays = [_decay_factors(L, t, model.alpha) for t in times]
     amp = _amplitudes(model.spec_c, L)
     if amp is None:
-        re = [np.zeros(n) for _ in times]  # packed Re V per time
-        im = [np.zeros(n) for _ in times]  # packed -Im V per time
+        re = [np.zeros(n) for _ in times]  # packed Re V per output
+        im = [np.zeros(n) for _ in times]  # packed -Im V per output
     else:
         amp = _packed(*amp, L)
         re, im = [], []
         for part, role in ((re, ROLE_INIT_RE), (im, ROLE_INIT_IM)):
             z = amp * rng.normals(realization, 0, role, n)
-            for t in times:
-                fac = np.repeat(_decay_factors(L, t, model.alpha), counts)
+            for decay in decays:
+                fac = np.repeat(decay, counts)
                 fac *= z
                 part.append(fac)
-    lags = [t - model.tau for t in times if t > model.tau]
     amp = _amplitudes(model.spec_a, L) if lags else None
     if amp is not None:
-        chol = _joint_noise_scales(L, tuple(lags), model.alpha)
-        first = len(times) - len(lags)
-        for j in range(len(lags)):
-            eta_re, eta_im = (rng.normals(realization, 0, noise_role(j, c), n) for c in (0, 1))
-            for i in range(j, len(lags)):
-                w = _packed(amp[0] * chol[:, i, j], amp[1] * chol[:, i, j], L)
+        if increment:
+            scales = np.sqrt(_increment_variance(L, lags, model.alpha))[:, None, None]
+            roles = [(ROLE_INC_RE, ROLE_INC_IM)]
+        else:
+            scales = _joint_noise_scales(L, lags, model.alpha)
+            roles = [(noise_role(j, 0), noise_role(j, 1)) for j in range(len(lags))]
+        first = len(times) - len(roles)
+        for j, pair in enumerate(roles):
+            eta_re, eta_im = (rng.normals(realization, 0, role, n) for role in pair)
+            for i in range(j, len(roles)):
+                w = _packed(amp[0] * scales[:, i, j], amp[1] * scales[:, i, j], L)
                 re[first + i] += w * eta_re
                 im[first + i] += w * eta_im
     outs = []
@@ -605,6 +636,26 @@ def _covariance_stack(L, lags, alpha):
     return cov
 
 
+@functools.lru_cache(maxsize=32)
+def _increment_variance(L, lags, alpha):
+    """D_l = Var(I(s+h) - I(s)) = c00 + c11 - 2 c01, l = 0..L, from the
+    covariance stack at the lags (s, s + h); read-only and cached, so that
+    all realizations of a curve share one evaluation.  A D_l below the
+    kernels' error allowance 1e-10 (c00 + c11 + 2 c01) has no accurate
+    digit and raises AccuracyError instead of being clamped."""
+    cov = _covariance_stack(L, lags, alpha)
+    c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
+    d = c00 + c11 - 2.0 * c01
+    bad = d < _REL_TOL * (c00 + c11 + 2.0 * c01)
+    if np.any(bad):
+        ell = int(np.argmax(bad))
+        raise AccuracyError(
+            f"increment variance: D_l={d[ell]:.2e} has no accurate digit at l={ell}, "
+            f"s={lags[0]}, h={lags[1] - lags[0]:.3g}, alpha={alpha}")
+    d.flags.writeable = False
+    return d
+
+
 def _factor(cov, ell, lags):
     """Cholesky factor of one degree's covariance, or its eigen-factor when
     quadrature roundoff leaves tiny negative eigenvalues."""
@@ -634,11 +685,19 @@ def sample_combined_times(model, L, times, rng, realization=0):
     return _sample(model, L, times, rng, realization)
 
 
-def sample_combined_pair(model, L, t, h, rng, realization=0):
+def sample_combined_pair(model, L, t, h, rng, realization=0, increment=False):
     """Draw (U(t), U(t+h)) jointly, t > tau, h > 0; the marginal at t is
-    bit-identical to sample_combined with the same coordinates."""
+    bit-identical to sample_combined with the same coordinates.
+
+    With increment=True, draw only the increment U(t+h) - U(t), one
+    CoefficientSet, from its own exact law: (E(t+h) - E(t)) times the
+    initial draw plus sqrt(A_l D_l) times one fresh pair of normals, four
+    normal arrays instead of the pair's six.  Its noise is not the
+    difference of a pair's draws with the same coordinates."""
     t = check_real("sample_combined_pair: t (above tau)", t, model.tau)
     h = check_real("sample_combined_pair: h", h)
+    if increment:
+        return _sample(model, L, [t, t + h], rng, realization, increment=True)[0]
     a, b = _sample(model, L, [t, t + h], rng, realization)
     return a, b
 

@@ -108,7 +108,7 @@ def test_truncation_run_writes_artifacts(tmp_path):
     assert (tmp_path / "run" / "trunc_0.5.json").exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 7 and manifest["experiment"] == "truncation"
-    assert manifest["version"] and manifest["rng_scheme"] == 2
+    assert manifest["version"] and manifest["rng_scheme"] == 3
 
 
 def test_increments_run(tmp_path):
@@ -121,6 +121,16 @@ def test_increments_run(tmp_path):
     assert (tmp_path / "run" / "inc_0.5.csv").exists()
     payload = json.loads(out)
     assert 0.0 < payload["slope"] < 1.0
+
+
+def test_increments_small_h_run(tmp_path):
+    # h/t of about 1e-4 used to fail cross_sigma's accuracy guard (exit 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "L": 16, "h_grid": [9e-9, 2e-8], "n_real": 2, "seed": 3,
+        "out": str(tmp_path / "run")}))
+    code, _ = run_cli("increments", "--config", str(cfg))
+    assert code == 0
 
 
 def test_simulate_run(tmp_path):
@@ -140,7 +150,7 @@ def test_simulate_fractional_grid_refused(tmp_path):
                                "out": str(out)}))
     code, _ = run_cli("simulate", "--config", str(cfg))
     assert code == 2
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_full_scale_flags_win(tmp_path):
@@ -191,13 +201,14 @@ SMALL_RUNS = {
 def test_bad_grid_values_refused(tmp_path, command, bad):
     # each value used to run on (truncated, as L = 1, with a negative
     # degree indexing the tail from its end, or with 1.7 workers recorded
-    # in the manifest), write nothing, or end in a traceback with exit 1
+    # in the manifest), write nothing, or end in a traceback with exit 1;
+    # none may leave an empty output directory behind
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "run"
     cfg.write_text(json.dumps({**SMALL_RUNS[command], **bad, "out": str(out)}))
     code, _ = run_cli(command, "--config", str(cfg))
     assert code == 2
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["truncation", "simulate"])

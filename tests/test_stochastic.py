@@ -15,7 +15,7 @@ from fracsphere import (AccuracyError, AlgebraicSpectrum, CoefficientSet, Domain
                         sample_combined_times, sample_inhomogeneous,
                         sample_initial_coefficients, sigma_squared,
                         sigma_squared_bound)
-from fracsphere.stochastic import ROLE_INIT_IM, ROLE_INIT_RE
+from fracsphere.stochastic import ROLE_INC_IM, ROLE_INC_RE, ROLE_INIT_IM, ROLE_INIT_RE
 
 from conftest import ml_oracle
 
@@ -135,6 +135,14 @@ def test_kernels_vs_oracle_alpha_half(ell, h):
     # these by 1.8e-9 (sigma^2) and 1.3e-5 (cross) relative
     ref = _kernel_oracle(_e_half, 0.5, ell, 9e-5, h, -35.0, 17)
     assert cross_sigma(ell, 9e-5, h, 0.5) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("ell,s,h", [(11, 9e-5, 9e-9), (31, 1e-6, 1e-9), (6, 1e-3, 1e-7)])
+def test_cross_sigma_vs_oracle_alpha_half_small_h(ell, s, h):
+    # h/s = 1e-3 to 1e-4: the head panel used to leave the kink of
+    # (u + H)^alpha at u = -H ungraded and raised AccuracyError here
+    ref = _kernel_oracle(_e_half, 0.5, ell, s, h, -35.0, 17)
+    assert cross_sigma(ell, s, h, 0.5) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
 
 
 def test_sigma_squared_vs_oracle_alpha_075():
@@ -303,6 +311,29 @@ def test_pair_prefix_across_degrees(model):
     big = sample_combined_pair(model, 400, 2e-5, 3e-6, rng, realization=5)
     for a, b in zip(small, big):
         assert np.array_equal(a.values, b.values[:51, :51])
+
+
+def test_increment_prefix_across_degrees(model):
+    rng = RngStream(606)
+    small = sample_combined_pair(model, 50, 2e-5, 3e-6, rng, realization=5, increment=True)
+    big = sample_combined_pair(model, 400, 2e-5, 3e-6, rng, realization=5, increment=True)
+    assert np.array_equal(small.values, big.values[:51, :51])
+
+
+def test_increment_draws_four_arrays(model, monkeypatch):
+    # the initial draw's two roles and one pair of increment-noise roles
+    roles, real = [], RngStream.normals
+    monkeypatch.setattr(RngStream, "normals",
+                        lambda self, j, ell, role, n: roles.append(role) or real(self, j, ell, role, n))
+    sample_combined_pair(model, 8, 2e-5, 3e-6, RngStream(1), increment=True)
+    assert roles == [ROLE_INIT_RE, ROLE_INIT_IM, ROLE_INC_RE, ROLE_INC_IM]
+
+
+def test_increment_without_accurate_digit_refused(model):
+    # at l = 0, D_0 = h; against s = 1e-5 a lag of 1e-16 is below the
+    # kernels' 1e-10 relative error allowance, so D_0 has no accurate digit
+    with pytest.raises(AccuracyError, match=r"l=0, s=1e-05, h=1e-16"):
+        sample_combined_pair(model, 8, 2e-5, 1e-16, RngStream(1), increment=True)
 
 
 def test_initial_sampler_structure(spectra):
@@ -481,6 +512,47 @@ def test_pair_increment_variance_alpha_half(model):
     for j in range(n):
         a, b = sample_combined_pair(model, ell, t, h, rng, realization=j)
         acc += abs(b.values[ell, 2] - a.values[ell, 2]) ** 2
+    mc = acc / n
+    lam = ell * (ell + 1.0)
+    de = (ml_neg(0.5, lam * math.sqrt(t + h)) - ml_neg(0.5, lam * math.sqrt(t)))
+    expect = (model.spec_c.value(ell) * de ** 2
+              + model.spec_a.value(ell) * (sigma_squared(ell, s, 0.5)
+                                           + sigma_squared(ell, s + h, 0.5)
+                                           - 2 * cross_sigma(ell, s, h, 0.5)))
+    assert abs(mc - expect) <= 5.0 * expect * math.sqrt(2.0 / n)
+
+
+def test_increment_variance_alpha1(spectra):
+    # the direct increment draw has the pair's law: alpha = 1 closed forms
+    spec_c, spec_a = spectra
+    m1 = FractionalModel(1.0, 1e-5, spec_c, spec_a)
+    t, h, ell = 2e-5, 1e-5, 1
+    lam = 2.0
+    s = t - m1.tau
+    n = 20_000
+    rng = RngStream(7)
+    acc = 0.0
+    for j in range(n):
+        d = sample_combined_pair(m1, ell, t, h, rng, realization=j, increment=True)
+        acc += abs(d.values[1, 1]) ** 2
+    mc = acc / n
+    e1, e2 = math.exp(-lam * t), math.exp(-lam * (t + h))
+    s1, s2 = closed_form_sigma2_a1(1, s), closed_form_sigma2_a1(1, s + h)
+    cr = math.exp(-lam * h) * s1
+    expect = spec_c.value(1) * (e2 - e1) ** 2 + spec_a.value(1) * (s1 + s2 - 2 * cr)
+    assert abs(mc - expect) <= 5.0 * expect * math.sqrt(2.0 / n)
+
+
+def test_increment_variance_alpha_half(model):
+    # same check against the quadrature-based covariance at alpha = 1/2
+    t, h, ell = 2e-5, 1e-5, 3
+    s = t - model.tau
+    n = 20_000
+    rng = RngStream(8)
+    acc = 0.0
+    for j in range(n):
+        d = sample_combined_pair(model, ell, t, h, rng, realization=j, increment=True)
+        acc += abs(d.values[ell, 2]) ** 2
     mc = acc / n
     lam = ell * (ell + 1.0)
     de = (ml_neg(0.5, lam * math.sqrt(t + h)) - ml_neg(0.5, lam * math.sqrt(t)))
