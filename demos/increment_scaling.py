@@ -4,9 +4,10 @@
 Just after the noise switches on (t = tau + delta), the mean-square
 distance between the field at t and at t + h is governed by the fresh
 Brownian input, so the root-mean-square increment grows like h^(1/2).
-Each increment U(t+h) - U(t) is drawn directly from its exact law: the
-decay difference times the shared initial draw, plus a noise increment
-whose variance comes from the two-time covariance of the noise integrals.
+Each increment U(t+h) - U(t) is drawn directly from its exact law, one
+independent Gaussian per coefficient whose variance adds the decay
+difference of the initial field to the noise increment, which comes from
+the two-time covariance of the noise integrals.
 That exact law is what makes the small-h behavior measurable; an
 independent redraw at t + h would inflate it.
 """

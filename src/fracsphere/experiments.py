@@ -165,8 +165,8 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
     q(t) sqrt(h) bound (measured constant unless overridden).
 
     Each realization draws the increment directly from its exact law
-    (sample_combined_pair with increment=True), four normal arrays; the
-    noise-increment variances D_l are computed once per h."""
+    (sample_combined_pair with increment=True), two normal arrays; the
+    per-degree increment variances are computed once per h."""
     L = check_degree("increment_curve: L", L)
     hs = check_list("increment_curve: h_grid", h_grid, check_real)
     if sorted(hs) != hs:

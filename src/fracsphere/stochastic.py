@@ -19,14 +19,14 @@ integrals jointly with their exact two-time covariance
 
 via Cholesky factors for all degrees at once, so temporal increments have
 the true law.  A Monte Carlo increment needs only U(t+h) - U(t), whose
-coefficients are again independent Gaussians: the decay difference
-E_alpha(-lambda_l (t+h)^alpha) - E_alpha(-lambda_l t^alpha) times the
-initial draw, plus a noise increment of variance A_l D_l with
+coefficients are again independent Gaussians, of variance
 
+    v_l = (E_alpha(-lambda_l (t+h)^alpha) - E_alpha(-lambda_l t^alpha))^2 C_l
+          + A_l D_l,
     D_l = sigma^2_{l,s+h} + sigma^2_{l,s} - 2 cross_sigma(l, s, h),  s = t - tau,
 
-so it is drawn directly from four normal arrays instead of two full draws
-from six.
+so it is drawn directly as sqrt(v_l) times one pair of normal arrays
+instead of two full draws from six.
 
 Both kernel variances take a degree or an ndarray of degrees.  In the
 scaled time u = lambda^(1/alpha) r the kernel is E_alpha(-u^alpha), so
@@ -40,14 +40,14 @@ graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
 carries an error estimate from an embedded lower-order rule; a value whose
 summed estimate exceeds 1e-10 of itself raises AccuracyError.
 
-Randomness is counter-based (RNG scheme 3): each (seed, realization,
+Randomness is counter-based (RNG scheme 4): each (seed, realization,
 role) has its own Philox key, and variate number l(l+1)/2 + m of that
 stream belongs to coefficient (l, m), the np.tril_indices order.  Roles 0
-and 1 are the initial draw, 2 and 3 a direct increment's noise, and 16 + 2k
-and 17 + 2k the noise of the k-th time past tau.  A
-realization draws each role as one packed array, every variate is a pure
-function of its coordinates, and a draw at degree L has the rows of a
-draw at any larger degree, bit for bit.  Draws are order-independent and
+and 1 are the initial draw, 2 and 3 a direct increment, and 16 + 2k and
+17 + 2k the noise of the k-th time past tau.  A realization draws each
+role as one packed array, every variate is a pure function of its
+coordinates, and a draw at degree L has the rows of a draw at any larger
+degree, bit for bit.  Draws are order-independent and
 identical under any work scheduling.
 """
 
@@ -110,7 +110,7 @@ class FractionalModel:
 
 ROLE_INIT_RE = 0
 ROLE_INIT_IM = 1
-ROLE_INC_RE = 2   # noise of a direct increment draw (sample_combined_pair)
+ROLE_INC_RE = 2   # a direct increment draw (sample_combined_pair)
 ROLE_INC_IM = 3
 _ROLE_NOISE_BASE = 16
 _MAX_NOISE_SLOTS = 100
@@ -124,7 +124,7 @@ def noise_role(slot, component):
     return _ROLE_NOISE_BASE + 2 * slot + component
 
 
-RNG_SCHEME = 3  # version of the map from coordinates to variates
+RNG_SCHEME = 4  # version of the map from coordinates to variates
 
 
 def _coordinate(name, value, bound):
@@ -502,32 +502,32 @@ def _sample(model, L, times, rng, realization, increment=False):
 
     Each role's normals are one packed array in np.tril_indices(L + 1)
     order, so the variate of (l, m) is number l(l+1)/2 + m of its stream
-    at any L.  The homogeneous part decays one initial draw.  Past tau the
-    noise integrals at the k lags t - tau are the Cholesky factor of their
+    at any L.  An increment is sqrt(v_l) (_increment_law) times one pair
+    of draws, roles ROLE_INC_RE and ROLE_INC_IM.  Otherwise the
+    homogeneous part decays one initial draw, and past tau the noise
+    integrals at the k lags t - tau are the Cholesky factor of their
     covariance applied to k independent draws; lag i adds draws 0..i in
     that order, so a time has the same bits whatever later times are drawn
-    with it.  An increment's homogeneous part is the decay difference
-    times the initial draw, and its noise is sqrt(D_l) (_increment_variance)
-    times one pair of draws, roles ROLE_INC_RE and ROLE_INC_IM.  One role's
-    draw is held at a time, and the packed sums of each output are
-    scattered into its square array once.
+    with it.  One role's draw is held at a time.
     """
     L = check_degree("degree L", L)
-    counts, starts, mask = _layout(L)
+    counts, starts, _ = _layout(L)
     n = int(starts[-1]) + L + 1
-    lags = tuple(t - model.tau for t in times if t > model.tau)
     if increment:
         t, t_h = times
-        decays = [_decay_factors(L, t_h, model.alpha) - _decay_factors(L, t, model.alpha)]
-        times = [t_h]
-    else:
-        decays = [_decay_factors(L, t, model.alpha) for t in times]
+        v = _increment_law(model, L, t, t_h)
+        amp = _packed(np.sqrt(v), np.sqrt(v / 2.0), L)
+        re, im = (amp * rng.normals(realization, 0, role, n)
+                  for role in (ROLE_INC_RE, ROLE_INC_IM))
+        return _scatter(L, [t_h], [re], [im], rng.seed, realization)
+    lags = tuple(t - model.tau for t in times if t > model.tau)
     amp = _amplitudes(model.spec_c, L)
     if amp is None:
         re = [np.zeros(n) for _ in times]  # packed Re V per output
         im = [np.zeros(n) for _ in times]  # packed -Im V per output
     else:
         amp = _packed(*amp, L)
+        decays = [_decay_factors(L, t, model.alpha) for t in times]
         re, im = [], []
         for part, role in ((re, ROLE_INIT_RE), (im, ROLE_INIT_IM)):
             z = amp * rng.normals(realization, 0, role, n)
@@ -537,24 +537,27 @@ def _sample(model, L, times, rng, realization, increment=False):
                 part.append(fac)
     amp = _amplitudes(model.spec_a, L) if lags else None
     if amp is not None:
-        if increment:
-            scales = np.sqrt(_increment_variance(L, lags, model.alpha))[:, None, None]
-            roles = [(ROLE_INC_RE, ROLE_INC_IM)]
-        else:
-            scales = _joint_noise_scales(L, lags, model.alpha)
-            roles = [(noise_role(j, 0), noise_role(j, 1)) for j in range(len(lags))]
-        first = len(times) - len(roles)
-        for j, pair in enumerate(roles):
-            eta_re, eta_im = (rng.normals(realization, 0, role, n) for role in pair)
-            for i in range(j, len(roles)):
+        scales = _joint_noise_scales(L, lags, model.alpha)
+        first = len(times) - len(lags)
+        for j in range(len(lags)):
+            eta_re, eta_im = (rng.normals(realization, 0, noise_role(j, c), n)
+                              for c in (0, 1))
+            for i in range(j, len(lags)):
                 w = _packed(amp[0] * scales[:, i, j], amp[1] * scales[:, i, j], L)
                 re[first + i] += w * eta_re
                 im[first + i] += w * eta_im
+    return _scatter(L, times, re, im, rng.seed, realization)
+
+
+def _scatter(L, times, re, im, seed, realization):
+    """One CoefficientSet per time from its packed Re V and -Im V, each
+    scattered into the square array once and then released."""
+    _, starts, mask = _layout(L)
     outs = []
     for i, t in enumerate(times):
         np.negative(im[i], out=im[i])  # V_{l,m} = sigma (Z1 - i Z2)
         im[i][starts] = 0.0            # V_{l,0} is real
-        out = CoefficientSet.zeros(L, time=t, seed=rng.seed, realization=realization)
+        out = CoefficientSet.zeros(L, time=t, seed=seed, realization=realization)
         out.values.real[mask] = re[i]
         out.values.imag[mask] = im[i]
         re[i] = im[i] = None
@@ -636,13 +639,11 @@ def _covariance_stack(L, lags, alpha):
     return cov
 
 
-@functools.lru_cache(maxsize=32)
 def _increment_variance(L, lags, alpha):
     """D_l = Var(I(s+h) - I(s)) = c00 + c11 - 2 c01, l = 0..L, from the
-    covariance stack at the lags (s, s + h); read-only and cached, so that
-    all realizations of a curve share one evaluation.  A D_l below the
-    kernels' error allowance 1e-10 (c00 + c11 + 2 c01) has no accurate
-    digit and raises AccuracyError instead of being clamped."""
+    covariance stack at the lags (s, s + h).  A D_l below the kernels'
+    error allowance 1e-10 (c00 + c11 + 2 c01) has no accurate digit and
+    raises AccuracyError instead of being clamped."""
     cov = _covariance_stack(L, lags, alpha)
     c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
     d = c00 + c11 - 2.0 * c01
@@ -652,8 +653,25 @@ def _increment_variance(L, lags, alpha):
         raise AccuracyError(
             f"increment variance: D_l={d[ell]:.2e} has no accurate digit at l={ell}, "
             f"s={lags[0]}, h={lags[1] - lags[0]:.3g}, alpha={alpha}")
-    d.flags.writeable = False
     return d
+
+
+@functools.lru_cache(maxsize=64)
+def _increment_law(model, L, t, t_h):
+    """v_l = E|V_{l,0}(t_h) - V_{l,0}(t)|^2 = (E(t_h) - E(t))^2 C_l + A_l D_l,
+    l = 0..L, for t past tau: the exact per-degree variance of an increment
+    (Re and Im of m >= 1 each carry v_l / 2).  Read-only and cached, so
+    that all realizations of a curve share one evaluation.  D_l is skipped
+    when A vanishes on 0..L, so a model without noise takes any h > 0."""
+    ells = np.arange(L + 1)
+    de = _decay_factors(L, t_h, model.alpha) - _decay_factors(L, t, model.alpha)
+    v = model.spec_c.value(ells) * de * de
+    a = model.spec_a.value(ells)
+    if np.any(a):
+        lags = (t - model.tau, t_h - model.tau)
+        v += a * _increment_variance(L, lags, model.alpha)
+    v.flags.writeable = False
+    return v
 
 
 def _factor(cov, ell, lags):
@@ -690,10 +708,10 @@ def sample_combined_pair(model, L, t, h, rng, realization=0, increment=False):
     bit-identical to sample_combined with the same coordinates.
 
     With increment=True, draw only the increment U(t+h) - U(t), one
-    CoefficientSet, from its own exact law: (E(t+h) - E(t)) times the
-    initial draw plus sqrt(A_l D_l) times one fresh pair of normals, four
-    normal arrays instead of the pair's six.  Its noise is not the
-    difference of a pair's draws with the same coordinates."""
+    CoefficientSet, from its own exact law: sqrt(v_l) times one pair of
+    normal arrays, v_l = (E(t+h) - E(t))^2 C_l + A_l D_l, instead of the
+    pair's six arrays.  It is not the difference of a pair's draws with
+    the same coordinates."""
     t = check_real("sample_combined_pair: t (above tau)", t, model.tau)
     h = check_real("sample_combined_pair: h", h)
     if increment:

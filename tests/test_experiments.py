@@ -204,11 +204,11 @@ def test_increment_curve_builds_each_covariance_stack_once(small_model, monkeypa
     monkeypatch.setattr(stochastic, "_covariance_stack",
                         lambda L, lags, alpha: built.append(lags) or real(L, lags, alpha))
     stochastic._joint_noise_scales.cache_clear()
-    stochastic._increment_variance.cache_clear()
+    stochastic._increment_law.cache_clear()
     hs = [1e-6, 2e-6, 3e-6]
     increment_curve(small_model, 12, 2e-5, hs, 4, seed=3)
     stochastic._joint_noise_scales.cache_clear()
-    stochastic._increment_variance.cache_clear()
+    stochastic._increment_law.cache_clear()
     s = 2e-5 - small_model.tau
     assert sorted(built) == sorted((s, 2e-5 + h - small_model.tau) for h in hs)
 
@@ -266,7 +266,7 @@ def test_snapshots_shared_draw(small_model, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 8 and manifest["L"] == 16
     assert manifest["tool"] == "fracsphere"
-    assert manifest["rng_scheme"] == 3
+    assert manifest["rng_scheme"] == 4
 
 
 def test_snapshots_time_zero_is_initial_draw(small_model, tmp_path):

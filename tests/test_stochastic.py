@@ -320,13 +320,58 @@ def test_increment_prefix_across_degrees(model):
     assert np.array_equal(small.values, big.values[:51, :51])
 
 
-def test_increment_draws_four_arrays(model, monkeypatch):
-    # the initial draw's two roles and one pair of increment-noise roles
+def test_increment_draws_two_arrays(model, monkeypatch):
+    # sqrt(v_l) times one pair of increment roles, nothing else
     roles, real = [], RngStream.normals
     monkeypatch.setattr(RngStream, "normals",
                         lambda self, j, ell, role, n: roles.append(role) or real(self, j, ell, role, n))
     sample_combined_pair(model, 8, 2e-5, 3e-6, RngStream(1), increment=True)
-    assert roles == [ROLE_INIT_RE, ROLE_INIT_IM, ROLE_INC_RE, ROLE_INC_IM]
+    assert roles == [ROLE_INC_RE, ROLE_INC_IM]
+
+
+def _increment_law_reference(model, L, t, h):
+    # C_l (E(t+h) - E(t))^2 + A_l D_l from the public kernels
+    ells = np.arange(L + 1)
+    lam = ells * (ells + 1.0)
+    a, s = model.alpha, t - model.tau
+    de = ml_neg(a, lam * (t + h) ** a) - ml_neg(a, lam * t ** a)
+    d = (sigma_squared(ells, s, a) + sigma_squared(ells, s + h, a)
+         - 2.0 * cross_sigma(ells, s, h, a))
+    return model.spec_c.value(ells) * de ** 2 + model.spec_a.value(ells) * d
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_increment_law_matches_kernels(spectra, alpha):
+    # alpha = 1: ml_neg is exp and the kernels have closed forms
+    m = FractionalModel(alpha, 1e-5, *spectra)
+    t, h, L = 2e-5, 3e-6, 60
+    v = stochastic._increment_law(m, L, t, t + h)
+    assert v == pytest.approx(_increment_law_reference(m, L, t, h), rel=1e-12, abs=0.0)
+
+
+def test_increment_single_draw_chi_square(model):
+    # p_l / v_l ~ chi^2_{2l+1}, so T is close to N(0, 1); a 5% variance
+    # error above l = 200 moves T by about 11
+    L, t, h = 400, 2e-5, 3e-6
+    v = stochastic._increment_law(model, L, t, t + h)
+    ells = np.arange(L + 1)
+    for j in range(5):
+        p = sample_combined_pair(model, L, t, h, RngStream(77), realization=j,
+                                 increment=True).degree_power()
+        big_t = np.sum(p / v - (2 * ells + 1)) / math.sqrt(np.sum(2.0 * (2 * ells + 1)))
+        assert abs(big_t) < 5.0
+
+
+def test_increment_without_noise_takes_tiny_h(spectra):
+    # with A = 0 the law needs no D_l, so h = 1e-16 is not refused
+    spec_c, _ = spectra
+    zero = AlgebraicSpectrum(0.0, 0.0, 2.5)
+    d = sample_combined_pair(FractionalModel(0.5, 1e-5, spec_c, zero), 8, 2e-5, 1e-16,
+                             RngStream(1), increment=True)
+    assert np.all(np.isfinite(d.values))
+    d = sample_combined_pair(FractionalModel(0.5, 1e-5, zero, zero), 8, 2e-5, 3e-6,
+                             RngStream(1), increment=True)
+    assert not np.any(d.values)
 
 
 def test_increment_without_accurate_digit_refused(model):
