@@ -47,8 +47,8 @@ and 1 are the initial draw, 2 and 3 a direct increment, and 16 + 2k and
 17 + 2k the noise of the k-th time past tau.  A realization draws each
 role as one packed array, every variate is a pure function of its
 coordinates, and a draw at degree L has the rows of a draw at any larger
-degree, bit for bit.  Draws are order-independent and
-identical under any work scheduling.
+degree, bit for bit.  Draws are order-independent and identical under
+any work scheduling.
 """
 
 from __future__ import annotations

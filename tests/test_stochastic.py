@@ -342,7 +342,8 @@ def _increment_law_reference(model, L, t, h):
 
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 def test_increment_law_matches_kernels(spectra, alpha):
-    # alpha = 1: ml_neg is exp and the kernels have closed forms
+    # the reference pins the times, lags and spectra the draw uses; at
+    # alpha = 1 ml_neg is its closed form exp(-x)
     m = FractionalModel(alpha, 1e-5, *spectra)
     t, h, L = 2e-5, 3e-6, 60
     v = stochastic._increment_law(m, L, t, t + h)
