@@ -102,9 +102,10 @@ def fit_loglog_slope(curve, window=None, include_flagged=False):
 
 def _power(model, L, t, h, rng, realization):
     """Per-degree Parseval power of one draw of U(t) (h None), or of the
-    increment U(t+h) - U(t)."""
+    increment U(t+h) - U(t), each from its exact law."""
     if h is None:
-        return sample_combined(model, L, t, rng, realization=realization).degree_power()
+        return sample_combined(model, L, t, rng, realization=realization,
+                               law=True).degree_power()
     return sample_combined_pair(model, L, t, h, rng, realization=realization,
                                 increment=True).degree_power()
 
@@ -123,8 +124,11 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=1):
     One degree-l_tilde draw per realization serves every L in l_grid (the
     estimator sums the tail of the same realization):
         empirical(L) = sqrt( mean_j sum_{l>L} p_l(j) ),
-    with p_l the per-degree Parseval power.  The bound column is the
-    combined truncation bound; rows whose case conditions fail are flagged.
+    with p_l the per-degree Parseval power.  Each realization is drawn
+    from the one-time law (sample_combined with law=True), two normal
+    arrays; the per-degree variances are computed once.  The bound column
+    is the combined truncation bound; rows whose case conditions fail are
+    flagged.
     """
     l_tilde = check_degree("truncation_error_curve: l_tilde", l_tilde)
     l_grid = check_list("truncation_error_curve: l_grid", l_grid, check_degree)

@@ -26,7 +26,10 @@ coefficients are again independent Gaussians, of variance
     D_l = sigma^2_{l,s+h} + sigma^2_{l,s} - 2 cross_sigma(l, s, h),  s = t - tau,
 
 so it is drawn directly as sqrt(v_l) times one pair of normal arrays
-instead of two full draws from six.
+instead of two full draws from six.  A Monte Carlo draw at one time is
+drawn the same way from its one-time law, v_l = coefficient_variance(l, t)
+= C_l E_alpha(-lambda_l t^alpha)^2 + 1_{t>tau} A_l sigma^2_{l,t-tau,alpha},
+instead of from the four arrays of the initial draw and the noise integral.
 
 Both kernel variances take a degree or an ndarray of degrees.  In the
 scaled time u = lambda^(1/alpha) r the kernel is E_alpha(-u^alpha), so
@@ -40,15 +43,15 @@ graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
 carries an error estimate from an embedded lower-order rule; a value whose
 summed estimate exceeds 1e-10 of itself raises AccuracyError.
 
-Randomness is counter-based (RNG scheme 4): each (seed, realization,
+Randomness is counter-based (RNG scheme 5): each (seed, realization,
 role) has its own Philox key, and variate number l(l+1)/2 + m of that
 stream belongs to coefficient (l, m), the np.tril_indices order.  Roles 0
-and 1 are the initial draw, 2 and 3 a direct increment, and 16 + 2k and
-17 + 2k the noise of the k-th time past tau.  A realization draws each
-role as one packed array, every variate is a pure function of its
-coordinates, and a draw at degree L has the rows of a draw at any larger
-degree, bit for bit.  Draws are order-independent and identical under
-any work scheduling.
+and 1 are the initial draw, 2 and 3 a direct increment, 4 and 5 a draw
+from the one-time law, and 16 + 2k and 17 + 2k the noise of the k-th time
+past tau.  A realization draws each role as one packed array, every
+variate is a pure function of its coordinates, and a draw at degree L has
+the rows of a draw at any larger degree, bit for bit.  Draws are
+order-independent and identical under any work scheduling.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ __all__ = [
     "ROLE_INIT_IM",
     "ROLE_INC_RE",
     "ROLE_INC_IM",
+    "ROLE_LAW_RE",
+    "ROLE_LAW_IM",
     "noise_role",
     "sigma_squared",
     "sigma_squared_bound",
@@ -112,6 +117,8 @@ ROLE_INIT_RE = 0
 ROLE_INIT_IM = 1
 ROLE_INC_RE = 2   # a direct increment draw (sample_combined_pair)
 ROLE_INC_IM = 3
+ROLE_LAW_RE = 4   # a draw from the one-time law (sample_combined, law=True)
+ROLE_LAW_IM = 5
 _ROLE_NOISE_BASE = 16
 _MAX_NOISE_SLOTS = 100
 
@@ -124,7 +131,7 @@ def noise_role(slot, component):
     return _ROLE_NOISE_BASE + 2 * slot + component
 
 
-RNG_SCHEME = 4  # version of the map from coordinates to variates
+RNG_SCHEME = 5  # version of the map from coordinates to variates
 
 
 def _coordinate(name, value, bound):
@@ -495,31 +502,29 @@ def _amplitudes(spec, L):
     return (np.sqrt(x), np.sqrt(x / 2.0)) if np.any(x) else None
 
 
-def _sample(model, L, times, rng, realization, increment=False):
+def _sample(model, L, times, rng, realization, law=False):
     """Coefficient sets of one realization at the increasing times >= 0;
-    with increment=True and times (t, t + h) past tau, the one set of
-    U(t+h) - U(t), stamped with time t + h.
+    with law=True, the one set drawn from an exact law, stamped with the
+    last time: of U(t) for times (t,), of U(t+h) - U(t) for (t, t + h).
 
     Each role's normals are one packed array in np.tril_indices(L + 1)
     order, so the variate of (l, m) is number l(l+1)/2 + m of its stream
-    at any L.  An increment is sqrt(v_l) (_increment_law) times one pair
-    of draws, roles ROLE_INC_RE and ROLE_INC_IM.  Otherwise the
-    homogeneous part decays one initial draw, and past tau the noise
-    integrals at the k lags t - tau are the Cholesky factor of their
-    covariance applied to k independent draws; lag i adds draws 0..i in
-    that order, so a time has the same bits whatever later times are drawn
-    with it.  One role's draw is held at a time.
+    at any L.  A law draw is _law_amplitude times one pair of draws, roles
+    ROLE_LAW_RE/ROLE_LAW_IM for one time and ROLE_INC_RE/ROLE_INC_IM for an
+    increment.  Otherwise the homogeneous part decays one initial draw,
+    and past tau the noise integrals at the k lags t - tau are the Cholesky
+    factor of their covariance applied to k independent draws; lag i adds
+    draws 0..i in that order, so a time has the same bits whatever later
+    times are drawn with it.  One role's draw is held at a time.
     """
     L = check_degree("degree L", L)
     counts, starts, _ = _layout(L)
     n = int(starts[-1]) + L + 1
-    if increment:
-        t, t_h = times
-        v = _increment_law(model, L, t, t_h)
-        amp = _packed(np.sqrt(v), np.sqrt(v / 2.0), L)
-        re, im = (amp * rng.normals(realization, 0, role, n)
-                  for role in (ROLE_INC_RE, ROLE_INC_IM))
-        return _scatter(L, [t_h], [re], [im], rng.seed, realization)
+    if law:
+        amp = _law_amplitude(model, L, *times)
+        roles = (ROLE_LAW_RE, ROLE_LAW_IM) if len(times) == 1 else (ROLE_INC_RE, ROLE_INC_IM)
+        re, im = (amp * rng.normals(realization, 0, role, n) for role in roles)
+        return _scatter(L, times[-1:], [re], [im], rng.seed, realization)
     lags = tuple(t - model.tau for t in times if t > model.tau)
     amp = _amplitudes(model.spec_c, L)
     if amp is None:
@@ -594,11 +599,16 @@ def sample_inhomogeneous(spec_a, L, t, tau, alpha, rng, realization=0):
     return _sample(model, L, [t], rng, realization)[0]
 
 
-def sample_combined(model, L, t, rng, realization=0):
+def sample_combined(model, L, t, rng, realization=0, law=False):
     """Draw the full solution's coefficients at time t (homogeneous decay of
-    an initial draw plus, past tau, the independent noise integral)."""
+    an initial draw plus, past tau, the independent noise integral).
+
+    With law=True, draw them from their one-time law instead: sqrt(v_l)
+    times one pair of normal arrays, v_l = coefficient_variance(l, t), in
+    place of the four arrays of the two parts.  The law is the same, the
+    variates are not: it is not the default draw with the same coordinates."""
     t = check_real("sample_combined: t", t)
-    return _sample(model, L, [t], rng, realization)[0]
+    return _sample(model, L, [t], rng, realization, law=law)[0]
 
 
 def sample_coefficient_rows(model, t, rng, ells, realization=0):
@@ -674,6 +684,28 @@ def _increment_law(model, L, t, t_h):
     return v
 
 
+@functools.lru_cache(maxsize=64)
+def _one_time_law(model, L, t):
+    """v_l = coefficient_variance(model, l, t), l = 0..L: the exact
+    per-degree variance of U(t) (Re and Im of m >= 1 each carry v_l / 2).
+    Read-only and cached, like _increment_law."""
+    v = coefficient_variance(model, np.arange(L + 1), t)
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=1)
+def _law_amplitude(model, L, t, t_h=None):
+    """The packed standard deviations of a law draw, sqrt(v_l) at (l, 0)
+    and sqrt(v_l / 2) at (l, m >= 1): v_l of U(t) (t_h None) or of
+    U(t_h) - U(t).  Read-only; only the last law's (L+1)(L+2)/2 floats are
+    held, since a curve draws every realization of one law in a row."""
+    v = _one_time_law(model, L, t) if t_h is None else _increment_law(model, L, t, t_h)
+    amp = _packed(np.sqrt(v), np.sqrt(v / 2.0), L)
+    amp.flags.writeable = False
+    return amp
+
+
 def _factor(cov, ell, lags):
     """Cholesky factor of one degree's covariance, or its eigen-factor when
     quadrature roundoff leaves tiny negative eigenvalues."""
@@ -715,7 +747,7 @@ def sample_combined_pair(model, L, t, h, rng, realization=0, increment=False):
     t = check_real("sample_combined_pair: t (above tau)", t, model.tau)
     h = check_real("sample_combined_pair: h", h)
     if increment:
-        return _sample(model, L, [t, t + h], rng, realization, increment=True)[0]
+        return _sample(model, L, [t, t + h], rng, realization, law=True)[0]
     a, b = _sample(model, L, [t, t + h], rng, realization)
     return a, b
 

@@ -173,8 +173,10 @@ def test_criterion_5_truncation_slope_case_I():
 def test_criterion_5_truncation_slope_case_III_alpha_half():
     # NOTE: expected to fail.  At the critical order 1/2 the late-time bound
     # exponent kappa2/2 = 1.25 comes from bounding the kernel variance's
-    # log factor by a power, which costs a factor L^2; the estimator itself
-    # decays like L^(-2.1..2.2) here, far outside the 0.15 tolerance.
+    # log factor by a power, which costs a factor L^2.  The exact expected
+    # slope of the estimator over [50, 300] is -2.145 at l_tilde = 400 (what
+    # the fit measures) and -2.071 at l_tilde = infinity, far outside the
+    # 0.15 tolerance.
     t0 = time.perf_counter()
     fit, curve = _trunc_slope(0.5, 10 * TAU)
     target = -1.25

@@ -295,13 +295,15 @@ def test_rng_stream_packed_order(spectra):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 def test_sampler_prefix_across_degrees(alpha, spectra):
-    # rows l <= 50 of a degree-50 draw are those of a degree-400 draw
+    # rows l <= 50 of a degree-50 draw are those of a degree-400 draw, for
+    # the two-part draw and the one-time law draw alike
     m = FractionalModel(alpha, 1e-5, *spectra)
     rng = RngStream(606)
     for t in (m.tau / 2, 10 * m.tau):
-        small = sample_combined(m, 50, t, rng, realization=5)
-        big = sample_combined(m, 400, t, rng, realization=5)
-        assert np.array_equal(small.values, big.values[:51, :51])
+        for law in (False, True):
+            small = sample_combined(m, 50, t, rng, realization=5, law=law)
+            big = sample_combined(m, 400, t, rng, realization=5, law=law)
+            assert np.array_equal(small.values, big.values[:51, :51])
 
 
 def test_pair_prefix_across_degrees(model):
@@ -361,6 +363,50 @@ def test_increment_single_draw_chi_square(model):
                                  increment=True).degree_power()
         big_t = np.sum(p / v - (2 * ells + 1)) / math.sqrt(np.sum(2.0 * (2 * ells + 1)))
         assert abs(big_t) < 5.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+def test_law_single_draw_chi_square(spectra, alpha):
+    # the one-time law draw: p_l / v_l ~ chi^2_{2l+1} with v_l the
+    # analytic coefficient variance, so T is close to N(0, 1)
+    m = FractionalModel(alpha, 1e-5, *spectra)
+    L, t = 400, 1e-4
+    ells = np.arange(L + 1)
+    v = coefficient_variance(m, ells, t)
+    for j in range(5):
+        p = sample_combined(m, L, t, RngStream(77), realization=j, law=True).degree_power()
+        big_t = np.sum(p / v - (2 * ells + 1)) / math.sqrt(np.sum(2.0 * (2 * ells + 1)))
+        assert abs(big_t) < 5.0
+
+
+def _law_draw_reference(v, rng, realization, roles):
+    # sqrt(v_l) Z_re at (l, 0); sqrt(v_l / 2) (Z_re - i Z_im) at (l, m >= 1),
+    # with Z variate l(l+1)/2 + m of each role's stream
+    L = len(v) - 1
+    z_re, z_im = (rng.normals(realization, 0, role, (L + 1) * (L + 2) // 2)
+                  for role in roles)
+    out = np.zeros((L + 1, L + 1), dtype=complex)
+    k = 0
+    for ell in range(L + 1):
+        out[ell, 0] = math.sqrt(v[ell]) * z_re[k]
+        sd = math.sqrt(v[ell] / 2.0)
+        for m in range(1, ell + 1):
+            out[ell, m] = complex(sd * z_re[k + m], -(sd * z_im[k + m]))
+        k += ell + 1
+    return out
+
+
+def test_law_draws_bitwise_from_roles(model):
+    # roles pinned as numbers: they are part of RNG scheme 5
+    rng, L, t, h = RngStream(31), 12, 2e-5, 3e-6
+    one = sample_combined(model, L, t, rng, realization=3, law=True)
+    v = coefficient_variance(model, np.arange(L + 1), t)
+    assert one.time == t
+    assert np.array_equal(one.values, _law_draw_reference(v, rng, 3, (4, 5)))
+    inc = sample_combined_pair(model, L, t, h, rng, realization=3, increment=True)
+    v = stochastic._increment_law(model, L, t, t + h)
+    assert inc.time == t + h
+    assert np.array_equal(inc.values, _law_draw_reference(v, rng, 3, (2, 3)))
 
 
 def test_increment_without_noise_takes_tiny_h(spectra):
