@@ -176,8 +176,6 @@ def test_truncation_ml_neg_calls_independent_of_n_real(monkeypatch):
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     counts = []
     for n_real in (2, 6):
-        stochastic._decay_factors.cache_clear()
-        stochastic._joint_noise_scales.cache_clear()
         stochastic._one_time_law.cache_clear()
         stochastic._law_amplitude.cache_clear()
         calls.clear()
