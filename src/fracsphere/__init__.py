@@ -13,11 +13,9 @@ from .spectra import (AlgebraicSpectrum, BoundConstants, bound_constants,
                       measured_increment_c, psi_h, psi_i, tail_constant)
 from .stochastic import (CoefficientSet, FractionalModel, RngStream,
                          coefficient_variance, covariance_function,
-                         cross_sigma, evolve_homogeneous,
-                         sample_coefficient_rows, sample_combined,
-                         sample_combined_pair, sample_combined_times,
-                         sample_inhomogeneous, sample_initial_coefficients,
-                         sigma_squared, sigma_squared_bound)
+                         cross_sigma, sample_combined, sample_combined_pair,
+                         sample_combined_times, sigma_squared,
+                         sigma_squared_bound)
 from .synthesis import FieldMap, GridSpec, synthesize, write_map_csv, write_map_image
 from .experiments import (ErrorCurve, SlopeFit, evolution_snapshots,
                           fit_loglog_slope, increment_curve,

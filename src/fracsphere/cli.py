@@ -286,7 +286,8 @@ def _selftest_checks(cfg):
     # 7. synthesis vs pointwise evaluation, and Parseval on a Gauss grid
     L = 16
     rngs = fs.RngStream(cfg["seed"])
-    coeffs = fs.sample_initial_coefficients(model.spec_c, L, rngs, realization=0)
+    coeffs = fs.sample_combined(model, L, cfg["t"], rngs)
+    values = coeffs.values
     grid = GridSpec(8, 16)
     fmap = fs.synthesize(coeffs, grid)
     worst = 0.0
@@ -294,8 +295,8 @@ def _selftest_checks(cfg):
     for j, th in enumerate(grid.colatitudes()):
         for k, ph in enumerate(grid.longitudes()):
             p = fs.SphPoint(th, ph)
-            ref = sum((coeffs.values[ell, 0] * fs.spherical_harmonic(ell, 0, p)).real
-                      + 2 * sum((coeffs.values[ell, m]
+            ref = sum((values[ell, 0] * fs.spherical_harmonic(ell, 0, p)).real
+                      + 2 * sum((values[ell, m]
                                  * fs.spherical_harmonic(ell, m, p)).real
                                 for m in range(1, ell + 1))
                       for ell in range(L + 1))

@@ -52,6 +52,10 @@ past tau.  A realization draws each role as one packed array, every
 variate is a pure function of its coordinates, and a draw at degree L has
 the rows of a draw at any larger degree, bit for bit.  Draws are
 order-independent and identical under any work scheduling.
+
+A CoefficientSet stores Re V and Im V as two such packed arrays.  Monte
+Carlo reductions (degree_power) read them directly; the (L+1)x(L+1) square
+that map synthesis reads is built only on request, read-only.
 """
 
 from __future__ import annotations
@@ -82,11 +86,7 @@ __all__ = [
     "sigma_squared",
     "sigma_squared_bound",
     "cross_sigma",
-    "sample_initial_coefficients",
-    "evolve_homogeneous",
-    "sample_inhomogeneous",
     "sample_combined",
-    "sample_coefficient_rows",
     "sample_combined_pair",
     "sample_combined_times",
     "coefficient_variance",
@@ -175,35 +175,48 @@ class RngStream:
 
 @dataclass
 class CoefficientSet:
-    """Triangular complex array {V_{l,m} : 0 <= m <= l <= L} of a real
-    field's harmonic coefficients, plus bookkeeping."""
+    """Complex coefficients {V_{l,m} : 0 <= m <= l <= L} of a real field,
+    packed in np.tril_indices(L + 1) order (entry l(l+1)/2 + m holds (l, m)),
+    plus bookkeeping."""
 
     L: int
-    values: np.ndarray  # (L+1, L+1) complex, entries with m > l are zero
+    re: np.ndarray  # Re V_{l,m}, packed
+    im: np.ndarray  # Im V_{l,m}, packed
     time: float = 0.0
     seed: int = 0
     realization: int = 0
 
     @classmethod
-    def zeros(cls, L, time=0.0, seed=0, realization=0):
-        return cls(L=int(L), values=np.zeros((L + 1, L + 1), dtype=complex),
+    def from_square(cls, values, time=0.0, seed=0, realization=0):
+        """The set of an (L+1, L+1) array's entries values[l, m], m <= l;
+        entries with m > l are dropped."""
+        values = np.asarray(values, dtype=complex)
+        L = values.shape[0] - 1
+        packed = values[_layout(L)[2]]
+        return cls(L=L, re=packed.real.copy(), im=packed.imag.copy(),
                    time=float(time), seed=int(seed), realization=int(realization))
 
-    def copy(self):
-        return CoefficientSet(self.L, self.values.copy(), self.time,
-                              self.seed, self.realization)
+    @property
+    def values(self):
+        """The (L+1, L+1) complex array, zero where m > l; built on each read
+        and read-only, so an in-place write raises instead of being lost."""
+        mask = _layout(self.L)[2]
+        out = np.zeros((self.L + 1, self.L + 1), dtype=complex)
+        out.real[mask] = self.re
+        out.imag[mask] = self.im
+        out.flags.writeable = False
+        return out
 
     def degree_power(self):
         """Per-degree Parseval power p_l = |V_{l,0}|^2 + 2 sum_{m>=1} |V_{l,m}|^2,
-        summed on the (re, im) view: no complex modulus."""
-        values = np.ascontiguousarray(self.values, dtype=complex)
-        parts = values.view(float)
-        col0 = values[:, 0]
-        return 2.0 * np.einsum("ij,ij->i", parts, parts) - (col0.real ** 2 + col0.imag ** 2)
-
-    def tail_power(self, L_low):
-        """sum_{l > L_low} p_l, the squared truncation remainder of this draw."""
-        return float(self.degree_power()[L_low + 1:].sum())
+        reduced over each degree's packed entries, Re and Im one after the
+        other: no square array, no complex modulus."""
+        starts = _layout(self.L)[1]
+        p = np.add.reduceat(self.re * self.re, starts)
+        p += np.add.reduceat(self.im * self.im, starts)
+        p *= 2.0
+        p -= self.re[starts] ** 2 + self.im[starts] ** 2
+        return p
 
 
 # --------------------------------------------------------------------------
@@ -460,9 +473,6 @@ def cross_sigma(ell, s, h, alpha):
 # --------------------------------------------------------------------------
 # samplers
 
-_NO_SPECTRUM = AlgebraicSpectrum(0.0, 0.0, 3.0)
-
-
 @functools.lru_cache(maxsize=64)
 def _decay_factors(L, t, alpha):
     """E_alpha(-lambda_l t^alpha) for l = 0..L; read-only and cached, so
@@ -555,48 +565,15 @@ def _sample(model, L, times, rng, realization, law=False):
 
 
 def _scatter(L, times, re, im, seed, realization):
-    """One CoefficientSet per time from its packed Re V and -Im V, each
-    scattered into the square array once and then released."""
-    _, starts, mask = _layout(L)
+    """One CoefficientSet per time from its packed Re V and -Im V."""
+    starts = _layout(L)[1]
     outs = []
-    for i, t in enumerate(times):
-        np.negative(im[i], out=im[i])  # V_{l,m} = sigma (Z1 - i Z2)
-        im[i][starts] = 0.0            # V_{l,0} is real
-        out = CoefficientSet.zeros(L, time=t, seed=seed, realization=realization)
-        out.values.real[mask] = re[i]
-        out.values.imag[mask] = im[i]
-        re[i] = im[i] = None
-        outs.append(out)
+    for t, re_t, im_t in zip(times, re, im):
+        np.negative(im_t, out=im_t)  # V_{l,m} = sigma (Z1 - i Z2)
+        im_t[starts] = 0.0           # V_{l,0} is real
+        outs.append(CoefficientSet(L=L, re=re_t, im=im_t, time=t, seed=seed,
+                                   realization=realization))
     return outs
-
-
-def sample_initial_coefficients(spec_c, L, rng, realization=0):
-    """Draw the initial isotropic Gaussian field's coefficients at degree L.
-
-    V_{l,0} = sqrt(C_l) Z1_{l,0};  V_{l,m} = sqrt(C_l/2)(Z1_{l,m} - i Z2_{l,m}).
-    """
-    model = FractionalModel(1.0, math.inf, spec_c, _NO_SPECTRUM)
-    return _sample(model, L, [0.0], rng, realization)[0]
-
-
-def evolve_homogeneous(init, t, alpha):
-    """Decay every coefficient by E_alpha(-lambda_l t^alpha); identity at t = 0."""
-    t = check_real("evolve_homogeneous: t", t, strict=False)
-    alpha = check_alpha("evolve_homogeneous: alpha", alpha)
-    out = init.copy()
-    out.time = t
-    if t == 0.0:
-        return out
-    out.values *= _decay_factors(init.L, t, alpha)[:, None]
-    return out
-
-
-def sample_inhomogeneous(spec_a, L, t, tau, alpha, rng, realization=0):
-    """Draw the noise-driven part at time t: zero for t <= tau, otherwise
-    V built from I ~ N(0, sigma^2_{l,t-tau,alpha}) with the A_l scaling."""
-    model = FractionalModel(alpha, tau, _NO_SPECTRUM, spec_a)
-    t = check_real("sample_inhomogeneous: t", t, strict=False)
-    return _sample(model, L, [t], rng, realization)[0]
 
 
 def sample_combined(model, L, t, rng, realization=0, law=False):
@@ -609,17 +586,6 @@ def sample_combined(model, L, t, rng, realization=0, law=False):
     variates are not: it is not the default draw with the same coordinates."""
     t = check_real("sample_combined: t", t)
     return _sample(model, L, [t], rng, realization, law=law)[0]
-
-
-def sample_coefficient_rows(model, t, rng, ells, realization=0):
-    """Rows {l: (V_{l,0..l})} of sample_combined at time t, cut from one
-    draw at degree max(ells): the rows of a draw at any degree, bit for bit."""
-    t = check_real("sample_coefficient_rows: t", t)
-    ells = [check_degree("sample_coefficient_rows: degree", ell) for ell in ells]
-    if not ells:
-        return {}
-    full = sample_combined(model, max(ells), t, rng, realization).values
-    return {ell: full[ell, : ell + 1] for ell in ells}
 
 
 @functools.lru_cache(maxsize=32)

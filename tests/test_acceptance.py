@@ -20,7 +20,7 @@ from fracsphere import (AlgebraicSpectrum, FractionalModel, GridSpec,
                         RngStream, SphPoint, coefficient_variance,
                         covariance_function, fit_loglog_slope, gamma,
                         holder_envelope, increment_curve, legendre_p, ml_neg,
-                        sample_coefficient_rows, sigma_squared,
+                        sample_combined, sigma_squared,
                         spherical_harmonic, synthesize,
                         truncation_error_curve)
 from fracsphere.stochastic import sigma_squared_bound as s2_bound
@@ -125,10 +125,9 @@ def test_criterion_4_coefficient_law():
             rng = RngStream(SEED)
             rows = {ell: np.empty((n, ell + 1), dtype=complex) for ell in (0, 5, 50)}
             for j in range(n):
-                drawn = sample_coefficient_rows(model, t, rng, [0, 5, 50],
-                                                realization=j)
-                for ell, row in drawn.items():
-                    rows[ell][j] = row
+                drawn = sample_combined(model, 50, t, rng, realization=j).values
+                for ell in rows:
+                    rows[ell][j] = drawn[ell, : ell + 1]
             for ell, m in targets:
                 v = coefficient_variance(model, ell, t)
                 mc = float(np.mean(np.abs(rows[ell][:, m]) ** 2))
@@ -239,11 +238,11 @@ def test_criterion_8_synthesis_oracle():
     rng = np.random.default_rng(2)
     from fracsphere import CoefficientSet
 
-    coeffs = CoefficientSet.zeros(L)
+    values = np.zeros((L + 1, L + 1), dtype=complex)
     for ell in range(L + 1):
-        coeffs.values[ell, 0] = rng.normal()
-        coeffs.values[ell, 1: ell + 1] = (rng.normal(size=ell)
-                                          + 1j * rng.normal(size=ell))
+        values[ell, 0] = rng.normal()
+        values[ell, 1: ell + 1] = rng.normal(size=ell) + 1j * rng.normal(size=ell)
+    coeffs = CoefficientSet.from_square(values)
     grid = GridSpec(16, 32)  # 512 points
     fmap = synthesize(coeffs, grid)
     scale = float(np.max(np.abs(fmap.values)))
@@ -256,9 +255,9 @@ def test_criterion_8_synthesis_oracle():
             phase = np.exp(1j * np.arange(L + 1) * phis[k])
             ref = 0.0
             for ell in range(L + 1):
-                terms = coeffs.values[ell, 1: ell + 1] * radial[ell, 1: ell + 1] \
+                terms = values[ell, 1: ell + 1] * radial[ell, 1: ell + 1] \
                     * phase[1: ell + 1]
-                ref += float(coeffs.values[ell, 0].real * radial[ell, 0]
+                ref += float(values[ell, 0].real * radial[ell, 0]
                              + 2.0 * terms.real.sum())
             worst = max(worst, abs(fmap.values[j, k] - ref) / scale)
     gauss = GridSpec(L + 1, 2 * L + 1, gauss=True)

@@ -11,6 +11,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -53,7 +54,8 @@ def test_synthesize_calls_traced_legendre_name(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(synthesis, "_norm_assoc_rows", counted)
-    synthesis.synthesize(CoefficientSet.zeros(4), synthesis.GridSpec(3, 4))
+    synthesis.synthesize(CoefficientSet.from_square(np.zeros((5, 5))),
+                         synthesis.GridSpec(3, 4))
     assert calls
 
 

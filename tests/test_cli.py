@@ -1,10 +1,13 @@
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import fracsphere
 from fracsphere.cli import main
 
 
@@ -93,6 +96,15 @@ def test_help_lists_flags():
     for flag in ("--config", "--alpha", "--tau", "--seed", "--out", "--t",
                  "--l-tilde", "--n-real", "--workers"):
         assert flag in res.stdout
+
+
+@pytest.mark.parametrize("module", sorted(
+    name for _, name, _ in pkgutil.iter_modules(fracsphere.__path__) if name != "__main__"))
+def test_module_exports_resolve(module):
+    # a deleted function must not stay listed as an export
+    mod = importlib.import_module(f"fracsphere.{module}")
+    missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_truncation_run_writes_artifacts(tmp_path):

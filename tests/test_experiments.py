@@ -98,7 +98,7 @@ def test_truncation_matches_direct_estimator(small_model):
         for j in range(5):
             c = sample_combined(small_model, 24, 1e-4, RngStream(3), realization=j,
                                 law=True)
-            acc += c.tail_power(int(L))
+            acc += c.degree_power()[int(L) + 1:].sum()
         assert emp == pytest.approx(math.sqrt(acc / 5), rel=1e-12)
     # L = 12 is past both knees at t = 1e-4 (case III, valid bound); L = 6
     # sits below the early-time knee with tau below it too, hence flagged
@@ -276,14 +276,15 @@ def test_snapshots_shared_draw(small_model, tmp_path):
 def test_snapshots_time_zero_is_initial_draw(small_model, tmp_path):
     # numerically t=0 is not allowed (t > 0), but a tiny t reproduces the
     # initial field up to the decay factor ~ 1
-    from fracsphere import sample_initial_coefficients, synthesize
+    from fracsphere import stochastic, synthesize
 
     grid = GridSpec(7, 8)
     t0 = 1e-30
     maps = evolution_snapshots(small_model, 8, [t0], grid, seed=3,
                                out_dir=str(tmp_path))
-    init = sample_initial_coefficients(small_model.spec_c, 8, RngStream(3),
-                                       realization=0)
+    hom = FractionalModel(small_model.alpha, math.inf, small_model.spec_c,
+                          small_model.spec_a)
+    init = stochastic._sample(hom, 8, [0.0], RngStream(3), 0)[0]
     ref = synthesize(init, grid)
     assert np.max(np.abs(maps[0].values - ref.values)) <= 1e-9 * np.max(np.abs(ref.values))
 

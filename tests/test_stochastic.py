@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -9,12 +10,9 @@ import pytest
 from fracsphere import stochastic
 from fracsphere import (AccuracyError, AlgebraicSpectrum, CoefficientSet, DomainError,
                         FractionalModel, RngStream, coefficient_variance,
-                        covariance_function, cross_sigma, evolve_homogeneous,
-                        holder_envelope, ml_neg, sample_coefficient_rows,
-                        sample_combined, sample_combined_pair,
-                        sample_combined_times, sample_inhomogeneous,
-                        sample_initial_coefficients, sigma_squared,
-                        sigma_squared_bound)
+                        covariance_function, cross_sigma, holder_envelope, ml_neg,
+                        sample_combined, sample_combined_pair, sample_combined_times,
+                        sigma_squared, sigma_squared_bound)
 from fracsphere.stochastic import ROLE_INC_IM, ROLE_INC_RE, ROLE_INIT_IM, ROLE_INIT_RE
 
 from conftest import ml_oracle
@@ -251,6 +249,21 @@ def model(spectra):
     return FractionalModel(0.5, 1e-5, *spectra)
 
 
+@pytest.fixture(scope="module")
+def hom_model(model):
+    # tau = inf: the homogeneous part only
+    return FractionalModel(model.alpha, math.inf, model.spec_c, model.spec_a)
+
+
+_ZERO = AlgebraicSpectrum(0.0, 0.0, 2.5)
+
+
+def _initial_draw(spec_c, L, rng, realization=0):
+    # the initial field at exactly t = 0, which the public samplers refuse
+    model = FractionalModel(1.0, math.inf, spec_c, _ZERO)
+    return stochastic._sample(model, L, [0.0], rng, realization)[0]
+
+
 def test_sampler_determinism(model):
     rng = RngStream(987654321)
     a = sample_combined(model, 40, 1e-4, rng, realization=7)
@@ -284,11 +297,12 @@ def test_rng_stream_packed_order(spectra):
         assert np.array_equal(rng.normals(3, ell, ROLE_INIT_RE, 2),
                               whole[ell * (ell + 1) // 2:][:2])
     spec_c, _ = spectra
-    init = sample_initial_coefficients(spec_c, 5, rng, realization=3)
+    init = _initial_draw(spec_c, 5, rng, realization=3)
     z_im = rng.normals(3, 0, ROLE_INIT_IM, 21)
     ell, m = 5, 2
     k = ell * (ell + 1) // 2 + m
     amp = math.sqrt(spec_c.value(ell) / 2.0)
+    assert init.re[k] == amp * whole[k] and init.im[k] == -(amp * z_im[k])
     assert init.values[ell, m] == pytest.approx(amp * (whole[k] - 1j * z_im[k]),
                                                 rel=1e-14, abs=0.0)
 
@@ -412,11 +426,10 @@ def test_law_draws_bitwise_from_roles(model):
 def test_increment_without_noise_takes_tiny_h(spectra):
     # with A = 0 the law needs no D_l, so h = 1e-16 is not refused
     spec_c, _ = spectra
-    zero = AlgebraicSpectrum(0.0, 0.0, 2.5)
-    d = sample_combined_pair(FractionalModel(0.5, 1e-5, spec_c, zero), 8, 2e-5, 1e-16,
+    d = sample_combined_pair(FractionalModel(0.5, 1e-5, spec_c, _ZERO), 8, 2e-5, 1e-16,
                              RngStream(1), increment=True)
     assert np.all(np.isfinite(d.values))
-    d = sample_combined_pair(FractionalModel(0.5, 1e-5, zero, zero), 8, 2e-5, 3e-6,
+    d = sample_combined_pair(FractionalModel(0.5, 1e-5, _ZERO, _ZERO), 8, 2e-5, 3e-6,
                              RngStream(1), increment=True)
     assert not np.any(d.values)
 
@@ -428,60 +441,59 @@ def test_increment_without_accurate_digit_refused(model):
         sample_combined_pair(model, 8, 2e-5, 1e-16, RngStream(1), increment=True)
 
 
-def test_initial_sampler_structure(spectra):
-    spec_c, _ = spectra
+def test_initial_sampler_structure(hom_model):
     rng = RngStream(5)
-    init = sample_initial_coefficients(spec_c, 30, rng)
-    assert init.time == 0.0
-    assert np.all(init.values[:, 0].imag == 0.0)  # m = 0 row is real
+    c = sample_combined(hom_model, 30, 1e-4, rng)
+    assert c.time == 1e-4
+    assert np.all(c.values[:, 0].imag == 0.0)  # m = 0 row is real
     tri = np.tril(np.ones((31, 31), dtype=bool))
-    assert np.all(init.values[~tri] == 0.0)  # m > l entries empty
-    zero = sample_initial_coefficients(AlgebraicSpectrum(0, 0, 2.5), 10, rng)
-    assert np.all(zero.values == 0.0)
+    assert np.all(c.values[~tri] == 0.0)  # m > l entries empty
+    zero = FractionalModel(hom_model.alpha, math.inf, _ZERO, _ZERO)
+    assert np.all(sample_combined(zero, 10, 1e-4, rng).values == 0.0)
 
 
-def test_evolve_homogeneous(model):
+def test_homogeneous_decay(model, hom_model):
+    # the homogeneous part at t decays the t = 0 draw by E_alpha(-lambda_l t^alpha)
     rng = RngStream(5)
-    init = sample_initial_coefficients(model.spec_c, 20, rng)
-    same = evolve_homogeneous(init, 0.0, model.alpha)
+    init = _initial_draw(model.spec_c, 20, rng)
+    same, later = stochastic._sample(hom_model, 20, [0.0, 0.5], rng, 0)
     assert np.array_equal(same.values, init.values)
-    later = evolve_homogeneous(init, 0.5, model.alpha)
+    assert later.time == 0.5
     assert later.values[0, 0] == init.values[0, 0]  # lambda_0 = 0
     fac = ml_neg(model.alpha, 2.0 * 0.5 ** model.alpha)
     assert later.values[1, 1] == pytest.approx(fac * init.values[1, 1], rel=1e-14,
                                                abs=0.0)
+    alone = sample_combined(hom_model, 20, 0.5, rng)
+    assert np.array_equal(alone.values, later.values)
 
 
 def test_inhomogeneous_zero_until_onset(model):
+    # spec_c = 0: the noise-driven part only
+    noise = FractionalModel(model.alpha, model.tau, _ZERO, model.spec_a)
     rng = RngStream(5)
-    pre = sample_inhomogeneous(model.spec_a, 10, model.tau, model.tau,
-                               model.alpha, rng)
+    pre = sample_combined(noise, 10, model.tau, rng)
     assert np.all(pre.values == 0.0)
-    zero_spec = sample_inhomogeneous(AlgebraicSpectrum(0, 0, 2.5), 10, 1.0,
-                                     model.tau, model.alpha, rng)
-    assert np.all(zero_spec.values == 0.0)
-    post = sample_inhomogeneous(model.spec_a, 10, 2 * model.tau, model.tau,
-                                model.alpha, rng)
+    post = sample_combined(noise, 10, 2 * model.tau, rng)
     assert np.any(post.values != 0.0)
     assert np.all(post.values[:, 0].imag == 0.0)
 
 
-def test_combined_before_onset_is_homogeneous(model):
+def test_combined_before_onset_is_homogeneous(model, hom_model):
     rng = RngStream(44)
     t = model.tau / 2
     combined = sample_combined(model, 15, t, rng, realization=2)
-    hom = evolve_homogeneous(
-        sample_initial_coefficients(model.spec_c, 15, rng, realization=2),
-        t, model.alpha)
+    hom = sample_combined(hom_model, 15, t, rng, realization=2)
     assert np.array_equal(combined.values, hom.values)
 
 
 def test_row_sampler_matches_full(model):
+    # row l of a draw at degree l is that row of any larger draw, which
+    # _mc_rows relies on
     rng = RngStream(31337)
     for t in (model.tau / 2, 10 * model.tau):
         full = sample_combined(model, 50, t, rng, realization=9)
-        rows = sample_coefficient_rows(model, t, rng, [0, 5, 50], realization=9)
-        for ell, row in rows.items():
+        for ell in (0, 5, 50):
+            row = sample_combined(model, ell, t, rng, realization=9).values[ell]
             assert np.array_equal(row, full.values[ell, : ell + 1])
 
 
@@ -493,23 +505,20 @@ def test_pair_marginal_bitwise(model):
     assert b.time == pytest.approx(1e-4 + 3e-6)
 
 
-def test_times_sampler_consistency(model):
+def test_times_sampler_consistency(model, hom_model):
     rng = RngStream(77)
     times = [model.tau / 2, 5 * model.tau, 20 * model.tau]
     outs = sample_combined_times(model, 25, times, rng, realization=1)
     # pre-onset snapshot is the pure homogeneous draw
-    hom = evolve_homogeneous(
-        sample_initial_coefficients(model.spec_c, 25, rng, realization=1),
-        times[0], model.alpha)
+    hom = sample_combined(hom_model, 25, times[0], rng, realization=1)
     assert np.array_equal(outs[0].values, hom.values)
     # first post-onset snapshot has the single-time law (bitwise)
     single = sample_combined(model, 25, times[1], rng, realization=1)
     assert np.array_equal(outs[1].values, single.values)
 
 
-def test_zero_everything(spectra):
-    zero = AlgebraicSpectrum(0.0, 0.0, 2.5)
-    m = FractionalModel(0.5, 1e-5, zero, zero)
+def test_zero_everything():
+    m = FractionalModel(0.5, 1e-5, _ZERO, _ZERO)
     out = sample_combined(m, 12, 1e-4, RngStream(1))
     assert np.all(out.values == 0.0)
 
@@ -518,10 +527,11 @@ def test_zero_everything(spectra):
 # samplers: distribution checks (5 standard errors at moderate N)
 
 def _mc_rows(model, ell, t, n, seed=99):
+    # row l of n draws at degree l: the rows of a draw at any larger degree
     rng = RngStream(seed)
     rows = np.empty((n, ell + 1), dtype=complex)
     for j in range(n):
-        rows[j] = sample_coefficient_rows(model, t, rng, [ell], realization=j)[ell]
+        rows[j] = sample_combined(model, ell, t, rng, realization=j).values[ell]
     return rows
 
 
@@ -531,7 +541,7 @@ def test_initial_variance_mc(spectra):
     n, ell = 10_000, 5
     vals = np.empty((n, ell + 1), dtype=complex)
     for j in range(n):
-        vals[j] = sample_initial_coefficients(spec_c, ell, rng, realization=j).values[ell, : ell + 1]
+        vals[j] = _initial_draw(spec_c, ell, rng, realization=j).values[ell]
     cl = spec_c.value(ell)
     for m in (0, 1, 4):
         mc = np.mean(np.abs(vals[:, m]) ** 2)
@@ -718,9 +728,55 @@ def test_covariance_holder_consistency(model):
 
 
 def test_degree_power():
-    c = CoefficientSet.zeros(2)
-    c.values[1, 0] = 3.0
-    c.values[1, 1] = 1.0 + 2.0j
-    p = c.degree_power()
+    values = np.zeros((3, 3), dtype=complex)
+    values[1, 0] = 3.0
+    values[1, 1] = 1.0 + 2.0j
+    p = CoefficientSet.from_square(values).degree_power()
     assert p[1] == pytest.approx(9.0 + 2.0 * 5.0)
-    assert c.tail_power(0) == pytest.approx(p[1] + p[2])
+    assert p[1:].sum() == pytest.approx(19.0)  # the tail past L = 0
+
+
+def _random_set(L, seed):
+    rng = np.random.default_rng(seed)
+    shape = (L + 1, L + 1)
+    return CoefficientSet.from_square(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def test_degree_power_matches_square_formula():
+    c = _random_set(50, 3)
+    v = c.values
+    ref = np.abs(v[:, 0]) ** 2 + 2.0 * (np.abs(v[:, 1:]) ** 2).sum(axis=1)
+    assert c.degree_power() == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_from_square_round_trip(model):
+    c = sample_combined(model, 20, 1e-4, RngStream(9), realization=4)
+    back = CoefficientSet.from_square(c.values, c.time, c.seed, c.realization)
+    assert (back.L, back.time, back.seed, back.realization) == (20, 1e-4, 9, 4)
+    assert np.array_equal(back.re, c.re) and np.array_equal(back.im, c.im)
+    full = np.arange(36.0).reshape(6, 6) * (1.0 - 2.0j)  # nonzero above the diagonal
+    c = CoefficientSet.from_square(full)
+    assert c.re.size == c.im.size == 21
+    assert np.array_equal(c.values, np.tril(full))
+
+
+def test_values_read_only():
+    c = _random_set(4, 5)
+    with pytest.raises(ValueError):
+        c.values[1, 0] = 1.0
+    with pytest.raises(AttributeError):
+        c.values = np.zeros((5, 5), dtype=complex)
+
+
+def test_law_draw_power_allocates_no_square(model):
+    # one warm law draw and its reduction at L = 1500 stay below the
+    # (L+1)^2 complex square, 36 MB
+    L, t = 1500, 1e-4
+    sample_combined(model, L, t, RngStream(1), law=True).degree_power()
+    tracemalloc.start()
+    try:
+        sample_combined(model, L, t, RngStream(1), realization=1, law=True).degree_power()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (L + 1) ** 2 * 16

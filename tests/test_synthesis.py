@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
-                        GridSpec, RngStream, sample_initial_coefficients,
+                        FractionalModel, GridSpec, RngStream, sample_combined,
                         synthesize, write_map_csv, write_map_image)
 from fracsphere.specfun import _norm_assoc_order, assoc_legendre_norm_table
 from fracsphere.synthesis import read_map_csv
@@ -25,25 +25,35 @@ def naive_eval(coeffs, thetas, phis):
     return total
 
 
+def zero_square(L):
+    return np.zeros((L + 1, L + 1), dtype=complex)
+
+
+def zero_coeffs(L):
+    return CoefficientSet.from_square(zero_square(L))
+
+
 def random_coeffs(L, seed=0):
     rng = np.random.default_rng(seed)
-    c = CoefficientSet.zeros(L)
+    values = zero_square(L)
     for ell in range(L + 1):
-        c.values[ell, 0] = rng.normal()
-        c.values[ell, 1: ell + 1] = rng.normal(size=ell) + 1j * rng.normal(size=ell)
-    return c
+        values[ell, 0] = rng.normal()
+        values[ell, 1: ell + 1] = rng.normal(size=ell) + 1j * rng.normal(size=ell)
+    return CoefficientSet.from_square(values)
 
 
 def test_constant_map():
-    c = CoefficientSet.zeros(3)
-    c.values[0, 0] = 2.5
+    values = zero_square(3)
+    values[0, 0] = 2.5
+    c = CoefficientSet.from_square(values)
     fmap = synthesize(c, GridSpec(5, 8))
     assert np.allclose(fmap.values, 2.5, atol=1e-14)
 
 
 def test_dipole_map():
-    c = CoefficientSet.zeros(2)
-    c.values[1, 0] = 1.0
+    values = zero_square(2)
+    values[1, 0] = 1.0
+    c = CoefficientSet.from_square(values)
     grid = GridSpec(9, 4)
     fmap = synthesize(c, grid)
     expect = math.sqrt(3.0) * np.cos(grid.colatitudes())
@@ -54,8 +64,7 @@ def test_dipole_map():
 def test_linearity():
     g = GridSpec(7, 12)
     c1, c2 = random_coeffs(10, 1), random_coeffs(10, 2)
-    both = CoefficientSet.zeros(10)
-    both.values = 3.0 * c1.values + c2.values
+    both = CoefficientSet.from_square(3.0 * c1.values + c2.values)
     lhs = synthesize(both, g).values
     rhs = 3.0 * synthesize(c1, g).values + synthesize(c2, g).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
@@ -85,8 +94,9 @@ def test_parseval_gauss_grid():
 def test_single_mode_longitudinal_content():
     # a pure (l, m) coefficient concentrates at longitudinal wavenumber m
     L, ell, m = 24, 20, 9
-    c = CoefficientSet.zeros(L)
-    c.values[ell, m] = 1.0 - 0.5j
+    values = zero_square(L)
+    values[ell, m] = 1.0 - 0.5j
+    c = CoefficientSet.from_square(values)
     grid = GridSpec(33, 2 * L + 2)
     fmap = synthesize(c, grid)
     spec = np.abs(np.fft.rfft(fmap.values, axis=1)) ** 2
@@ -109,10 +119,11 @@ def test_l400_pixels_match_scipy_harmonics():
     rng = np.random.default_rng(17)
     rows, cols = rng.integers(0, 96, 300), rng.integers(0, 200, 300)
     m = np.arange(L + 1)
+    values = c.values
     worst = 0.0
     for j in np.unique(rows):
         radial = math.sqrt(4.0 * math.pi) * sph_harm_y_all(L, L, thetas[j], 0.0)[:, :L + 1].real
-        ring = (c.values * radial).sum(axis=0) * np.where(m == 0, 1.0, 2.0)
+        ring = (values * radial).sum(axis=0) * np.where(m == 0, 1.0, 2.0)
         ks = cols[rows == j]
         ref = (np.exp(1j * np.outer(phis[ks], m)) @ ring).real
         worst = max(worst, float(np.max(np.abs(fmap.values[j, ks] - ref))))
@@ -198,7 +209,7 @@ def test_csv_bytes_match_per_value_format(tmp_path):
 
 
 def test_zero_map_csv(tmp_path):
-    fmap = synthesize(CoefficientSet.zeros(1), GridSpec(2, 1))
+    fmap = synthesize(zero_coeffs(1), GridSpec(2, 1))
     path = tmp_path / "zero.csv"
     write_map_csv(fmap, path)
     rows = path.read_text().splitlines()[1:]
@@ -210,7 +221,7 @@ def test_ppm_bytes_documented_example(tmp_path):
     # 2x2 map [[0, 1], [0.5, 0.25]] on [0, 1] with the gray map:
     # indices 0, 255, 128, 64 -> documented raw bytes
     grid = GridSpec(2, 2)
-    fmap = synthesize(CoefficientSet.zeros(1), grid)
+    fmap = synthesize(zero_coeffs(1), grid)
     fmap.values = np.array([[0.0, 1.0], [0.5, 0.25]])
     path = tmp_path / "map.ppm"
     write_map_image(fmap, str(path), colormap="gray", vrange=(0.0, 1.0))
@@ -226,7 +237,7 @@ def test_ppm_bytes_documented_example(tmp_path):
 
 def test_constant_map_single_color(tmp_path):
     grid = GridSpec(3, 4)
-    fmap = synthesize(CoefficientSet.zeros(1), grid)
+    fmap = synthesize(zero_coeffs(1), grid)
     fmap.values = np.full((3, 4), 1.25)
     path = tmp_path / "flat.ppm"
     write_map_image(fmap, str(path), colormap="coolwarm")
@@ -238,7 +249,7 @@ def test_constant_map_single_color(tmp_path):
 
 def test_unwritable_path_no_partial_file(tmp_path):
     grid = GridSpec(2, 2)
-    fmap = synthesize(CoefficientSet.zeros(1), grid)
+    fmap = synthesize(zero_coeffs(1), grid)
     missing = tmp_path / "no" / "such" / "dir" / "map.ppm"
     with pytest.raises(OSError):
         write_map_image(fmap, str(missing))
@@ -248,7 +259,7 @@ def test_unwritable_path_no_partial_file(tmp_path):
 def test_png_sibling_written(tmp_path):
     pytest.importorskip("PIL")
     grid = GridSpec(2, 3)
-    fmap = synthesize(CoefficientSet.zeros(1), grid)
+    fmap = synthesize(zero_coeffs(1), grid)
     path = tmp_path / "map.ppm"
     write_map_image(fmap, str(path))
     assert (tmp_path / "map.png").exists()
@@ -258,7 +269,8 @@ def test_synthesis_from_isotropic_draw():
     # end to end: an isotropic draw synthesizes to finite values, and the
     # equiangular grid covers the poles
     spec = AlgebraicSpectrum(1.0, 1.0, 2.3)
-    coeffs = sample_initial_coefficients(spec, 32, RngStream(1))
+    coeffs = sample_combined(FractionalModel(0.5, math.inf, spec, spec), 32, 1e-4,
+                             RngStream(1))
     grid = GridSpec(17, 36)
     fmap = synthesize(coeffs, grid)
     assert np.all(np.isfinite(fmap.values))
