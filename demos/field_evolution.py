@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Evolution of the two-stage random field.
 
-One realization is drawn at degree 200 and evolved jointly through three
-epochs: the initial isotropic field (t ~ 0), the purely diffusive stage
-(t = tau, noise not yet switched on), and the noise-driven stage
-(t = 10 tau).  The same initial draw underlies all three maps, so the
-large-scale pattern persists while small scales relax and, after tau,
-noise power appears.
+One realization is drawn at degree 200 through three epochs: the
+initial isotropic field (t ~ 0), the purely diffusive stage (t = tau,
+noise not yet switched on), and the noise-driven stage (t = 10 tau).  The
+three maps are one draw from the exact joint law of the coefficients
+across the times, so the large-scale pattern persists while small scales
+relax and, after tau, noise power appears.
 
 Writes map_t*.ppm / .png / .csv plus a manifest into evolution_out/.
 """

@@ -104,10 +104,9 @@ def _power(model, L, t, h, rng, realization):
     """Per-degree Parseval power of one draw of U(t) (h None), or of the
     increment U(t+h) - U(t), each from its exact law."""
     if h is None:
-        return sample_combined(model, L, t, rng, realization=realization,
-                               law=True).degree_power()
-    return sample_combined_pair(model, L, t, h, rng, realization=realization,
-                                increment=True).degree_power()
+        return sample_combined(model, L, t, rng, realization=realization).degree_power()
+    return sample_combined_pair(model, L, t, h, rng,
+                                realization=realization).degree_power()
 
 
 def _run_jobs(tasks, workers):
@@ -125,8 +124,8 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=1):
     estimator sums the tail of the same realization):
         empirical(L) = sqrt( mean_j sum_{l>L} p_l(j) ),
     with p_l the per-degree Parseval power.  Each realization is drawn
-    from the one-time law (sample_combined with law=True), two normal
-    arrays; the per-degree variances are computed once.  The bound column
+    from the one-time law (sample_combined), two normal arrays; the
+    per-degree variances are computed once.  The bound column
     is the combined truncation bound; rows whose case conditions fail are
     flagged.
     """
@@ -169,8 +168,8 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
     q(t) sqrt(h) bound (measured constant unless overridden).
 
     Each realization draws the increment directly from its exact law
-    (sample_combined_pair with increment=True), two normal arrays; the
-    per-degree increment variances are computed once per h."""
+    (sample_combined_pair), two normal arrays; the per-degree increment
+    variances are computed once per h."""
     L = check_degree("increment_curve: L", L)
     hs = check_list("increment_curve: h_grid", h_grid, check_real)
     if sorted(hs) != hs:
@@ -199,16 +198,23 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
 def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm",
                         vrange=None, realization=0):
     """Simulate one realization jointly at the given ascending times, render
-    each as an image + CSV under out_dir, and return the field maps."""
+    each as an image + CSV under out_dir, and return the field maps.
+    Files are named map_t{t:g}; times whose names collide are refused
+    before drawing."""
     times = check_list("evolution_snapshots: times", times, check_real)
     out_dir = check_path("evolution_snapshots: out_dir", out_dir)
     _colormap_table(colormap)  # refuse an unknown name before drawing
+    stems = [f"map_t{t:g}" for t in times]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise DomainError(f"evolution_snapshots: times {times[stems.index(stem)]!r} "
+                              f"and {times[i]!r} share the file name {stem}")
     sets = sample_combined_times(model, L, times, RngStream(seed), realization)
     os.makedirs(out_dir, exist_ok=True)
     maps = []
-    for t, coeffs in zip(times, sets):
+    for name, coeffs in zip(stems, sets):
         fmap = synthesize(coeffs, grid)
-        stem = os.path.join(out_dir, f"map_t{t:g}")
+        stem = os.path.join(out_dir, name)
         write_map_image(fmap, stem + ".ppm", colormap=colormap, vrange=vrange)
         write_map_csv(fmap, stem + ".csv")
         maps.append(fmap)

@@ -9,27 +9,24 @@ coefficients (m >= 0 stored; m < 0 implied by conjugation for a real field):
                  + 1_{t>tau} sqrt(A_l/2) (I1_{l,m} - i I2_{l,m}),
 
 with Z ~ N(0,1) iid and I(s) ~ N(0, sigma^2_{l,s,alpha}),
-sigma^2_{l,s,alpha} = int_0^s E_alpha(-lambda_l r^alpha)^2 dr.
+sigma^2_{l,s,alpha} = int_0^s E_alpha(-lambda_l r^alpha)^2 dr.  Across
+times, with E_i = E_alpha(-lambda_l t_i^alpha), V_{l,0} has the covariance
 
-Sampling at several times reuses the same Z draws (the homogeneous part is
-a deterministic decay of the initial field) and draws the stochastic
-integrals jointly with their exact two-time covariance
-
+    Sigma_l(t_i, t_j) = C_l E_i E_j
+                        + 1_{t_i, t_j > tau} A_l cross_sigma(l, s, h),
     cross_sigma(l, s, h) = int_0^s E(-lambda (r+h)^a) E(-lambda r^a) dr,
 
-via Cholesky factors for all degrees at once, so temporal increments have
-the true law.  A Monte Carlo increment needs only U(t+h) - U(t), whose
-coefficients are again independent Gaussians, of variance
+at the smaller lag s past tau and the lag difference h; Re and Im of
+V_{l,m}, m >= 1, each carry Sigma_l / 2.  That is the one law every draw
+comes from.  A draw at k times applies F_l, a lower-triangular factor of
+Sigma_l built row by row over the times, to k pairs of normal arrays.  A
+draw at one time is the case k = 1: sqrt(v_l) times one pair, with
+v_l = coefficient_variance(l, t).  A Monte Carlo increment needs only
+U(t+h) - U(t), which is again the case k = 1, of variance
 
     v_l = (E_alpha(-lambda_l (t+h)^alpha) - E_alpha(-lambda_l t^alpha))^2 C_l
           + A_l D_l,
-    D_l = sigma^2_{l,s+h} + sigma^2_{l,s} - 2 cross_sigma(l, s, h),  s = t - tau,
-
-so it is drawn directly as sqrt(v_l) times one pair of normal arrays
-instead of two full draws from six.  A Monte Carlo draw at one time is
-drawn the same way from its one-time law, v_l = coefficient_variance(l, t)
-= C_l E_alpha(-lambda_l t^alpha)^2 + 1_{t>tau} A_l sigma^2_{l,t-tau,alpha},
-instead of from the four arrays of the initial draw and the noise integral.
+    D_l = sigma^2_{l,s+h} + sigma^2_{l,s} - 2 cross_sigma(l, s, h),  s = t - tau.
 
 Both kernel variances take a degree or an ndarray of degrees.  In the
 scaled time u = lambda^(1/alpha) r the kernel is E_alpha(-u^alpha), so
@@ -43,15 +40,15 @@ graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
 carries an error estimate from an embedded lower-order rule; a value whose
 summed estimate exceeds 1e-10 of itself raises AccuracyError.
 
-Randomness is counter-based (RNG scheme 5): each (seed, realization,
+Randomness is counter-based (RNG scheme 6): each (seed, realization,
 role) has its own Philox key, and variate number l(l+1)/2 + m of that
-stream belongs to coefficient (l, m), the np.tril_indices order.  Roles 0
-and 1 are the initial draw, 2 and 3 a direct increment, 4 and 5 a draw
-from the one-time law, and 16 + 2k and 17 + 2k the noise of the k-th time
-past tau.  A realization draws each role as one packed array, every
-variate is a pure function of its coordinates, and a draw at degree L has
-the rows of a draw at any larger degree, bit for bit.  Draws are
-order-independent and identical under any work scheduling.
+stream belongs to coefficient (l, m), the np.tril_indices order.  Column
+j of a draw takes roles 4 + 2j (Re) and 5 + 2j (Im), so time 0 of any
+joint draw is the one-time draw; an increment takes roles 2 and 3.  A
+realization draws each role as one packed array, every variate is a pure
+function of its coordinates, and a draw at degree L has the rows of a
+draw at any larger degree, bit for bit.  Draws are order-independent and
+identical under any work scheduling.
 
 A CoefficientSet stores Re V and Im V as two such packed arrays.  Monte
 Carlo reductions (degree_power) read them directly; the (L+1)x(L+1) square
@@ -67,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
-                     check_degrees, check_real, check_unit_interval, whole)
+                     check_degrees, check_list, check_real, check_unit_interval,
+                     whole)
 from .spectra import AlgebraicSpectrum, m_alpha
 from .specfun import ml_neg
 
@@ -76,13 +74,10 @@ __all__ = [
     "CoefficientSet",
     "RngStream",
     "RNG_SCHEME",
-    "ROLE_INIT_RE",
-    "ROLE_INIT_IM",
     "ROLE_INC_RE",
     "ROLE_INC_IM",
     "ROLE_LAW_RE",
     "ROLE_LAW_IM",
-    "noise_role",
     "sigma_squared",
     "sigma_squared_bound",
     "cross_sigma",
@@ -113,25 +108,14 @@ class FractionalModel:
 # --------------------------------------------------------------------------
 # counter-based RNG streams
 
-ROLE_INIT_RE = 0
-ROLE_INIT_IM = 1
-ROLE_INC_RE = 2   # a direct increment draw (sample_combined_pair)
+ROLE_INC_RE = 2   # an increment draw (sample_combined_pair)
 ROLE_INC_IM = 3
-ROLE_LAW_RE = 4   # a draw from the one-time law (sample_combined, law=True)
+ROLE_LAW_RE = 4   # column j of a law draw takes ROLE_LAW_RE + 2j, ROLE_LAW_IM + 2j
 ROLE_LAW_IM = 5
-_ROLE_NOISE_BASE = 16
-_MAX_NOISE_SLOTS = 100
+_ROLES = 2 ** 8   # role ids fit in one byte of the Philox key
+_MAX_TIMES = (_ROLES - ROLE_LAW_RE) // 2
 
-
-def noise_role(slot, component):
-    """Role id of the noise draw for time-slot `slot` (0-based) and
-    component 0 (real) / 1 (imag)."""
-    if not (0 <= slot < _MAX_NOISE_SLOTS):
-        raise DomainError(f"noise slot out of range: {slot}")
-    return _ROLE_NOISE_BASE + 2 * slot + component
-
-
-RNG_SCHEME = 5  # version of the map from coordinates to variates
+RNG_SCHEME = 6  # version of the map from coordinates to variates
 
 
 def _coordinate(name, value, bound):
@@ -163,7 +147,7 @@ class RngStream:
         first variate of degree ell; the stream's prefix is drawn and dropped."""
         realization = _coordinate("realization index", realization, 2 ** 56)
         ell = _coordinate("degree", ell, 2 ** 20)
-        role = _coordinate("role", role, 2 ** 8)
+        role = _coordinate("role", role, _ROLES)
         key = np.array([self.seed, realization << 8 | role], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         skip = ell * (ell + 1) // 2
@@ -173,7 +157,7 @@ class RngStream:
 # --------------------------------------------------------------------------
 # coefficient sets
 
-@dataclass
+@dataclass(eq=False)
 class CoefficientSet:
     """Complex coefficients {V_{l,m} : 0 <= m <= l <= L} of a real field,
     packed in np.tril_indices(L + 1) order (entry l(l+1)/2 + m holds (l, m)),
@@ -471,16 +455,12 @@ def cross_sigma(ell, s, h, alpha):
 
 
 # --------------------------------------------------------------------------
-# samplers
+# the sampler
 
-@functools.lru_cache(maxsize=64)
 def _decay_factors(L, t, alpha):
-    """E_alpha(-lambda_l t^alpha) for l = 0..L; read-only and cached, so
-    that all realizations at one time share one evaluation."""
+    """E_alpha(-lambda_l t^alpha) for l = 0..L."""
     ells = np.arange(L + 1, dtype=float)
-    fac = ml_neg(alpha, ells * (ells + 1.0) * t ** alpha)
-    fac.flags.writeable = False
-    return fac
+    return ml_neg(alpha, ells * (ells + 1.0) * t ** alpha)
 
 
 @functools.lru_cache(maxsize=8)
@@ -504,107 +484,10 @@ def _packed(head, rest, L):
     return out
 
 
-def _amplitudes(spec, L):
-    """Per degree, the standard deviation of Re V_{l,m} for a unit-variance
-    draw at m = 0, sqrt(X_l), and at m >= 1, sqrt(X_l / 2); None when the
-    spectrum vanishes on 0..L."""
-    x = spec.value(np.arange(L + 1))
-    return (np.sqrt(x), np.sqrt(x / 2.0)) if np.any(x) else None
-
-
-def _sample(model, L, times, rng, realization, law=False):
-    """Coefficient sets of one realization at the increasing times >= 0;
-    with law=True, the one set drawn from an exact law, stamped with the
-    last time: of U(t) for times (t,), of U(t+h) - U(t) for (t, t + h).
-
-    Each role's normals are one packed array in np.tril_indices(L + 1)
-    order, so the variate of (l, m) is number l(l+1)/2 + m of its stream
-    at any L.  A law draw is _law_amplitude times one pair of draws, roles
-    ROLE_LAW_RE/ROLE_LAW_IM for one time and ROLE_INC_RE/ROLE_INC_IM for an
-    increment.  Otherwise the homogeneous part decays one initial draw,
-    and past tau the noise integrals at the k lags t - tau are the Cholesky
-    factor of their covariance applied to k independent draws; lag i adds
-    draws 0..i in that order, so a time has the same bits whatever later
-    times are drawn with it.  One role's draw is held at a time.
-    """
-    L = check_degree("degree L", L)
-    counts, starts, _ = _layout(L)
-    n = int(starts[-1]) + L + 1
-    if law:
-        amp = _law_amplitude(model, L, *times)
-        roles = (ROLE_LAW_RE, ROLE_LAW_IM) if len(times) == 1 else (ROLE_INC_RE, ROLE_INC_IM)
-        re, im = (amp * rng.normals(realization, 0, role, n) for role in roles)
-        return _scatter(L, times[-1:], [re], [im], rng.seed, realization)
-    lags = tuple(t - model.tau for t in times if t > model.tau)
-    amp = _amplitudes(model.spec_c, L)
-    if amp is None:
-        re = [np.zeros(n) for _ in times]  # packed Re V per output
-        im = [np.zeros(n) for _ in times]  # packed -Im V per output
-    else:
-        amp = _packed(*amp, L)
-        decays = [_decay_factors(L, t, model.alpha) for t in times]
-        re, im = [], []
-        for part, role in ((re, ROLE_INIT_RE), (im, ROLE_INIT_IM)):
-            z = amp * rng.normals(realization, 0, role, n)
-            for decay in decays:
-                fac = np.repeat(decay, counts)
-                fac *= z
-                part.append(fac)
-    amp = _amplitudes(model.spec_a, L) if lags else None
-    if amp is not None:
-        scales = _joint_noise_scales(L, lags, model.alpha)
-        first = len(times) - len(lags)
-        for j in range(len(lags)):
-            eta_re, eta_im = (rng.normals(realization, 0, noise_role(j, c), n)
-                              for c in (0, 1))
-            for i in range(j, len(lags)):
-                w = _packed(amp[0] * scales[:, i, j], amp[1] * scales[:, i, j], L)
-                re[first + i] += w * eta_re
-                im[first + i] += w * eta_im
-    return _scatter(L, times, re, im, rng.seed, realization)
-
-
-def _scatter(L, times, re, im, seed, realization):
-    """One CoefficientSet per time from its packed Re V and -Im V."""
-    starts = _layout(L)[1]
-    outs = []
-    for t, re_t, im_t in zip(times, re, im):
-        np.negative(im_t, out=im_t)  # V_{l,m} = sigma (Z1 - i Z2)
-        im_t[starts] = 0.0           # V_{l,0} is real
-        outs.append(CoefficientSet(L=L, re=re_t, im=im_t, time=t, seed=seed,
-                                   realization=realization))
-    return outs
-
-
-def sample_combined(model, L, t, rng, realization=0, law=False):
-    """Draw the full solution's coefficients at time t (homogeneous decay of
-    an initial draw plus, past tau, the independent noise integral).
-
-    With law=True, draw them from their one-time law instead: sqrt(v_l)
-    times one pair of normal arrays, v_l = coefficient_variance(l, t), in
-    place of the four arrays of the two parts.  The law is the same, the
-    variates are not: it is not the default draw with the same coordinates."""
-    t = check_real("sample_combined: t", t)
-    return _sample(model, L, [t], rng, realization, law=law)[0]
-
-
-@functools.lru_cache(maxsize=32)
-def _joint_noise_scales(L, lags, alpha):
-    """Cholesky factors, one per degree l = 0..L, of the covariance of the
-    stochastic integrals at the increasing lags (a tuple); read-only and
-    cached, so that all realizations of a curve share one stack."""
-    cov = _covariance_stack(L, lags, alpha)
-    try:
-        scales = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        scales = np.array([_factor(c, ell, lags) for ell, c in enumerate(cov)])
-    scales.flags.writeable = False
-    return scales
-
-
 def _covariance_stack(L, lags, alpha):
-    """(L+1, k, k) covariances: entry (i, j) is cross_sigma at the smaller
-    lag and the lag difference, one vector call per entry."""
+    """(L+1, k, k) covariances of the noise integrals at the increasing
+    lags: entry (i, j) is cross_sigma at the smaller lag and the lag
+    difference, one vector call per entry."""
     ells = np.arange(L + 1)
     k = len(lags)
     cov = np.empty((L + 1, k, k))
@@ -613,6 +496,51 @@ def _covariance_stack(L, lags, alpha):
             lo, hi = lags[i], lags[j]
             cov[:, i, j] = cov[:, j, i] = cross_sigma(ells, lo, hi - lo, alpha)
     return cov
+
+
+def _joint_covariance(model, L, times):
+    """(L+1, k, k) covariances Sigma_l(t_i, t_j) of V_{l,0} at the k
+    increasing times: C_l E_i E_j, E_i = E_alpha(-lambda_l t_i^alpha), plus
+    A_l times the noise integrals' covariance where both times are past
+    tau.  The diagonal has the bits of coefficient_variance.  The noise
+    block is skipped when A vanishes on 0..L."""
+    ells = np.arange(L + 1)
+    e = np.stack([_decay_factors(L, t, model.alpha) for t in times], axis=1)
+    cov = (model.spec_c.value(ells)[:, None] * e)[:, :, None] * e[:, None, :]
+    lags = tuple(t - model.tau for t in times if t > model.tau)
+    a = model.spec_a.value(ells)
+    if lags and np.any(a):
+        first = len(times) - len(lags)
+        cov[:, first:, first:] += a[:, None, None] * _covariance_stack(L, lags, model.alpha)
+    return cov
+
+
+def _cholesky(cov, times):
+    """Per degree, the lower-triangular F with F F^T = cov, for an
+    (L+1, k, k) stack over the k times, built row by row, so row i depends
+    only on the first i + 1 times.
+
+    Before the noise onset the times are exactly correlated (Sigma has
+    rank 1 there), and the pivot is roundoff of either sign: a pivot
+    within +-_REL_TOL Sigma_ii is set to zero, and so is its column.  One
+    below -_REL_TOL Sigma_ii raises AccuracyError."""
+    f = np.zeros_like(cov)
+    for i in range(cov.shape[1]):
+        for j in range(i):
+            num = cov[:, i, j] - (f[:, i, :j] * f[:, j, :j]).sum(axis=1)
+            f[:, i, j] = np.divide(num, f[:, j, j], out=np.zeros_like(num),
+                                   where=f[:, j, j] > 0.0)
+        pivot = cov[:, i, i] - (f[:, i, :i] ** 2).sum(axis=1)
+        tol = _REL_TOL * cov[:, i, i]
+        bad = pivot < -tol
+        if np.any(bad):
+            ell = int(np.argmax(bad))
+            raise AccuracyError(
+                f"joint covariance not positive semidefinite at l={ell}, "
+                f"times={list(times[:i + 1])} (pivot {pivot[ell]:.2e} of "
+                f"variance {cov[ell, i, i]:.2e})")
+        f[:, i, i] = np.where(pivot > tol, np.sqrt(np.maximum(pivot, 0.0)), 0.0)
+    return f
 
 
 def _increment_variance(L, lags, alpha):
@@ -632,13 +560,11 @@ def _increment_variance(L, lags, alpha):
     return d
 
 
-@functools.lru_cache(maxsize=64)
 def _increment_law(model, L, t, t_h):
     """v_l = E|V_{l,0}(t_h) - V_{l,0}(t)|^2 = (E(t_h) - E(t))^2 C_l + A_l D_l,
-    l = 0..L, for t past tau: the exact per-degree variance of an increment
-    (Re and Im of m >= 1 each carry v_l / 2).  Read-only and cached, so
-    that all realizations of a curve share one evaluation.  D_l is skipped
-    when A vanishes on 0..L, so a model without noise takes any h > 0."""
+    l = 0..L, for t past tau: the exact per-degree variance of an
+    increment.  D_l is skipped when A vanishes on 0..L, so a model without
+    noise takes any h > 0."""
     ells = np.arange(L + 1)
     de = _decay_factors(L, t_h, model.alpha) - _decay_factors(L, t, model.alpha)
     v = model.spec_c.value(ells) * de * de
@@ -646,76 +572,108 @@ def _increment_law(model, L, t, t_h):
     if np.any(a):
         lags = (t - model.tau, t_h - model.tau)
         v += a * _increment_variance(L, lags, model.alpha)
-    v.flags.writeable = False
-    return v
-
-
-@functools.lru_cache(maxsize=64)
-def _one_time_law(model, L, t):
-    """v_l = coefficient_variance(model, l, t), l = 0..L: the exact
-    per-degree variance of U(t) (Re and Im of m >= 1 each carry v_l / 2).
-    Read-only and cached, like _increment_law."""
-    v = coefficient_variance(model, np.arange(L + 1), t)
-    v.flags.writeable = False
     return v
 
 
 @functools.lru_cache(maxsize=1)
-def _law_amplitude(model, L, t, t_h=None):
-    """The packed standard deviations of a law draw, sqrt(v_l) at (l, 0)
-    and sqrt(v_l / 2) at (l, m >= 1): v_l of U(t) (t_h None) or of
-    U(t_h) - U(t).  Read-only; only the last law's (L+1)(L+2)/2 floats are
-    held, since a curve draws every realization of one law in a row."""
-    v = _one_time_law(model, L, t) if t_h is None else _increment_law(model, L, t, t_h)
-    amp = _packed(np.sqrt(v), np.sqrt(v / 2.0), L)
-    amp.flags.writeable = False
-    return amp
+def _law_weights(model, L, times, increment):
+    """The packed weights of a draw: w[i][j], j <= i, holds column j of the
+    per-degree factor of Sigma_l at (l, 0) and of Sigma_l / 2 at
+    (l, m >= 1), so a one-time law gets sqrt(v_l) and sqrt(v_l / 2).
+    Sigma_l is the covariance across the times (a tuple) or, for an
+    increment, the 1x1 variance of U(t_h) - U(t) at times (t, t_h).
+    Read-only; only the last law's weights are held, since a curve draws
+    every realization of one law in a row."""
+    if increment:
+        cov = _increment_law(model, L, *times)[:, None, None]
+    else:
+        cov = _joint_covariance(model, L, times)
+    head, rest = _cholesky(cov, times), _cholesky(cov / 2.0, times)
+    weights = []
+    for i in range(cov.shape[1]):
+        row = tuple(_packed(head[:, i, j], rest[:, i, j], L) for j in range(i + 1))
+        for w in row:
+            w.flags.writeable = False
+        weights.append(row)
+    return tuple(weights)
 
 
-def _factor(cov, ell, lags):
-    """Cholesky factor of one degree's covariance, or its eigen-factor when
-    quadrature roundoff leaves tiny negative eigenvalues."""
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh(cov)
-        if np.min(w) < -1e-12 * max(np.max(w), 1e-300):
-            raise AccuracyError(
-                f"joint noise covariance not positive semidefinite at l={ell}, "
-                f"lags={list(lags)} (min eig {np.min(w):.2e})")
-        w = np.clip(w, 0.0, None)
-        return v * np.sqrt(w)
+def _combine(weights, rng, realization, role, n):
+    """One component of every output: output i is sum_{j <= i} w[i][j] z_j,
+    summed in column order, z_j the packed normals of role + 2j.  One
+    column's normals are held at a time."""
+    out = []
+    for j in range(len(weights)):
+        z = rng.normals(realization, 0, role + 2 * j, n)
+        for i in range(j, len(weights)):
+            if j == 0:
+                out.append(weights[i][0] * z)
+            else:
+                out[i] += weights[i][j] * z
+    return out
+
+
+def _sample(model, L, times, rng, realization, increment):
+    """Coefficient sets of one realization from their exact Gaussian law:
+    one per increasing time >= 0, or with increment, the one set of
+    U(t_h) - U(t) for times (t, t_h), stamped with t_h.
+
+    The weights of _law_weights are applied to packed normals in
+    np.tril_indices(L + 1) order, so the variate of (l, m) is number
+    l(l+1)/2 + m of its stream at any L.  Column j draws roles
+    ROLE_LAW_RE + 2j and ROLE_LAW_IM + 2j, an increment roles ROLE_INC_RE
+    and ROLE_INC_IM.  Time 0 of a joint draw is the one-time law draw,
+    and a time has the same bits whatever later times are drawn with it."""
+    L = check_degree("degree L", L)
+    weights = _law_weights(model, L, tuple(times), increment)
+    roles = (ROLE_INC_RE, ROLE_INC_IM) if increment else (ROLE_LAW_RE, ROLE_LAW_IM)
+    n = (L + 1) * (L + 2) // 2
+    re, im = (_combine(weights, rng, realization, role, n) for role in roles)
+    starts = _layout(L)[1]
+    for im_t in im:
+        np.negative(im_t, out=im_t)  # V_{l,m} = sigma (Z1 - i Z2)
+        im_t[starts] = 0.0           # V_{l,0} is real
+    return [CoefficientSet(L=L, re=re_t, im=im_t, time=t, seed=rng.seed,
+                           realization=realization)
+            for t, re_t, im_t in zip(times[-1:] if increment else times, re, im)]
+
+
+def sample_combined(model, L, t, rng, realization=0):
+    """Draw the solution's coefficients at time t from their exact law:
+    sqrt(v_l) times one pair of normal arrays (roles ROLE_LAW_RE and
+    ROLE_LAW_IM), sqrt(v_l / 2) for Re and Im at m >= 1, with
+    v_l = coefficient_variance(l, t)."""
+    t = check_real("sample_combined: t", t)
+    return _sample(model, L, [t], rng, realization, False)[0]
 
 
 def sample_combined_times(model, L, times, rng, realization=0):
-    """Draw the solution jointly at several increasing times.
+    """Draw the solution jointly at several increasing times, from the
+    exact joint law of its coefficients across the times (the decay of the
+    initial field and the noise integrals' cross-covariance), so that
+    differences between times have the true increment law.
 
-    The homogeneous part shares one set of Z draws across all times; the
-    noise integrals are drawn as the exact joint Gaussian across times via
-    the cross-covariance Cholesky factor, so differences between times have
-    the true increment law.
-    """
-    times = [check_real("sample_combined_times: time", t) for t in times]
+    Snapshot 0 is sample_combined at times[0], bit for bit, and the first
+    i snapshots do not depend on the times after them.  Each time takes
+    two roles below 256, so at most 126 times are drawn together."""
+    times = check_list("sample_combined_times: times", times, check_real)
+    if len(times) > _MAX_TIMES:
+        raise DomainError(f"sample_combined_times: at most {_MAX_TIMES} times, "
+                          f"got {len(times)}")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise DomainError("sample_combined_times: times must be increasing")
-    return _sample(model, L, times, rng, realization)
+    return _sample(model, L, times, rng, realization, False)
 
 
-def sample_combined_pair(model, L, t, h, rng, realization=0, increment=False):
-    """Draw (U(t), U(t+h)) jointly, t > tau, h > 0; the marginal at t is
-    bit-identical to sample_combined with the same coordinates.
-
-    With increment=True, draw only the increment U(t+h) - U(t), one
-    CoefficientSet, from its own exact law: sqrt(v_l) times one pair of
-    normal arrays, v_l = (E(t+h) - E(t))^2 C_l + A_l D_l, instead of the
-    pair's six arrays.  It is not the difference of a pair's draws with
-    the same coordinates."""
+def sample_combined_pair(model, L, t, h, rng, realization=0):
+    """Draw the increment U(t+h) - U(t), t > tau, h > 0, as one
+    CoefficientSet stamped t + h, from its own exact law: sqrt(v_l) times
+    one pair of normal arrays (roles ROLE_INC_RE and ROLE_INC_IM),
+    v_l = (E(t+h) - E(t))^2 C_l + A_l D_l.  The pair (U(t), U(t+h)) itself
+    is sample_combined_times at (t, t + h)."""
     t = check_real("sample_combined_pair: t (above tau)", t, model.tau)
     h = check_real("sample_combined_pair: h", h)
-    if increment:
-        return _sample(model, L, [t, t + h], rng, realization, law=True)[0]
-    a, b = _sample(model, L, [t, t + h], rng, realization)
-    return a, b
+    return _sample(model, L, [t, t + h], rng, realization, True)[0]
 
 
 # --------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_truncation_run_writes_artifacts(tmp_path):
     assert (tmp_path / "run" / "trunc_0.5.json").exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 7 and manifest["experiment"] == "truncation"
-    assert manifest["version"] and manifest["rng_scheme"] == 5
+    assert manifest["version"] and manifest["rng_scheme"] == 6
 
 
 def test_increments_run(tmp_path):
@@ -153,6 +153,21 @@ def test_simulate_run(tmp_path):
     assert (tmp_path / "map_t0.0001.csv").exists()
     sidecar = json.loads((tmp_path / "map_t0.0001.json").read_text())
     assert sidecar["colormap"] == "coolwarm"
+
+
+def test_simulate_colliding_snapshot_names_refused(tmp_path, record_calls):
+    # f"{t:g}" keeps 6 digits, so both times name map_t0.0001: the run used
+    # to exit 0 and report two snapshots after writing one over the other
+    from fracsphere import experiments
+
+    calls = record_calls(experiments, "sample_combined_times")
+    out = tmp_path / "maps"
+    code, _ = run_cli("simulate", "--out", str(out), "--L", "8",
+                      "--times", "1.0000001e-4", "1.0000002e-4", "--n-lat", "6",
+                      "--n-lon", "8")
+    assert code == 2
+    assert not calls
+    assert not out.exists()
 
 
 def test_simulate_fractional_grid_refused(tmp_path):

@@ -96,8 +96,7 @@ def test_truncation_matches_direct_estimator(small_model):
     for L, emp, bound, flag in curve.rows:
         acc = 0.0
         for j in range(5):
-            c = sample_combined(small_model, 24, 1e-4, RngStream(3), realization=j,
-                                law=True)
+            c = sample_combined(small_model, 24, 1e-4, RngStream(3), realization=j)
             acc += c.degree_power()[int(L) + 1:].sum()
         assert emp == pytest.approx(math.sqrt(acc / 5), rel=1e-12)
     # L = 12 is past both knees at t = 1e-4 (case III, valid bound); L = 6
@@ -166,7 +165,7 @@ def test_curves_accept_integral_float_n_real(small_model):
 
 def test_truncation_ml_neg_calls_independent_of_n_real(monkeypatch):
     # the one-time law is evaluated once per (model, L, t), not per draw;
-    # its caches are cleared so that each curve evaluates it once
+    # its cache is cleared so that each curve evaluates it once
     m = FractionalModel(0.75, 1e-5, AlgebraicSpectrum(1.0, 1.0, 2.3),
                         AlgebraicSpectrum(1e4, 1e4, 2.5))
     kw = dict(l_tilde=60, l_grid=[10, 20], t=1e-4, seed=4)
@@ -176,8 +175,7 @@ def test_truncation_ml_neg_calls_independent_of_n_real(monkeypatch):
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     counts = []
     for n_real in (2, 6):
-        stochastic._one_time_law.cache_clear()
-        stochastic._law_amplitude.cache_clear()
+        stochastic._law_weights.cache_clear()
         calls.clear()
         truncation_error_curve(m, n_real=n_real, **kw)
         counts.append(len(calls))
@@ -205,14 +203,10 @@ def test_increment_curve_builds_each_covariance_stack_once(small_model, monkeypa
     built, real = [], stochastic._covariance_stack
     monkeypatch.setattr(stochastic, "_covariance_stack",
                         lambda L, lags, alpha: built.append(lags) or real(L, lags, alpha))
-    stochastic._joint_noise_scales.cache_clear()
-    stochastic._increment_law.cache_clear()
-    stochastic._law_amplitude.cache_clear()
+    stochastic._law_weights.cache_clear()
     hs = [1e-6, 2e-6, 3e-6]
     increment_curve(small_model, 12, 2e-5, hs, 4, seed=3)
-    stochastic._joint_noise_scales.cache_clear()
-    stochastic._increment_law.cache_clear()
-    stochastic._law_amplitude.cache_clear()
+    stochastic._law_weights.cache_clear()
     s = 2e-5 - small_model.tau
     assert sorted(built) == sorted((s, 2e-5 + h - small_model.tau) for h in hs)
 
@@ -270,7 +264,7 @@ def test_snapshots_shared_draw(small_model, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 8 and manifest["L"] == 16
     assert manifest["tool"] == "fracsphere"
-    assert manifest["rng_scheme"] == 5
+    assert manifest["rng_scheme"] == 6
 
 
 def test_snapshots_time_zero_is_initial_draw(small_model, tmp_path):
@@ -284,7 +278,7 @@ def test_snapshots_time_zero_is_initial_draw(small_model, tmp_path):
                                out_dir=str(tmp_path))
     hom = FractionalModel(small_model.alpha, math.inf, small_model.spec_c,
                           small_model.spec_a)
-    init = stochastic._sample(hom, 8, [0.0], RngStream(3), 0)[0]
+    init = stochastic._sample(hom, 8, [0.0], RngStream(3), 0, False)[0]
     ref = synthesize(init, grid)
     assert np.max(np.abs(maps[0].values - ref.values)) <= 1e-9 * np.max(np.abs(ref.values))
 

@@ -13,7 +13,7 @@ from fracsphere import (AccuracyError, AlgebraicSpectrum, CoefficientSet, Domain
                         covariance_function, cross_sigma, holder_envelope, ml_neg,
                         sample_combined, sample_combined_pair, sample_combined_times,
                         sigma_squared, sigma_squared_bound)
-from fracsphere.stochastic import ROLE_INC_IM, ROLE_INC_RE, ROLE_INIT_IM, ROLE_INIT_RE
+from fracsphere.stochastic import ROLE_INC_IM, ROLE_INC_RE, ROLE_LAW_IM, ROLE_LAW_RE
 
 from conftest import ml_oracle
 
@@ -261,7 +261,7 @@ _ZERO = AlgebraicSpectrum(0.0, 0.0, 2.5)
 def _initial_draw(spec_c, L, rng, realization=0):
     # the initial field at exactly t = 0, which the public samplers refuse
     model = FractionalModel(1.0, math.inf, spec_c, _ZERO)
-    return stochastic._sample(model, L, [0.0], rng, realization)[0]
+    return stochastic._sample(model, L, [0.0], rng, realization, False)[0]
 
 
 def test_sampler_determinism(model):
@@ -292,13 +292,13 @@ def test_rng_stream_refuses_fractional_coordinates():
 def test_rng_stream_packed_order(spectra):
     # variate l(l+1)/2 + m of stream (seed, realization, role) is (l, m)'s
     rng = RngStream(8)
-    whole = rng.normals(3, 0, ROLE_INIT_RE, 21)
+    whole = rng.normals(3, 0, ROLE_LAW_RE, 21)
     for ell in (0, 1, 4):
-        assert np.array_equal(rng.normals(3, ell, ROLE_INIT_RE, 2),
+        assert np.array_equal(rng.normals(3, ell, ROLE_LAW_RE, 2),
                               whole[ell * (ell + 1) // 2:][:2])
     spec_c, _ = spectra
     init = _initial_draw(spec_c, 5, rng, realization=3)
-    z_im = rng.normals(3, 0, ROLE_INIT_IM, 21)
+    z_im = rng.normals(3, 0, ROLE_LAW_IM, 21)
     ell, m = 5, 2
     k = ell * (ell + 1) // 2 + m
     amp = math.sqrt(spec_c.value(ell) / 2.0)
@@ -309,30 +309,29 @@ def test_rng_stream_packed_order(spectra):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 def test_sampler_prefix_across_degrees(alpha, spectra):
-    # rows l <= 50 of a degree-50 draw are those of a degree-400 draw, for
-    # the two-part draw and the one-time law draw alike
+    # rows l <= 50 of a degree-50 draw are those of a degree-400 draw
     m = FractionalModel(alpha, 1e-5, *spectra)
     rng = RngStream(606)
     for t in (m.tau / 2, 10 * m.tau):
-        for law in (False, True):
-            small = sample_combined(m, 50, t, rng, realization=5, law=law)
-            big = sample_combined(m, 400, t, rng, realization=5, law=law)
-            assert np.array_equal(small.values, big.values[:51, :51])
+        small = sample_combined(m, 50, t, rng, realization=5)
+        big = sample_combined(m, 400, t, rng, realization=5)
+        assert np.array_equal(small.values, big.values[:51, :51])
 
 
 def test_pair_prefix_across_degrees(model):
     # alpha = 1/2 only: a general-alpha cross_sigma stack at L = 400 takes ~30 s
     rng = RngStream(606)
-    small = sample_combined_pair(model, 50, 2e-5, 3e-6, rng, realization=5)
-    big = sample_combined_pair(model, 400, 2e-5, 3e-6, rng, realization=5)
+    times = [2e-5, 2e-5 + 3e-6]
+    small = sample_combined_times(model, 50, times, rng, realization=5)
+    big = sample_combined_times(model, 400, times, rng, realization=5)
     for a, b in zip(small, big):
         assert np.array_equal(a.values, b.values[:51, :51])
 
 
 def test_increment_prefix_across_degrees(model):
     rng = RngStream(606)
-    small = sample_combined_pair(model, 50, 2e-5, 3e-6, rng, realization=5, increment=True)
-    big = sample_combined_pair(model, 400, 2e-5, 3e-6, rng, realization=5, increment=True)
+    small = sample_combined_pair(model, 50, 2e-5, 3e-6, rng, realization=5)
+    big = sample_combined_pair(model, 400, 2e-5, 3e-6, rng, realization=5)
     assert np.array_equal(small.values, big.values[:51, :51])
 
 
@@ -341,7 +340,7 @@ def test_increment_draws_two_arrays(model, monkeypatch):
     roles, real = [], RngStream.normals
     monkeypatch.setattr(RngStream, "normals",
                         lambda self, j, ell, role, n: roles.append(role) or real(self, j, ell, role, n))
-    sample_combined_pair(model, 8, 2e-5, 3e-6, RngStream(1), increment=True)
+    sample_combined_pair(model, 8, 2e-5, 3e-6, RngStream(1))
     assert roles == [ROLE_INC_RE, ROLE_INC_IM]
 
 
@@ -373,8 +372,8 @@ def test_increment_single_draw_chi_square(model):
     v = stochastic._increment_law(model, L, t, t + h)
     ells = np.arange(L + 1)
     for j in range(5):
-        p = sample_combined_pair(model, L, t, h, RngStream(77), realization=j,
-                                 increment=True).degree_power()
+        p = sample_combined_pair(model, L, t, h, RngStream(77),
+                                 realization=j).degree_power()
         big_t = np.sum(p / v - (2 * ells + 1)) / math.sqrt(np.sum(2.0 * (2 * ells + 1)))
         assert abs(big_t) < 5.0
 
@@ -388,7 +387,7 @@ def test_law_single_draw_chi_square(spectra, alpha):
     ells = np.arange(L + 1)
     v = coefficient_variance(m, ells, t)
     for j in range(5):
-        p = sample_combined(m, L, t, RngStream(77), realization=j, law=True).degree_power()
+        p = sample_combined(m, L, t, RngStream(77), realization=j).degree_power()
         big_t = np.sum(p / v - (2 * ells + 1)) / math.sqrt(np.sum(2.0 * (2 * ells + 1)))
         assert abs(big_t) < 5.0
 
@@ -411,13 +410,13 @@ def _law_draw_reference(v, rng, realization, roles):
 
 
 def test_law_draws_bitwise_from_roles(model):
-    # roles pinned as numbers: they are part of RNG scheme 5
+    # roles pinned as numbers: they are part of the RNG scheme
     rng, L, t, h = RngStream(31), 12, 2e-5, 3e-6
-    one = sample_combined(model, L, t, rng, realization=3, law=True)
+    one = sample_combined(model, L, t, rng, realization=3)
     v = coefficient_variance(model, np.arange(L + 1), t)
     assert one.time == t
     assert np.array_equal(one.values, _law_draw_reference(v, rng, 3, (4, 5)))
-    inc = sample_combined_pair(model, L, t, h, rng, realization=3, increment=True)
+    inc = sample_combined_pair(model, L, t, h, rng, realization=3)
     v = stochastic._increment_law(model, L, t, t + h)
     assert inc.time == t + h
     assert np.array_equal(inc.values, _law_draw_reference(v, rng, 3, (2, 3)))
@@ -427,10 +426,10 @@ def test_increment_without_noise_takes_tiny_h(spectra):
     # with A = 0 the law needs no D_l, so h = 1e-16 is not refused
     spec_c, _ = spectra
     d = sample_combined_pair(FractionalModel(0.5, 1e-5, spec_c, _ZERO), 8, 2e-5, 1e-16,
-                             RngStream(1), increment=True)
+                             RngStream(1))
     assert np.all(np.isfinite(d.values))
     d = sample_combined_pair(FractionalModel(0.5, 1e-5, _ZERO, _ZERO), 8, 2e-5, 3e-6,
-                             RngStream(1), increment=True)
+                             RngStream(1))
     assert not np.any(d.values)
 
 
@@ -438,7 +437,7 @@ def test_increment_without_accurate_digit_refused(model):
     # at l = 0, D_0 = h; against s = 1e-5 a lag of 1e-16 is below the
     # kernels' 1e-10 relative error allowance, so D_0 has no accurate digit
     with pytest.raises(AccuracyError, match=r"l=0, s=1e-05, h=1e-16"):
-        sample_combined_pair(model, 8, 2e-5, 1e-16, RngStream(1), increment=True)
+        sample_combined_pair(model, 8, 2e-5, 1e-16, RngStream(1))
 
 
 def test_initial_sampler_structure(hom_model):
@@ -456,15 +455,17 @@ def test_homogeneous_decay(model, hom_model):
     # the homogeneous part at t decays the t = 0 draw by E_alpha(-lambda_l t^alpha)
     rng = RngStream(5)
     init = _initial_draw(model.spec_c, 20, rng)
-    same, later = stochastic._sample(hom_model, 20, [0.0, 0.5], rng, 0)
+    same, later = stochastic._sample(hom_model, 20, [0.0, 0.5], rng, 0, False)
     assert np.array_equal(same.values, init.values)
     assert later.time == 0.5
     assert later.values[0, 0] == init.values[0, 0]  # lambda_0 = 0
     fac = ml_neg(model.alpha, 2.0 * 0.5 ** model.alpha)
     assert later.values[1, 1] == pytest.approx(fac * init.values[1, 1], rel=1e-14,
                                                abs=0.0)
+    # the one-time draw at 0.5 scales the same variates: Sigma's factor
+    # column sqrt(C E(0.5)^2) against C E(0) E(0.5) / sqrt(C E(0)^2)
     alone = sample_combined(hom_model, 20, 0.5, rng)
-    assert np.array_equal(alone.values, later.values)
+    assert np.allclose(alone.values, later.values, rtol=1e-14, atol=0.0)
 
 
 def test_inhomogeneous_zero_until_onset(model):
@@ -500,7 +501,7 @@ def test_row_sampler_matches_full(model):
 def test_pair_marginal_bitwise(model):
     rng = RngStream(2024)
     single = sample_combined(model, 30, 1e-4, rng, realization=4)
-    a, b = sample_combined_pair(model, 30, 1e-4, 3e-6, rng, realization=4)
+    a, b = sample_combined_times(model, 30, [1e-4, 1e-4 + 3e-6], rng, realization=4)
     assert np.array_equal(a.values, single.values)
     assert b.time == pytest.approx(1e-4 + 3e-6)
 
@@ -512,9 +513,51 @@ def test_times_sampler_consistency(model, hom_model):
     # pre-onset snapshot is the pure homogeneous draw
     hom = sample_combined(hom_model, 25, times[0], rng, realization=1)
     assert np.array_equal(outs[0].values, hom.values)
-    # first post-onset snapshot has the single-time law (bitwise)
-    single = sample_combined(model, 25, times[1], rng, realization=1)
-    assert np.array_equal(outs[1].values, single.values)
+
+
+def test_times_first_snapshot_is_one_time_draw(model):
+    # column 0 of the joint law takes the one-time law's roles and weights
+    rng = RngStream(91)
+    for t in (model.tau / 2, 5 * model.tau):
+        outs = sample_combined_times(model, 25, [t, 20 * model.tau], rng, realization=2)
+        single = sample_combined(model, 25, t, rng, realization=2)
+        assert np.array_equal(outs[0].values, single.values)
+
+
+def test_times_prefix_bitwise(model):
+    # row i of the factor and output i read only the first i + 1 times
+    rng = RngStream(92)
+    times = [model.tau / 2, 5 * model.tau, 20 * model.tau]
+    three = sample_combined_times(model, 25, times, rng, realization=3)
+    two = sample_combined_times(model, 25, times[:2], rng, realization=3)
+    for a, b in zip(two, three):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_times_count_refused_before_kernels(model, monkeypatch):
+    # column j takes roles ROLE_LAW_RE + 2j and ROLE_LAW_IM + 2j, below 256
+    calls, real = [], stochastic.cross_sigma
+    monkeypatch.setattr(stochastic, "cross_sigma",
+                        lambda *a: calls.append(1) or real(*a))
+    n = stochastic._MAX_TIMES
+    assert ROLE_LAW_IM + 2 * (n - 1) == 255
+    times = [2 * model.tau + 1e-7 * k for k in range(n + 1)]
+    with pytest.raises(DomainError, match="at most"):
+        sample_combined_times(model, 40, times, RngStream(1))
+    assert calls == []
+
+
+def test_cholesky_semidefinite_pivots():
+    # a rank-1 stack (the times before the noise onset) gets an exactly
+    # zero second column, whatever the sign of its roundoff pivot
+    e = np.array([[1.0, 0.3], [0.7, 0.1], [1.0, 1.0 / 3.0], [0.9, 0.9]])
+    cov = np.array([[1.0], [2.5], [3.0], [0.1]])[:, :, None] * e[:, :, None] * e[:, None, :]
+    f = stochastic._cholesky(cov, (1.0, 2.0))
+    assert np.all(f[:, :, 1] == 0.0)
+    assert np.allclose(f[:, 1, 0], np.sqrt(cov[:, 1, 1]), rtol=1e-14, atol=0.0)
+    bad = np.array([[[1.0, 0.5], [0.5, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
+    with pytest.raises(AccuracyError, match=r"l=1, times=\[1.0, 2.0\]"):
+        stochastic._cholesky(bad, (1.0, 2.0))
 
 
 def test_zero_everything():
@@ -594,7 +637,7 @@ def test_pair_increment_variance_alpha1(spectra):
     rng = RngStream(7)
     acc = 0.0
     for j in range(n):
-        a, b = sample_combined_pair(m1, ell, t, h, rng, realization=j)
+        a, b = sample_combined_times(m1, ell, [t, t + h], rng, realization=j)
         acc += abs(b.values[1, 1] - a.values[1, 1]) ** 2
     mc = acc / n
     e1, e2 = math.exp(-lam * t), math.exp(-lam * (t + h))
@@ -612,7 +655,7 @@ def test_pair_increment_variance_alpha_half(model):
     rng = RngStream(8)
     acc = 0.0
     for j in range(n):
-        a, b = sample_combined_pair(model, ell, t, h, rng, realization=j)
+        a, b = sample_combined_times(model, ell, [t, t + h], rng, realization=j)
         acc += abs(b.values[ell, 2] - a.values[ell, 2]) ** 2
     mc = acc / n
     lam = ell * (ell + 1.0)
@@ -622,6 +665,34 @@ def test_pair_increment_variance_alpha_half(model):
                                            + sigma_squared(ell, s + h, 0.5)
                                            - 2 * cross_sigma(ell, s, h, 0.5)))
     assert abs(mc - expect) <= 5.0 * expect * math.sqrt(2.0 / n)
+
+
+def test_times_covariance_alpha1_mc(spectra):
+    # E[Re V(t_i) Re V(t_j)] at (tau/2, 5 tau, 20 tau) against the exp closed
+    # forms: C E_i E_j, plus A e^(-lambda (t_j - t_i)) sigma^2(t_i - tau) past tau
+    spec_c = spectra[0]
+    m1 = FractionalModel(1.0, 0.01, spec_c, AlgebraicSpectrum(10.0, 10.0, 2.5))
+    ell, n = 3, 10_000
+    lam = ell * (ell + 1.0)
+    times = [m1.tau / 2, 5 * m1.tau, 20 * m1.tau]
+    rng = RngStream(23)
+    re = np.empty((2, n, 3))
+    for j in range(n):
+        outs = sample_combined_times(m1, ell, times, rng, realization=j)
+        re[:, j] = [[o.values[ell, m].real for o in outs] for m in (0, 2)]
+    cov = np.empty((3, 3))
+    for i, ti in enumerate(times):
+        for k, tk in enumerate(times):
+            lo, hi = min(ti, tk), max(ti, tk)
+            cov[i, k] = spec_c.value(ell) * math.exp(-lam * (ti + tk))
+            if lo > m1.tau:
+                cov[i, k] += (m1.spec_a.value(ell) * math.exp(-lam * (hi - lo))
+                              * closed_form_sigma2_a1(ell, lo - m1.tau))
+    for x, sig in zip(re, (cov, cov / 2.0)):  # Re V_{l,m} carries Sigma / 2 at m >= 1
+        for i in range(3):
+            for k in range(i, 3):
+                se = math.sqrt((sig[i, i] * sig[k, k] + sig[i, k] ** 2) / n)
+                assert abs(np.mean(x[:, i] * x[:, k]) - sig[i, k]) <= 5.0 * se
 
 
 def test_increment_variance_alpha1(spectra):
@@ -635,7 +706,7 @@ def test_increment_variance_alpha1(spectra):
     rng = RngStream(7)
     acc = 0.0
     for j in range(n):
-        d = sample_combined_pair(m1, ell, t, h, rng, realization=j, increment=True)
+        d = sample_combined_pair(m1, ell, t, h, rng, realization=j)
         acc += abs(d.values[1, 1]) ** 2
     mc = acc / n
     e1, e2 = math.exp(-lam * t), math.exp(-lam * (t + h))
@@ -653,7 +724,7 @@ def test_increment_variance_alpha_half(model):
     rng = RngStream(8)
     acc = 0.0
     for j in range(n):
-        d = sample_combined_pair(model, ell, t, h, rng, realization=j, increment=True)
+        d = sample_combined_pair(model, ell, t, h, rng, realization=j)
         acc += abs(d.values[ell, 2]) ** 2
     mc = acc / n
     lam = ell * (ell + 1.0)
@@ -672,7 +743,7 @@ def test_pair_marginal_distribution(model):
     ell, t, h = 6, 2e-5, 4e-5
     acc = 0.0
     for j in range(n):
-        _, b = sample_combined_pair(model, ell, t, h, rng, realization=j)
+        _, b = sample_combined_times(model, ell, [t, t + h], rng, realization=j)
         acc += abs(b.values[ell, 1]) ** 2
     target = coefficient_variance(model, ell, t + h)
     assert abs(acc / n - target) <= 5.0 * target * math.sqrt(2.0 / n)
@@ -768,14 +839,20 @@ def test_values_read_only():
         c.values = np.zeros((5, 5), dtype=complex)
 
 
+def test_coefficient_sets_compare_by_identity():
+    # ndarray fields made a == b raise ValueError
+    a, b = _random_set(3, 1), _random_set(3, 1)
+    assert a == a and a != b
+
+
 def test_law_draw_power_allocates_no_square(model):
     # one warm law draw and its reduction at L = 1500 stay below the
     # (L+1)^2 complex square, 36 MB
     L, t = 1500, 1e-4
-    sample_combined(model, L, t, RngStream(1), law=True).degree_power()
+    sample_combined(model, L, t, RngStream(1)).degree_power()
     tracemalloc.start()
     try:
-        sample_combined(model, L, t, RngStream(1), realization=1, law=True).degree_power()
+        sample_combined(model, L, t, RngStream(1), realization=1).degree_power()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
