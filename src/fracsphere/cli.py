@@ -108,7 +108,7 @@ def _emit(payload):
 # subcommands
 
 def cmd_ml(args):
-    values = [ml_neg(args.alpha, x, beta=args.beta) for x in args.x]
+    values = ml_neg(args.alpha, np.array(args.x), beta=args.beta).tolist()
     if len(values) == 1:
         _emit({"alpha": args.alpha, "beta": args.beta, "x": args.x[0],
                "value": values[0]})

@@ -21,11 +21,11 @@ the usual unit-measure orthonormal ones, so the addition theorem reads
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
 from scipy.special import erfcx as _erfcx, hyp1f1 as _hyp1f1
 
 from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
@@ -296,12 +296,46 @@ def spherical_harmonic(ell, m, point):
 
 
 # --------------------------------------------------------------------------
+# Gauss-Legendre panels
+
+@functools.cache
+def _rule():
+    """The 20-point Gauss-Legendre rule on [-1, 1]: nodes, weights, the
+    weights minus those of an embedded degree-13 interpolatory rule on 14
+    of the nodes (their difference is a panel's error estimate), and the
+    matrix that maps node values to Legendre coefficients."""
+    leg = np.polynomial.legendre
+    x, w = leg.leggauss(20)
+    sub = [0, 1, 3, 5, 7, 8, 9, 10, 11, 12, 14, 16, 18, 19]  # symmetric
+    moments = np.zeros(len(sub))
+    moments[0] = 2.0
+    low = np.zeros_like(w)
+    low[sub] = np.linalg.solve(leg.legvander(x[sub], len(sub) - 1).T, moments)
+    to_coef = leg.legvander(x, 19).T * w * (np.arange(20) + 0.5)[:, None]
+    return x, w, w - low, to_coef
+
+
+def _panels(f, lo, hi):
+    """Gauss-Legendre integrals of f over the panels [lo, hi] (1-d arrays),
+    their error estimates, and f at the (panels, 20) nodes.  Each panel is
+    reduced on its own, so its result does not depend on the others."""
+    x, w, dw, _ = _rule()
+    half = 0.5 * (hi - lo)
+    fu = f((0.5 * (lo + hi))[:, None] + half[:, None] * x)
+    return half * (fu * w).sum(axis=1), half * np.abs((fu * dw).sum(axis=1)), fu
+
+
+# --------------------------------------------------------------------------
 # Mittag-Leffler E_{alpha,beta}(-x), x >= 0, alpha in (0,1], beta > 0
 
 # the series result is accepted only if the largest partial term did not
 # exceed _SERIES_PEAK_MAX times the sum (keeps cancellation error ~1e-13)
 _SERIES_PEAK_MAX = 300.0
 _ASYM_REL_TOL = 1e-13
+_HALF_ULP = 2.0 ** -54   # a term below this times the sum cannot change it
+_CUT_REL_TOL = 1e-10     # branch-cut integral: summed panel estimates / value
+_CUT_R = 55.0            # the integrand carries exp(-r), r = v^(1/alpha) <= 55
+_CUT_BLOCK = 1 << 15     # integrand nodes evaluated at once
 
 
 def _ml_series(alpha, beta, x, max_terms=4000):
@@ -330,88 +364,152 @@ def _ml_series(alpha, beta, x, max_terms=4000):
     return total, ratio
 
 
-def _ml_asymptotic(alpha, beta, x):
-    """Asymptotic series sum_{k>=1} (-1)^(k+1) x^-k / Gamma(beta - alpha*k),
-    truncated at the smallest term.
+def _envelope(alpha, beta, k):
+    """A bound on |1/Gamma(beta - alpha k)| without zeros: Gamma(1 - y)/pi
+    (reflection, |sin| <= 1) for y = beta - alpha k < 1, else 1/Gamma(y)."""
+    y = beta - alpha * k
+    return math.gamma(1.0 - y) / math.pi if y < 1.0 else _rgamma(y)
 
-    Returns (value, relative_error_estimate).
+
+def _ml_asymptotic(alpha, beta, x):
+    """Algebraic asymptotic series of E_{alpha,beta}(-x), 0 < alpha < 1:
+
+        sum_{k>=1} (-1)^(k+1) x^-k / Gamma(beta - alpha k),
+
+    for a number or a 1-d array x; returns (value, relative error
+    estimate), each an array for an array x.
+
+    Term k is bounded by the envelope env_k = x^-k Gamma(1 - beta + alpha k)
+    / pi, which, unlike the terms, does not dip at the poles of 1/Gamma.
+    Each element adds terms while its envelope falls, and stops before
+    term k at the envelope's minimum (env_{k+1} >= env_k), or earlier once
+    env_k and env_{k+1} are below 2^-54 |sum|: no later term up to the
+    minimum can then change a bit of the sum.  The estimate is
+    max(env_k, env_{k+1}) / |sum| (inf for a zero sum).  Elements are
+    independent, so each has the bits of a scalar call.
     """
-    lnx = math.log(x)
-    total = 0.0
-    prev_mag = math.inf
-    min_rel = math.inf
-    k = 0
-    while k < 10000:
-        k += 1
-        y = beta - alpha * k
-        try:
-            rg = _rgamma(y)
-        except OverflowError:
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    inv = 1.0 / xs
+    total = np.zeros_like(xs)
+    err = np.full_like(xs, math.inf)
+    live = np.arange(xs.size)
+    pk = inv                                   # x^-k of the live elements
+    env = _envelope(alpha, beta, 1) * pk
+    for k in range(1, int((169.0 + beta) / alpha)):  # Gamma(1 - y) stays finite
+        pn = pk * inv[live]
+        env_n = _envelope(alpha, beta, k + 1) * pn
+        top = np.maximum(env, env_n)
+        tot = total[live]
+        done = (top < _HALF_ULP * np.abs(tot)) | (env_n >= env)
+        err[live[done]] = top[done]
+        keep = ~done
+        live = live[keep]
+        if live.size == 0:
             break
-        if rg == 0.0:
-            continue
-        ln_t = -k * lnx + math.log(abs(rg))
-        if ln_t < -745.0:
-            # underflow: remaining terms are negligible
-            prev_mag = 0.0
-            break
-        mag = math.exp(ln_t)
-        if mag >= prev_mag:
-            break  # smallest term reached; stop before it grows
-        sign = 1.0 if (k % 2 == 1) else -1.0
-        total += sign * math.copysign(mag, rg)
-        prev_mag = mag
-    if total == 0.0:
-        return 0.0, math.inf
-    min_rel = prev_mag / abs(total)
-    return total, min_rel
+        pk, pn, env = pk[keep], pn[keep], env_n[keep]
+        total[live] = tot[keep] + (-1.0) ** (k + 1) * _rgamma(beta - alpha * k) * pk
+        pk = pn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(total != 0.0, err / np.abs(total), math.inf)
+    if isinstance(x, np.ndarray):
+        return total, rel
+    return float(total[0]), float(rel[0])
+
+
+@functools.lru_cache(maxsize=16)
+def _cut_layout(alpha):
+    """The panel knots in v that every x shares, and the knots of the dip
+    in units of its half-width w about its centre v0 (none for
+    alpha <= 1/2).
+
+    - geometric toward v = 0: ratio 2 on [1/64, 1], ratio 4 below, down
+      to 1.5e-8;
+    - across the cut-off exp(-r), r = v^(1/alpha): twelve panels of equal
+      width in r up to r = 55 (v = 55^alpha), the first one halved six
+      times toward r = 0;
+    - the dip at v0 = -x cos(pi alpha), of half-width w = x sin(pi alpha):
+      v0 and v0 +- w 0.5 10^(j/4), out to twice v0 / w = cot(pi (1 - alpha))
+      and at least to w, so the grading gets finer as alpha -> 1.
+    """
+    step = _CUT_R / 12.0
+    r = step * np.concatenate([2.0 ** -np.arange(6.0, 0.0, -1.0), np.arange(1.0, 13.0)])
+    v = np.concatenate([2.0 ** -6 * 4.0 ** -np.arange(10.0, 0.0, -1.0),
+                        2.0 ** -np.arange(6.0, -1.0, -1.0)])
+    vmax = _CUT_R ** alpha
+    base = np.unique(np.concatenate([[0.0], v, np.minimum(r ** alpha, vmax)]))
+    dip = np.empty(0)
+    if alpha > 0.5:
+        reach = max(-2.0 * _cospi(alpha) / _sinpi(alpha), 1.0)
+        g = 0.5 * 10.0 ** (np.arange(math.ceil(4.0 * math.log10(2.0 * reach)) + 1) / 4.0)
+        dip = np.concatenate([-g[::-1], [0.0], g])
+    base.flags.writeable = dip.flags.writeable = False
+    return base, dip
+
+
+def _branch_cut(alpha, beta, xs):
+    """The branch-cut integral of E_{alpha,beta}(-x) and its summed panel
+    error estimate, per element of the 1-d array xs, in blocks of at most
+    _CUT_BLOCK nodes; beta > 1 by the recursion."""
+    a, b = alpha, beta
+    if b > 1.0:
+        val, err = _branch_cut(a, b - a, xs)
+        return (_rgamma(b - a) - val) / xs, err / xs
+    base, dip = _cut_layout(a)
+    c, s = _cospi(a), _sinpi(a)
+    s_ba, s_b = _sinpi(b - a), _sinpi(b)
+    inv_a, pw = 1.0 / a, (1.0 - b) / a
+    npan = base.size + dip.size - 1
+    per = max(1, _CUT_BLOCK // (20 * npan))
+    val, err = np.empty_like(xs), np.empty_like(xs)
+    for i in range(0, xs.size, per):
+        x = xs[i:i + per, None]
+        knots = np.broadcast_to(base, (x.size, base.size))
+        if dip.size:
+            near = np.clip(-c * x + s * x * dip, base[1], base[-1])
+            knots = np.sort(np.concatenate([knots, near], axis=1), axis=1)
+        xr = np.repeat(x, npan, axis=0)
+        num, shift, width = xr * s_ba, xr * c, (xr * s) ** 2
+
+        def f(v):
+            fv = np.exp(-v ** inv_a) * (num + v * s_b) / ((v + shift) ** 2 + width)
+            return fv * v ** pw if pw else fv
+
+        q, e, _ = _panels(f, knots[:, :-1].ravel(), knots[:, 1:].ravel())
+        val[i:i + per] = q.reshape(x.size, npan).sum(axis=1)
+        err[i:i + per] = e.reshape(x.size, npan).sum(axis=1)
+    return val / (a * math.pi), err / (a * math.pi)
 
 
 def _ml_integral(alpha, beta, x):
-    """Spectral (branch-cut) integral for E_{alpha,beta}(-x), 0 < alpha < 1.
+    """Spectral (branch-cut) integral for E_{alpha,beta}(-x), 0 < alpha < 1,
+    for a number or a 1-d array x.  For beta <= 1,
 
-    For beta <= 1,
-
-        E_{a,b}(-x) = 1/(a*pi) * int_0^inf exp(-v^(1/a)) v^((1-b)/a)
+        E_{a,b}(-x) = 1/(a*pi) * int_0^vmax exp(-v^(1/a)) v^((1-b)/a)
                       * [x sin(pi(b-a)) + v sin(pi b)]
-                      / (v^2 + 2 x v cos(pi a) + x^2) dv,
+                      / ((v + x cos(pi a))^2 + (x sin(pi a))^2) dv,
 
-    obtained from the Hankel contour collapsed onto the negative axis with
-    the substitution v = r^a; the integrand is smooth and non-oscillatory.
-    For beta > 1 the recursion E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x))/x
-    reduces to the beta <= 1 case.
+    the Hankel contour collapsed onto the negative axis, with v = r^a and
+    vmax = 55^a (the tail is below exp(-55) of the value).  For beta > 1
+    the recursion E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x))/x reduces to
+    beta <= 1.
+
+    The integrand is smooth and non-oscillatory; it is summed with the
+    20-point Gauss-Legendre rule on the fixed panels of _cut_layout, over
+    every element at once.  AccuracyError if an element's summed panel
+    estimates exceed 1e-10 of its value, or, where E_{a,b}(-x) is positive
+    (beta >= alpha), if the value is not.
     """
-    if beta > 1.0:
-        return (_rgamma(beta - alpha) - _ml_integral(alpha, beta - alpha, x)) / x
-    a, b = alpha, beta
-    s_ba = _sinpi(b - a)
-    s_b = _sinpi(b)
-    c_a = _cospi(a)
-    pw = (1.0 - b) / a
-    inv_a = 1.0 / a
-
-    def f(v):
-        if v <= 0.0:
-            return 0.0
-        den = v * v + 2.0 * x * v * c_a + x * x
-        return math.exp(-v ** inv_a) * v ** pw * (x * s_ba + v * s_b) / den
-
-    vmax = max(2.0, 55.0 ** a + 1.0)
-    pts = []
-    if c_a < 0.0:  # Lorentzian dip of the denominator at v0, width w
-        v0 = -x * c_a
-        w = x * abs(_sinpi(a))
-        if v0 < vmax:
-            pts = sorted(p for p in (v0 - 2 * w, v0, v0 + 2 * w) if 0.0 < p < vmax)
-    val, err, info = _quad(f, 0.0, vmax, points=pts or None, limit=300,
-                           epsabs=1e-280, epsrel=5e-13, full_output=True)[:3]
-    val /= a * math.pi
-    err /= a * math.pi
-    if val <= 0.0 or not math.isfinite(val) or err > 1e-10 * abs(val):
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    val, err = _branch_cut(alpha, beta, xs)
+    bad = ~(err <= _CUT_REL_TOL * np.abs(val))
+    if beta >= alpha:
+        bad |= ~(val > 0.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
         raise AccuracyError(
             f"ml_neg: integral evaluation failed accuracy target at "
-            f"alpha={alpha}, beta={beta}, x={x} (err={err:.2e}, val={val:.2e})")
-    return val
+            f"alpha={alpha}, beta={beta}, x={xs[i]} (err={err[i]:.2e}, val={val[i]:.2e})")
+    return val if isinstance(x, np.ndarray) else float(val[0])
 
 
 def _ml_alpha1(beta, x):
@@ -436,54 +534,82 @@ def ml_neg(alpha, x, beta=1.0):
 
     alpha in (0, 1], beta > 0.  Relative accuracy ~1e-11 or better across
     x in [0, 1e6]; for beta = 1 the value lies in (0, 1] and is strictly
-    decreasing in x.  Accepts a scalar or an ndarray for x.
+    decreasing in x.  Accepts a scalar or an ndarray for x; a scalar goes
+    through the same array code, so an element of an array result has the
+    bits of the scalar call.
 
-    For beta = 1 the closed forms E_{1,1}(-x) = exp(-x) and
-    E_{1/2,1}(-x) = exp(x^2) erfc(x) are evaluated on the whole array at
-    once; a scalar goes through the same array code, so both give the same
-    bits.  Otherwise three evaluation regimes are used, element by element:
-    the defining power series with compensated summation (accepted only
-    when cancellation is provably small), the algebraic asymptotic series
-    truncated at its smallest term, and a branch-cut integral for the band
-    in between.  A result is never returned from a regime whose internal
-    error estimate exceeds the target (AccuracyError instead).
+    For beta = 1, E_{1,1}(-x) = exp(-x) and E_{1/2,1}(-x) = exp(x^2) erfc(x)
+    are evaluated on the whole array.  Otherwise each element takes the
+    first regime that meets its target:
+      - x = 0, alpha = 1 (Kummer), E_{1/2,1/2} for x <= 10, or the two-term
+        series for x <= 1e-8;
+      - the defining power series with compensated summation, for x <= 8,
+        accepted only when cancellation is provably small (element by
+        element);
+      - for x >= 3, the algebraic asymptotic series, stopped by its
+        envelope and accepted at an estimate of 1e-13 (all such elements
+        at once);
+      - the branch-cut integral on fixed Gauss-Legendre panels (all
+        remaining elements at once), AccuracyError above 1e-10.
+    For beta = 1 a series or asymptotic value must also lie in (0, 1].
     """
     a = check_alpha("ml_neg: alpha", alpha)
     b = check_real("ml_neg: beta", beta)
+    xs = np.asarray(x)
+    if (xs.dtype.kind not in "iuf" or (xs.ndim and not isinstance(x, np.ndarray))
+            or not np.all((xs >= 0.0) & (xs < math.inf))):
+        raise DomainError(f"ml_neg: x must be a finite number >= 0 or an ndarray "
+                          f"of them, got {x!r}")
+    # one contiguous buffer: the same ufunc loop for every length
+    xs = np.array(xs, dtype=float, order="C")
     if b == 1.0 and a in (0.5, 1.0):
-        xs = np.asarray(x)
-        if xs.dtype.kind not in "iuf" or not np.all((xs >= 0.0) & (xs < math.inf)):
-            raise DomainError(f"ml_neg: x must be finite and >= 0, got {x!r}")
-        # one contiguous buffer: the same ufunc loop for every length
-        xs = np.array(xs, dtype=float, order="C")
         out = np.exp(-xs) if a == 1.0 else _erfcx(xs)
-        return out if isinstance(x, np.ndarray) else float(out)
-    if isinstance(x, np.ndarray):
-        flat = [_ml_general(a, b, xi) for xi in x.ravel().tolist()]
-        return np.array(flat, dtype=float).reshape(x.shape)
-    return _ml_general(a, b, x)
+    else:
+        out = _ml_general(a, b, xs.ravel()).reshape(xs.shape)
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _ml_general(a, b, x):
-    """E_{a,b}(-x) for one x by the first regime that meets its target."""
-    x = check_real("ml_neg: x", x, strict=False)
+def _ml_first(a, b, x):
+    """E_{a,b}(-x) for one x by a closed form or the power series, or None
+    when the regimes for larger x must decide."""
     if x == 0.0:
         return _rgamma(b)
     if a == 1.0:
         return _ml_alpha1(b, x)
-    if a == 0.5:
+    if a == 0.5 and b == 0.5 and x <= 10.0:
         # exact identity E_{1/2,1/2}(-x) = 1/sqrt(pi) - x exp(x^2) erfc(x);
         # it cancels badly for large x, where the asymptotic series takes over
-        if b == 0.5 and x <= 10.0:
-            return 1.0 / math.sqrt(math.pi) - x * float(_erfcx(x))
+        return 1.0 / math.sqrt(math.pi) - x * float(_erfcx(x))
     if x <= 1e-8:
         return _rgamma(b) - x * _rgamma(a + b)
     if x <= 8.0 and _series_peak_prediction(a, b, x) < math.log(1e4):
         val, ratio = _ml_series(a, b, x)
         if ratio <= _SERIES_PEAK_MAX and (b != 1.0 or 0.0 < val <= 1.0):
             return val
-    if x >= 3.0:
-        val, rel = _ml_asymptotic(a, b, x)
-        if rel <= _ASYM_REL_TOL and (b != 1.0 or 0.0 < val <= 1.0):
-            return val
-    return _ml_integral(a, b, x)
+    return None
+
+
+def _ml_general(a, b, xs):
+    """E_{a,b}(-x) over a 1-d array: element by element through _ml_first,
+    then the asymptotic series and the integral each on all the elements
+    left to them."""
+    out = np.empty_like(xs)
+    left = []
+    for i, x in enumerate(xs.tolist()):
+        val = _ml_first(a, b, x)
+        if val is None:
+            left.append(i)
+        else:
+            out[i] = val
+    left = np.array(left, dtype=np.intp)
+    far = left[xs[left] >= 3.0]
+    if far.size:
+        val, rel = _ml_asymptotic(a, b, xs[far])
+        ok = rel <= _ASYM_REL_TOL
+        if b == 1.0:
+            ok &= (0.0 < val) & (val <= 1.0)
+        out[far[ok]] = val[ok]
+        left = np.setdiff1d(left, far[ok])
+    if left.size:
+        out[left] = _ml_integral(a, b, xs[left])
+    return out

@@ -207,7 +207,7 @@ def measured_increment_c(alpha, override=None):
         return check_real("increment constant override", override)
     if alpha not in _measured_c_cache:
         xs = np.logspace(-6.0, 8.0, 200)
-        vals = (1.0 + xs) * np.array([ml_neg(alpha, x, beta=alpha) for x in xs])
+        vals = (1.0 + xs) * ml_neg(alpha, xs, beta=alpha)
         # include the x -> 0 limit E_{a,a}(0) = 1/Gamma(a)
         _measured_c_cache[alpha] = max(float(np.max(vals)), 1.0 / gamma(alpha))
     return _measured_c_cache[alpha]

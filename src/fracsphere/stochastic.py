@@ -67,7 +67,7 @@ from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
                      check_degrees, check_list, check_real, check_unit_interval,
                      whole)
 from .spectra import AlgebraicSpectrum, m_alpha
-from .specfun import ml_neg
+from .specfun import _panels, _rule, ml_neg
 
 __all__ = [
     "FractionalModel",
@@ -219,33 +219,6 @@ def _degrees(name, ell):
     if isinstance(ell, np.ndarray):
         return check_degrees(f"{name}: degree", ell)
     return check_degree(f"{name}: degree", ell)
-
-
-@functools.cache
-def _rule():
-    """The 20-point Gauss-Legendre rule on [-1, 1]: nodes, weights, the
-    weights minus those of an embedded degree-13 interpolatory rule on 14
-    of the nodes (their difference is a panel's error estimate), and the
-    matrix that maps node values to Legendre coefficients."""
-    leg = np.polynomial.legendre
-    x, w = leg.leggauss(20)
-    sub = [0, 1, 3, 5, 7, 8, 9, 10, 11, 12, 14, 16, 18, 19]  # symmetric
-    moments = np.zeros(len(sub))
-    moments[0] = 2.0
-    low = np.zeros_like(w)
-    low[sub] = np.linalg.solve(leg.legvander(x[sub], len(sub) - 1).T, moments)
-    to_coef = leg.legvander(x, 19).T * w * (np.arange(20) + 0.5)[:, None]
-    return x, w, w - low, to_coef
-
-
-def _panels(f, lo, hi):
-    """Gauss-Legendre integrals of f over the panels [lo, hi] (1-d arrays),
-    their error estimates, and f at the (panels, 20) nodes.  Each panel is
-    reduced on its own, so its result does not depend on the others."""
-    x, w, dw, _ = _rule()
-    half = 0.5 * (hi - lo)
-    fu = f((0.5 * (lo + hi))[:, None] + half[:, None] * x)
-    return half * (fu * w).sum(axis=1), half * np.abs((fu * dw).sum(axis=1)), fu
 
 
 def _accuracy_check(name, val, err, ells, **where):
@@ -575,15 +548,13 @@ def _increment_law(model, L, t, t_h):
     return v
 
 
-@functools.lru_cache(maxsize=1)
-def _law_weights(model, L, times, increment):
+def _weights(model, L, times, increment):
     """The packed weights of a draw: w[i][j], j <= i, holds column j of the
     per-degree factor of Sigma_l at (l, 0) and of Sigma_l / 2 at
     (l, m >= 1), so a one-time law gets sqrt(v_l) and sqrt(v_l / 2).
     Sigma_l is the covariance across the times (a tuple) or, for an
     increment, the 1x1 variance of U(t_h) - U(t) at times (t, t_h).
-    Read-only; only the last law's weights are held, since a curve draws
-    every realization of one law in a row."""
+    Read-only."""
     if increment:
         cov = _increment_law(model, L, *times)[:, None, None]
     else:
@@ -596,6 +567,14 @@ def _law_weights(model, L, times, increment):
             w.flags.writeable = False
         weights.append(row)
     return tuple(weights)
+
+
+@functools.lru_cache(maxsize=1)
+def _law_weights(model, L, times, increment):
+    """_weights of a one-time or increment law (k = 1), the laws a curve
+    draws every realization of in a row; only the last one is held.  A
+    multi-time draw builds its weights uncached."""
+    return _weights(model, L, times, increment)
 
 
 def _combine(weights, rng, realization, role, n):
@@ -618,14 +597,15 @@ def _sample(model, L, times, rng, realization, increment):
     one per increasing time >= 0, or with increment, the one set of
     U(t_h) - U(t) for times (t, t_h), stamped with t_h.
 
-    The weights of _law_weights are applied to packed normals in
+    The weights of _weights are applied to packed normals in
     np.tril_indices(L + 1) order, so the variate of (l, m) is number
     l(l+1)/2 + m of its stream at any L.  Column j draws roles
     ROLE_LAW_RE + 2j and ROLE_LAW_IM + 2j, an increment roles ROLE_INC_RE
     and ROLE_INC_IM.  Time 0 of a joint draw is the one-time law draw,
     and a time has the same bits whatever later times are drawn with it."""
     L = check_degree("degree L", L)
-    weights = _law_weights(model, L, tuple(times), increment)
+    law = _law_weights if increment or len(times) == 1 else _weights
+    weights = law(model, L, tuple(times), increment)
     roles = (ROLE_INC_RE, ROLE_INC_IM) if increment else (ROLE_LAW_RE, ROLE_LAW_IM)
     n = (L + 1) * (L + 2) // 2
     re, im = (_combine(weights, rng, realization, role, n) for role in roles)

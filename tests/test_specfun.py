@@ -1,11 +1,14 @@
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from fracsphere import DomainError, SphPoint, gamma, legendre_p, ml_neg, spherical_harmonic
+from fracsphere import (AccuracyError, DomainError, SphPoint, gamma, legendre_p, ml_neg,
+                        spherical_harmonic, specfun)
 from fracsphere.specfun import (_ml_asymptotic, _ml_integral, _ml_series,
                                 assoc_legendre_norm, assoc_legendre_norm_table)
 
@@ -205,6 +208,9 @@ def test_ml_params_domain():
         ml_neg(0.5, -1.0)
     with pytest.raises(DomainError):
         ml_neg(2.0, 1.0)
+    for alpha in (0.5, 0.75):  # a list is neither a number nor an ndarray
+        with pytest.raises(DomainError):
+            ml_neg(alpha, [1.0, 2.0])
 
 
 def test_ml_exponential_identity():
@@ -287,3 +293,75 @@ def test_ml_accepts_arrays():
     assert vals.shape == xs.shape
     assert vals[0] == 1.0
     assert np.all(np.diff(vals) < 0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.6, 0.6), (0.8, 0.8), (0.9, 0.9), (0.95, 0.3)])
+def test_ml_asymptotic_band_vs_oracle(alpha, beta):
+    # a term near a pole of 1/Gamma(beta - alpha k) once ended the asymptotic
+    # sum early with a tiny error estimate on a wrong value (31% off at
+    # alpha = beta = 0.8, x = 3); the envelope stop does not dip there
+    for x in np.append(np.linspace(3.0, 40.0, 13), 16.5):
+        ref = float(ml_oracle(alpha, float(x), beta, dps=20))
+        assert ml_neg(alpha, float(x), beta=beta) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("alpha,beta,x", [(0.9, 0.75, 9.0), (0.9, 0.5, 10.0),
+                                          (0.8, 0.3, 9.0)])
+def test_ml_negative_values(alpha, beta, x):
+    # for beta < alpha E_{alpha,beta}(-x) changes sign; a negative value from
+    # the integral is a value, not an accuracy failure
+    ref = float(ml_oracle(alpha, x, beta, dps=20))
+    assert ref < 0.0
+    assert ml_neg(alpha, x, beta=beta) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.45, 0.75, 0.97])
+@pytest.mark.parametrize("unit_beta", [True, False])
+def test_ml_integral_band_vs_oracle(alpha, unit_beta):
+    beta = 1.0 if unit_beta else alpha
+    xs = np.geomspace(2.0, 60.0, 12)
+    # below x = 3 the oracle sums its series, whose terms peak near
+    # exp(x^(1/alpha)): give it those digits on top of 20
+    dps = [20 + int(x ** (1.0 / alpha) / math.log(10.0)) if x <= 3.0 else 20 for x in xs]
+    ref = np.array([float(ml_oracle(alpha, float(x), beta, dps=d)) for x, d in zip(xs, dps)])
+    assert _ml_integral(alpha, beta, xs) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 0.9])
+@pytest.mark.parametrize("unit_beta", [True, False])
+def test_ml_general_array_matches_scalar_bitwise(alpha, unit_beta, monkeypatch):
+    beta = 1.0 if unit_beta else alpha
+    rng = np.random.default_rng(5)
+    xs = rng.permutation(np.concatenate([[0.0], np.geomspace(1e-9, 1e6, 300),
+                                         np.linspace(1.5, 3.0, 100),
+                                         np.linspace(3.0, 25.0, 200)]))
+    used = {}
+    for name in ("_ml_series", "_ml_asymptotic", "_panels"):
+        def counted(*args, _name=name, _real=getattr(specfun, name)):
+            used[_name] = used.get(_name, 0) + 1
+            return _real(*args)
+        monkeypatch.setattr(specfun, name, counted)
+    vals = ml_neg(alpha, xs, beta=beta)
+    # all three regimes ran, the integral over more than one block of nodes
+    assert used["_ml_series"] > 0 and used["_ml_asymptotic"] == 1 and used["_panels"] > 1
+    assert all(v == ml_neg(alpha, float(x), beta=beta) for v, x in zip(vals, xs))
+    assert np.array_equal(ml_neg(alpha, xs[1::7], beta=beta), vals[1::7])  # a strided view
+    assert np.array_equal(ml_neg(alpha, xs[1:].reshape(20, -1), beta=beta),
+                          vals[1:].reshape(20, -1))
+
+
+def test_ml_integral_raises_when_panels_too_coarse(monkeypatch):
+    assert _ml_integral(0.75, 1.0, 10.0) == pytest.approx(ml_neg(0.75, 10.0), rel=1e-10)
+    base, dip = specfun._cut_layout(0.75)
+    monkeypatch.setattr(specfun, "_cut_layout", lambda alpha: (base[::6], dip[::4]))
+    with pytest.raises(AccuracyError):
+        _ml_integral(0.75, 1.0, 10.0)
+    with pytest.raises(AccuracyError):
+        ml_neg(0.75, np.array([0.5, 10.0, 500.0]))
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, fracsphere.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
+    assert out.stdout.strip() == "False"
