@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -351,7 +352,7 @@ def test_ml_general_array_matches_scalar_bitwise(alpha, unit_beta, monkeypatch):
 
 
 def test_ml_integral_raises_when_panels_too_coarse(monkeypatch):
-    assert _ml_integral(0.75, 1.0, 10.0) == pytest.approx(ml_neg(0.75, 10.0), rel=1e-10)
+    assert _ml_integral(0.75, 1.0, 10.0) == pytest.approx(ml_neg(0.75, 10.0), rel=1e-10, abs=0)
     base, dip = specfun._cut_layout(0.75)
     monkeypatch.setattr(specfun, "_cut_layout", lambda alpha: (base[::6], dip[::4]))
     with pytest.raises(AccuracyError):
@@ -362,6 +363,7 @@ def test_ml_integral_raises_when_panels_too_coarse(monkeypatch):
 
 def test_cli_import_leaves_out_scipy_integrate():
     code = "import sys, fracsphere.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
+                         check=True, env=env)
     assert out.stdout.strip() == "False"
