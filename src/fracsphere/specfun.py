@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx as _erfcx, hyp1f1 as _hyp1f1
+from scipy.special import erfcx as _erfcx, gammaln as _gammaln, hyp1f1 as _hyp1f1
 
 from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
                      check_real, check_unit_interval, whole)
@@ -331,37 +331,51 @@ def _panels(f, lo, hi):
 # the series result is accepted only if the largest partial term did not
 # exceed _SERIES_PEAK_MAX times the sum (keeps cancellation error ~1e-13)
 _SERIES_PEAK_MAX = 300.0
+_SERIES_TERMS = 4000
 _ASYM_REL_TOL = 1e-13
 _HALF_ULP = 2.0 ** -54   # a term below this times the sum cannot change it
+_TINY = 2.0 ** -1074     # the least subnormal: a value bounded below it rounds to +-0
 _CUT_REL_TOL = 1e-10     # branch-cut integral: summed panel estimates / value
 _CUT_R = 55.0            # the integrand carries exp(-r), r = v^(1/alpha) <= 55
 _CUT_BLOCK = 1 << 15     # integrand nodes evaluated at once
 
 
-def _ml_series(alpha, beta, x, max_terms=4000):
-    """Power series sum_k (-x)^k / Gamma(alpha*k + beta), compensated.
+def _ml_series(alpha, beta, x):
+    """Power series sum_k (-x)^k / Gamma(alpha*k + beta), compensated, for
+    a number or a 1-d array x.
 
-    Returns (value, peak_ratio) where peak_ratio = max|term| / |value|.
+    Returns (value, peak_ratio) where peak_ratio = max|term| / |value| (inf
+    for a zero sum or one not settled in _SERIES_TERMS terms), each an
+    array for an array x.  Each element keeps its own Kahan sum and peak
+    and stops at its first term with k >= 4 below 1e-17 of its sum, so it
+    has the bits of a scalar call.
     """
-    total = _rgamma(beta)
-    comp = 0.0
-    peak = abs(total)
-    term_x = 1.0
-    for k in range(1, max_terms + 1):
-        term_x *= -x
-        t = term_x * _rgamma(alpha * k + beta)
-        peak = max(peak, abs(t))
-        # Kahan step
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if abs(t) <= 1e-17 * abs(total) + 1e-300 and k >= 4:
-            break
-    else:
-        return total, math.inf
-    ratio = peak / abs(total) if total != 0.0 else math.inf
-    return total, ratio
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    total = np.full_like(xs, _rgamma(beta))
+    ratio = np.full_like(xs, math.inf)
+    live, neg = np.arange(xs.size), -xs
+    tot, comp, peak, term_x = total.copy(), np.zeros_like(xs), np.abs(total), np.ones_like(xs)
+    with np.errstate(all="ignore"):
+        for k in range(1, _SERIES_TERMS + 1):
+            if live.size == 0:
+                break
+            term_x = term_x * neg
+            t = term_x * _rgamma(alpha * k + beta)
+            peak = np.maximum(peak, np.abs(t))
+            # Kahan step
+            y = t - comp
+            s = tot + y
+            comp = (s - tot) - y
+            tot = s
+            done = np.abs(t) <= 1e-17 * np.abs(tot) + 1e-300
+            if k < 4 or not done.any():
+                continue
+            i = live[done]  # a zero sum gets ratio inf: peak >= 1/Gamma(beta) > 0
+            total[i], ratio[i] = tot[done], peak[done] / np.abs(tot[done])
+            live, neg, tot, comp, peak, term_x = (v[~done] for v in (live, neg, tot, comp,
+                                                                     peak, term_x))
+    total[live] = tot
+    return (total, ratio) if isinstance(x, np.ndarray) else (float(total[0]), float(ratio[0]))
 
 
 def _envelope(alpha, beta, k):
@@ -385,8 +399,9 @@ def _ml_asymptotic(alpha, beta, x):
     term k at the envelope's minimum (env_{k+1} >= env_k), or earlier once
     env_k and env_{k+1} are below 2^-54 |sum|: no later term up to the
     minimum can then change a bit of the sum.  The estimate is
-    max(env_k, env_{k+1}) / |sum| (inf for a zero sum).  Elements are
-    independent, so each has the bits of a scalar call.
+    max(env_k, env_{k+1}) / |sum|: 0 if that bound is below the least
+    subnormal (the value rounds to +-0), inf for another zero sum.
+    Elements are independent, so each has the bits of a scalar call.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     inv = 1.0 / xs
@@ -410,10 +425,8 @@ def _ml_asymptotic(alpha, beta, x):
         total[live] = tot[keep] + (-1.0) ** (k + 1) * _rgamma(beta - alpha * k) * pk
         pk = pn
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(total != 0.0, err / np.abs(total), math.inf)
-    if isinstance(x, np.ndarray):
-        return total, rel
-    return float(total[0]), float(rel[0])
+        rel = np.where(err < _TINY, 0.0, err / np.abs(total))
+    return (total, rel) if isinstance(x, np.ndarray) else (float(total[0]), float(rel[0]))
 
 
 @functools.lru_cache(maxsize=16)
@@ -512,20 +525,13 @@ def _ml_integral(alpha, beta, x):
     return val if isinstance(x, np.ndarray) else float(val[0])
 
 
-def _ml_alpha1(beta, x):
-    """Closed/stable forms for alpha = 1, beta != 1."""
-    if beta == 2.0:
-        return -math.expm1(-x) / x if x > 0.0 else 1.0 / math.gamma(2.0)
-    # E_{1,b}(z) = M(1, b, z)/Gamma(b)  (Kummer)
-    return float(_hyp1f1(1.0, beta, -x)) * _rgamma(beta)
-
-
 def _series_peak_prediction(alpha, beta, x):
-    """Rough log10 of max-series-term / plausible value; used to skip
-    hopeless series attempts."""
-    kstar = max(1.0, (x ** (1.0 / alpha) - beta) / alpha)
-    peak_ln = kstar * math.log(max(x, 1e-300)) - math.lgamma(alpha * kstar + beta)
-    value_ln_lb = -math.log1p(x) - abs(math.lgamma(beta)) - 3.0
+    """Rough natural log of max-series-term / plausible value over the 1-d
+    array x; used to skip hopeless series attempts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kstar = np.maximum(1.0, (x ** (1.0 / alpha) - beta) / alpha)
+        peak_ln = kstar * np.log(np.maximum(x, 1e-300)) - _gammaln(alpha * kstar + beta)
+    value_ln_lb = -np.log1p(x) - abs(math.lgamma(beta)) - 3.0
     return peak_ln - value_ln_lb
 
 
@@ -538,19 +544,20 @@ def ml_neg(alpha, x, beta=1.0):
     through the same array code, so an element of an array result has the
     bits of the scalar call.
 
-    For beta = 1, E_{1,1}(-x) = exp(-x) and E_{1/2,1}(-x) = exp(x^2) erfc(x)
-    are evaluated on the whole array.  Otherwise each element takes the
-    first regime that meets its target:
-      - x = 0, alpha = 1 (Kummer), E_{1/2,1/2} for x <= 10, or the two-term
-        series for x <= 1e-8;
+    Each regime runs once, over all the elements the regimes before it
+    left, in this order:
+      - E_{1,1}(-x) = exp(-x) and E_{1/2,1}(-x) = exp(x^2) erfc(x), on
+        the whole array;
+      - x = 0;
+      - the other closed forms: alpha = 1 (expm1 for beta = 2, Kummer
+        otherwise) and E_{1/2,1/2} for x <= 10;
+      - the two-term series for x <= 1e-8;
       - the defining power series with compensated summation, for x <= 8,
-        accepted only when cancellation is provably small (element by
-        element);
+        accepted only when cancellation is provably small;
       - for x >= 3, the algebraic asymptotic series, stopped by its
-        envelope and accepted at an estimate of 1e-13 (all such elements
-        at once);
-      - the branch-cut integral on fixed Gauss-Legendre panels (all
-        remaining elements at once), AccuracyError above 1e-10.
+        envelope and accepted at an estimate of 1e-13;
+      - the branch-cut integral on fixed Gauss-Legendre panels,
+        AccuracyError above 1e-10.
     For beta = 1 a series or asymptotic value must also lie in (0, 1].
     """
     a = check_alpha("ml_neg: alpha", alpha)
@@ -562,54 +569,48 @@ def ml_neg(alpha, x, beta=1.0):
                           f"of them, got {x!r}")
     # one contiguous buffer: the same ufunc loop for every length
     xs = np.array(xs, dtype=float, order="C")
-    if b == 1.0 and a in (0.5, 1.0):
-        out = np.exp(-xs) if a == 1.0 else _erfcx(xs)
-    else:
-        out = _ml_general(a, b, xs.ravel()).reshape(xs.shape)
+    out = _ml_general(a, b, xs.ravel()).reshape(xs.shape)
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _ml_first(a, b, x):
-    """E_{a,b}(-x) for one x by a closed form or the power series, or None
-    when the regimes for larger x must decide."""
-    if x == 0.0:
-        return _rgamma(b)
+def _ml_general(a, b, xs):
+    """E_{a,b}(-x) over a 1-d array: one masked pass per regime of ml_neg,
+    in its order, each over the elements still left (todo)."""
+    if b == 1.0 and a in (0.5, 1.0):  # exact at x = 0 too: no mask on the hot path
+        return _erfcx(xs) if a == 0.5 else np.exp(-xs)
+    out = np.full_like(xs, _rgamma(b))  # the value at x = 0
+    todo = xs != 0.0
     if a == 1.0:
-        return _ml_alpha1(b, x)
-    if a == 0.5 and b == 0.5 and x <= 10.0:
+        x = xs[todo]
+        if b == 2.0:
+            out[todo] = -np.expm1(-x) / x
+        else:  # E_{1,b}(-x) = M(1, b, -x)/Gamma(b)  (Kummer)
+            out[todo] = _hyp1f1(1.0, b, -x) * _rgamma(b)
+        return out
+    if a == 0.5 and b == 0.5:
         # exact identity E_{1/2,1/2}(-x) = 1/sqrt(pi) - x exp(x^2) erfc(x);
         # it cancels badly for large x, where the asymptotic series takes over
-        return 1.0 / math.sqrt(math.pi) - x * float(_erfcx(x))
-    if x <= 1e-8:
-        return _rgamma(b) - x * _rgamma(a + b)
-    if x <= 8.0 and _series_peak_prediction(a, b, x) < math.log(1e4):
-        val, ratio = _ml_series(a, b, x)
-        if ratio <= _SERIES_PEAK_MAX and (b != 1.0 or 0.0 < val <= 1.0):
-            return val
-    return None
-
-
-def _ml_general(a, b, xs):
-    """E_{a,b}(-x) over a 1-d array: element by element through _ml_first,
-    then the asymptotic series and the integral each on all the elements
-    left to them."""
-    out = np.empty_like(xs)
-    left = []
-    for i, x in enumerate(xs.tolist()):
-        val = _ml_first(a, b, x)
-        if val is None:
-            left.append(i)
-        else:
-            out[i] = val
-    left = np.array(left, dtype=np.intp)
-    far = left[xs[left] >= 3.0]
-    if far.size:
-        val, rel = _ml_asymptotic(a, b, xs[far])
-        ok = rel <= _ASYM_REL_TOL
-        if b == 1.0:
-            ok &= (0.0 < val) & (val <= 1.0)
-        out[far[ok]] = val[ok]
-        left = np.setdiff1d(left, far[ok])
-    if left.size:
-        out[left] = _ml_integral(a, b, xs[left])
+        near = todo & (xs <= 10.0)
+        out[near] = 1.0 / math.sqrt(math.pi) - xs[near] * _erfcx(xs[near])
+        todo &= ~near
+    tiny = todo & (xs <= 1e-8)
+    out[tiny] = _rgamma(b) - xs[tiny] * _rgamma(a + b)
+    todo &= ~tiny
+    i = np.flatnonzero(todo & (xs <= 8.0))
+    i = i[_series_peak_prediction(a, b, xs[i]) < math.log(1e4)]
+    _accept(out, todo, i, b, *_ml_series(a, b, xs[i]), _SERIES_PEAK_MAX)
+    i = np.flatnonzero(todo & (xs >= 3.0))
+    _accept(out, todo, i, b, *_ml_asymptotic(a, b, xs[i]), _ASYM_REL_TOL)
+    if todo.any():
+        out[todo] = _ml_integral(a, b, xs[todo])
     return out
+
+
+def _accept(out, todo, i, b, val, err, tol):
+    """Store val at the indices i where err <= tol (and, for beta = 1,
+    0 < val <= 1), and take those elements off todo."""
+    ok = err <= tol
+    if b == 1.0:
+        ok &= (0.0 < val) & (val <= 1.0)
+    out[i[ok]] = val[ok]
+    todo[i[ok]] = False

@@ -430,9 +430,8 @@ def cross_sigma(ell, s, h, alpha):
 # --------------------------------------------------------------------------
 # the sampler
 
-def _decay_factors(L, t, alpha):
-    """E_alpha(-lambda_l t^alpha) for l = 0..L."""
-    ells = np.arange(L + 1, dtype=float)
+def _decay_factors(ells, t, alpha):
+    """E_alpha(-lambda_l t^alpha) for the ndarray of degrees ells."""
     return ml_neg(alpha, ells * (ells + 1.0) * t ** alpha)
 
 
@@ -478,7 +477,7 @@ def _joint_covariance(model, L, times):
     tau.  The diagonal has the bits of coefficient_variance.  The noise
     block is skipped when A vanishes on 0..L."""
     ells = np.arange(L + 1)
-    e = np.stack([_decay_factors(L, t, model.alpha) for t in times], axis=1)
+    e = np.stack([_decay_factors(ells, t, model.alpha) for t in times], axis=1)
     cov = (model.spec_c.value(ells)[:, None] * e)[:, :, None] * e[:, None, :]
     lags = tuple(t - model.tau for t in times if t > model.tau)
     a = model.spec_a.value(ells)
@@ -539,7 +538,7 @@ def _increment_law(model, L, t, t_h):
     increment.  D_l is skipped when A vanishes on 0..L, so a model without
     noise takes any h > 0."""
     ells = np.arange(L + 1)
-    de = _decay_factors(L, t_h, model.alpha) - _decay_factors(L, t, model.alpha)
+    de = _decay_factors(ells, t_h, model.alpha) - _decay_factors(ells, t, model.alpha)
     v = model.spec_c.value(ells) * de * de
     a = model.spec_a.value(ells)
     if np.any(a):
@@ -670,7 +669,7 @@ def coefficient_variance(model, ell, t):
     if not isinstance(ells, np.ndarray):
         ells = np.array([ells], dtype=float)
     t = check_real("coefficient_variance: t", t)
-    e = ml_neg(model.alpha, ells * (ells + 1.0) * t ** model.alpha)
+    e = _decay_factors(ells, t, model.alpha)
     v = model.spec_c.value(ells) * e * e
     if t > model.tau:
         v += model.spec_a.value(ells) * sigma_squared(ells, t - model.tau, model.alpha)

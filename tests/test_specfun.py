@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -238,11 +239,14 @@ def test_ml_vs_oracle_grid(alpha, beta):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_ml_closed_forms_array_matches_scalar_bitwise(alpha):
+    # (1/2, 1/2) mixes its closed form (x <= 10) with the regimes past it
     rng = np.random.default_rng(11)
-    xs = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 997), np.logspace(-9, 6, 203)])
-    vals = ml_neg(alpha, xs)
-    assert all(v == ml_neg(alpha, float(x)) for v, x in zip(vals, xs))
-    assert np.array_equal(ml_neg(alpha, xs[1::7]), vals[1::7])  # a strided view
+    xs = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 997), np.logspace(-9, 6, 203),
+                         [10.0, np.nextafter(10.0, 11.0)]])
+    for beta in (1.0, 0.5) if alpha == 0.5 else (1.0, 2.0, 1.6):
+        vals = ml_neg(alpha, xs, beta=beta)
+        assert all(v == ml_neg(alpha, float(x), beta=beta) for v, x in zip(vals, xs))
+        assert np.array_equal(ml_neg(alpha, xs[1::7], beta=beta), vals[1::7])  # strided
     with pytest.raises(DomainError):
         ml_neg(alpha, np.array([1.0, -1.0]))
 
@@ -343,12 +347,32 @@ def test_ml_general_array_matches_scalar_bitwise(alpha, unit_beta, monkeypatch):
             return _real(*args)
         monkeypatch.setattr(specfun, name, counted)
     vals = ml_neg(alpha, xs, beta=beta)
-    # all three regimes ran, the integral over more than one block of nodes
-    assert used["_ml_series"] > 0 and used["_ml_asymptotic"] == 1 and used["_panels"] > 1
+    # all three regimes ran, each series once, the integral over more than
+    # one block of nodes
+    assert used["_ml_series"] == 1 and used["_ml_asymptotic"] == 1 and used["_panels"] > 1
     assert all(v == ml_neg(alpha, float(x), beta=beta) for v, x in zip(vals, xs))
     assert np.array_equal(ml_neg(alpha, xs[1::7], beta=beta), vals[1::7])  # a strided view
     assert np.array_equal(ml_neg(alpha, xs[1:].reshape(20, -1), beta=beta),
                           vals[1:].reshape(20, -1))
+
+
+def test_ml_huge_x_underflows_to_zero():
+    # E_{a,a}(-x) ~ -x^-2 / Gamma(-a): the asymptotic sum is an exact zero
+    # once x^-2 underflows (1/Gamma(0) = 0 kills the first term); it is the
+    # value, not a cue to try the integral, whose (x sin(pi a))^2 overflows
+    xs = np.array([1e150, 1e200, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = ml_neg(0.75, xs, beta=0.75)
+    # ml_oracle's quadrature is 2.1e-5 off at x = 1e150 at any precision;
+    # the asymptotic terms k <= 3 leave a remainder of relative size x^-2
+    with mp.workdps(35):
+        x, a = mp.mpf(1e150), mp.mpf(0.75)
+        ref = sum((-1) ** (k + 1) * x ** -k * mp.rgamma(a - a * k) for k in (1, 2, 3))
+    assert vals[0] == pytest.approx(float(ref), rel=1e-10, abs=0)
+    for x, v in zip(xs[1:], vals[1:]):
+        assert v == 0.0
+        assert abs(ml_oracle(0.75, float(x), 0.75)) < mp.mpf(2) ** -1074
 
 
 def test_ml_integral_raises_when_panels_too_coarse(monkeypatch):
