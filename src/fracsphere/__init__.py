@@ -12,7 +12,7 @@ from .spectra import (AlgebraicSpectrum, BoundConstants, bound_constants,
                       holder_envelope, increment_bound, m_alpha,
                       measured_increment_c, psi_h, psi_i, tail_constant)
 from .stochastic import (CoefficientSet, FractionalModel, RngStream,
-                         coefficient_variance, covariance_function,
+                         chi_square_power, coefficient_variance, covariance_function,
                          cross_sigma, sample_combined, sample_combined_pair,
                          sample_combined_times, sigma_squared,
                          sigma_squared_bound)

@@ -1,11 +1,16 @@
 """Convergence experiments: truncation-error curves with theoretical
 overlays, temporal-increment scaling, evolution snapshots, slope fits.
 
-Monte Carlo realizations are independent counter-based RNG substreams, so
-results are bit-identical for any worker count; reductions run in fixed
-realization order.  Both curves run one task function, _power, over
-explicit argument tuples: in-process for one worker, else on a process
-pool with the platform's default start method.
+Both curves reduce each realization to its per-degree Parseval power p_l,
+which for a draw of per-degree variance v_l is exactly v_l chi^2_{2l+1}.
+A curve row's n_real realizations therefore cost one field draw, reduced
+with degree_power, plus the other n_real - 1 summed from their exact law
+v_l chi^2_{(n_real - 1)(2l+1)}, one variate per degree (chi_square_power).
+The field draw keeps the sampler checked end to end.  Every row is one
+task of one function, _power, over explicit argument tuples, and draws
+from counter-based RNG streams of its own, so results are bit-identical
+for any worker count: rows run in-process for one worker, else on a
+process pool with the platform's default start method.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, check_degree, check_list, check_path, check_real
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
-from .stochastic import (RNG_SCHEME, RngStream, sample_combined,
+from .stochastic import (RNG_SCHEME, RngStream, chi_square_power, sample_combined,
                          sample_combined_pair, sample_combined_times)
 # perfbench/tracer.py wraps the kernel variances under these names too
 from .stochastic import cross_sigma, sigma_squared  # noqa: F401
@@ -100,17 +105,23 @@ def fit_loglog_slope(curve, window=None, include_flagged=False):
 # Monte Carlo tasks: every argument travels with the task, so the pool works
 # under any start method
 
-def _power(model, L, t, h, rng, realization):
-    """Per-degree Parseval power of one draw of U(t) (h None), or of the
-    increment U(t+h) - U(t), each from its exact law."""
+def _power(model, L, t, h, rng, row, n_real):
+    """Per-degree Parseval power summed over the n_real realizations of one
+    curve row, of U(t) (h None) or of the increment U(t+h) - U(t):
+    realization `row` drawn from its exact law and reduced, plus the other
+    n_real - 1 from the chi-square law of their sum."""
     if h is None:
-        return sample_combined(model, L, t, rng, realization=realization).degree_power()
-    return sample_combined_pair(model, L, t, h, rng,
-                                realization=realization).degree_power()
+        p = sample_combined(model, L, t, rng, realization=row).degree_power()
+    else:
+        p = sample_combined_pair(model, L, t, h, rng, realization=row).degree_power()
+    p += chi_square_power(model, L, t, rng, row, n_real - 1, h)
+    return p
 
 
 def _run_jobs(tasks, workers):
-    """_power over the argument tuples in `tasks`, results in task order."""
+    """_power over the argument tuples in `tasks`, results in task order;
+    no more processes than tasks."""
+    workers = min(workers, len(tasks))
     if workers == 1:
         return [_power(*task) for task in tasks]
     with multiprocessing.Pool(workers) as pool:
@@ -120,14 +131,15 @@ def _run_jobs(tasks, workers):
 def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=1):
     """Estimate the mean-square truncation error curve.
 
-    One degree-l_tilde draw per realization serves every L in l_grid (the
+    One degree-l_tilde realization serves every L in l_grid (the
     estimator sums the tail of the same realization):
         empirical(L) = sqrt( mean_j sum_{l>L} p_l(j) ),
-    with p_l the per-degree Parseval power.  Each realization is drawn
-    from the one-time law (sample_combined), two normal arrays; the
-    per-degree variances are computed once.  The bound column
-    is the combined truncation bound; rows whose case conditions fail are
-    flagged.
+    with p_l the per-degree Parseval power.  The curve is one row:
+    realization 0 is drawn from the one-time law (sample_combined) and
+    reduced, and the other n_real - 1 add v_l chi^2_{(n_real-1)(2l+1)}
+    with the same per-degree variances v_l, computed once.  The bound
+    column is the combined truncation bound; rows whose case conditions
+    fail are flagged.
     """
     l_tilde = check_degree("truncation_error_curve: l_tilde", l_tilde)
     l_grid = check_list("truncation_error_curve: l_grid", l_grid, check_degree)
@@ -138,13 +150,9 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=1):
     t = check_real("truncation_error_curve: t", t)
     n_real = check_degree("truncation_error_curve: n_real", n_real, 2)
     workers = check_degree("truncation_error_curve: workers", workers, 1)
-    rng = RngStream(seed)
-    powers = _run_jobs([(model, l_tilde, t, None, rng, j) for j in range(n_real)],
-                       workers)
-    mean_p = np.zeros(l_tilde + 1)
-    for p in powers:  # fixed order for bitwise determinism
-        mean_p += p
-    mean_p /= n_real
+    [power] = _run_jobs([(model, l_tilde, t, None, RngStream(seed), 0, n_real)],
+                        workers)
+    mean_p = power / n_real
     tail = np.concatenate([np.cumsum(mean_p[::-1])[::-1], [0.0]])
     rows = []
     for L in l_grid:
@@ -167,9 +175,10 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
     q(t) sqrt(h) bound (measured constant unless overridden).
 
-    Each realization draws the increment directly from its exact law
-    (sample_combined_pair), two normal arrays; the per-degree increment
-    variances are computed once per h."""
+    Each h is one row: realization i of row i is drawn directly from the
+    increment's exact law (sample_combined_pair) and reduced, and the
+    other n_real - 1 add the chi-square law of their summed power, with
+    the per-degree increment variances computed once per h."""
     L = check_degree("increment_curve: L", L)
     hs = check_list("increment_curve: h_grid", h_grid, check_real)
     if sorted(hs) != hs:
@@ -179,14 +188,11 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
     workers = check_degree("increment_curve: workers", workers, 1)
     c = measured_increment_c(model.alpha, override=increment_c)
     rng = RngStream(seed)
-    # independent realization stream per (h, j): column-specific realizations
-    tasks = [(model, L, t, h, rng, j * len(hs) + i)
-             for i, h in enumerate(hs) for j in range(n_real)]
-    powers = _run_jobs(tasks, workers)
+    powers = _run_jobs([(model, L, t, h, rng, i, n_real) for i, h in enumerate(hs)],
+                       workers)
     rows = []
-    for i, h in enumerate(hs):
-        sums = [float(p.sum()) for p in powers[i * n_real:(i + 1) * n_real]]
-        emp = math.sqrt(sum(sums) / n_real)
+    for h, p in zip(hs, powers):
+        emp = math.sqrt(float(p.sum()) / n_real)
         bound = increment_bound(t, h, model.tau, model.alpha,
                                 model.spec_c, model.spec_a, c)
         rows.append((h, emp, bound, 0))

@@ -40,7 +40,7 @@ graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
 carries an error estimate from an embedded lower-order rule; a value whose
 summed estimate exceeds 1e-10 of itself raises AccuracyError.
 
-Randomness is counter-based (RNG scheme 6): each (seed, realization,
+Randomness is counter-based (RNG scheme 7): each (seed, realization,
 role) has its own Philox key, and variate number l(l+1)/2 + m of that
 stream belongs to coefficient (l, m), the np.tril_indices order.  Column
 j of a draw takes roles 4 + 2j (Re) and 5 + 2j (Im), so time 0 of any
@@ -49,6 +49,15 @@ realization draws each role as one packed array, every variate is a pure
 function of its coordinates, and a draw at degree L has the rows of a
 draw at any larger degree, bit for bit.  Draws are order-independent and
 identical under any work scheduling.
+
+A Monte Carlo curve needs only each draw's per-degree Parseval power p_l,
+which is exactly v_l chi^2_{2l+1} for the law's per-degree variance v_l;
+the sum of n independent draws' powers is v_l chi^2_{n(2l+1)}.
+chi_square_power draws that sum with one variate per degree, in degree
+order, from role 0 of the curve row's key, a role no coefficient draw
+uses.  Its variates at degree L are a prefix of those at any larger
+degree, but a variate is not a function of its degree alone, because
+the gamma sampler consumes a variable number of raw values.
 
 A CoefficientSet stores Re V and Im V as two such packed arrays.  Monte
 Carlo reductions (degree_power) read them directly; the (L+1)x(L+1) square
@@ -78,12 +87,14 @@ __all__ = [
     "ROLE_INC_IM",
     "ROLE_LAW_RE",
     "ROLE_LAW_IM",
+    "ROLE_POWER",
     "sigma_squared",
     "sigma_squared_bound",
     "cross_sigma",
     "sample_combined",
     "sample_combined_pair",
     "sample_combined_times",
+    "chi_square_power",
     "coefficient_variance",
     "covariance_function",
 ]
@@ -108,6 +119,7 @@ class FractionalModel:
 # --------------------------------------------------------------------------
 # counter-based RNG streams
 
+ROLE_POWER = 0    # the chi-square powers of a curve row (chi_square_power)
 ROLE_INC_RE = 2   # an increment draw (sample_combined_pair)
 ROLE_INC_IM = 3
 ROLE_LAW_RE = 4   # column j of a law draw takes ROLE_LAW_RE + 2j, ROLE_LAW_IM + 2j
@@ -115,7 +127,7 @@ ROLE_LAW_IM = 5
 _ROLES = 2 ** 8   # role ids fit in one byte of the Philox key
 _MAX_TIMES = (_ROLES - ROLE_LAW_RE) // 2
 
-RNG_SCHEME = 6  # version of the map from coordinates to variates
+RNG_SCHEME = 7  # version of the map from coordinates to variates
 
 
 def _coordinate(name, value, bound):
@@ -130,11 +142,13 @@ def _coordinate(name, value, bound):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Reproducible normals: one Philox stream per (seed, realization, role).
+    """Reproducible variates: one Philox stream per (seed, realization, role),
+    keyed (seed, realization << 8 | role).
 
-    Variate number l(l+1)/2 + m of a stream belongs to coefficient (l, m),
-    so identical coordinates give bit-identical variates on every platform
-    and distinct (realization, role) pairs give independent streams.
+    Variate number l(l+1)/2 + m of a normal stream belongs to coefficient
+    (l, m), so identical coordinates give bit-identical variates on every
+    platform and distinct (realization, role) pairs give independent
+    streams.
     """
 
     seed: int
@@ -142,16 +156,25 @@ class RngStream:
     def __post_init__(self):
         object.__setattr__(self, "seed", _coordinate("seed", self.seed, 2 ** 64))
 
+    def _generator(self, realization, role):
+        realization = _coordinate("realization index", realization, 2 ** 56)
+        role = _coordinate("role", role, _ROLES)
+        key = np.array([self.seed, realization << 8 | role], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
     def normals(self, realization, ell, role, n):
         """The n variates of stream (realization, role) that start at the
         first variate of degree ell; the stream's prefix is drawn and dropped."""
-        realization = _coordinate("realization index", realization, 2 ** 56)
         ell = _coordinate("degree", ell, 2 ** 20)
-        role = _coordinate("role", role, _ROLES)
-        key = np.array([self.seed, realization << 8 | role], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        gen = self._generator(realization, role)
         skip = ell * (ell + 1) // 2
         return gen.standard_normal(skip + n)[skip:]
+
+    def chi_squares(self, realization, role, dof):
+        """One chi-square variate per entry of the array dof, drawn in order
+        from stream (realization, role), so a prefix of dof gets a prefix
+        of the variates."""
+        return self._generator(realization, role).chisquare(dof)
 
 
 # --------------------------------------------------------------------------
@@ -547,47 +570,39 @@ def _increment_law(model, L, t, t_h):
     return v
 
 
-def _weights(model, L, times, increment):
-    """The packed weights of a draw: w[i][j], j <= i, holds column j of the
-    per-degree factor of Sigma_l at (l, 0) and of Sigma_l / 2 at
-    (l, m >= 1), so a one-time law gets sqrt(v_l) and sqrt(v_l / 2).
-    Sigma_l is the covariance across the times (a tuple) or, for an
-    increment, the 1x1 variance of U(t_h) - U(t) at times (t, t_h).
-    Read-only."""
+@functools.lru_cache(maxsize=4)
+def _law(model, L, times, increment):
+    """The law of a draw: Sigma_l, the (L+1, k, k) covariance across the
+    times (a tuple) or, for an increment, the 1x1 variance of U(t_h) - U(t)
+    at times (t, t_h), and the per-degree factors of Sigma_l and of
+    Sigma_l / 2.  Its diagonal has the bits of coefficient_variance or
+    _increment_law.  Read-only; a few laws are held, so each is evaluated
+    once however many draws and chi-square powers read it."""
     if increment:
         cov = _increment_law(model, L, *times)[:, None, None]
     else:
         cov = _joint_covariance(model, L, times)
-    head, rest = _cholesky(cov, times), _cholesky(cov / 2.0, times)
-    weights = []
-    for i in range(cov.shape[1]):
-        row = tuple(_packed(head[:, i, j], rest[:, i, j], L) for j in range(i + 1))
-        for w in row:
-            w.flags.writeable = False
-        weights.append(row)
-    return tuple(weights)
-
-
-@functools.lru_cache(maxsize=1)
-def _law_weights(model, L, times, increment):
-    """_weights of a one-time or increment law (k = 1), the laws a curve
-    draws every realization of in a row; only the last one is held.  A
-    multi-time draw builds its weights uncached."""
-    return _weights(model, L, times, increment)
+    law = (cov, _cholesky(cov, times), _cholesky(cov / 2.0, times))
+    for a in law:
+        a.flags.writeable = False
+    return law
 
 
 def _combine(weights, rng, realization, role, n):
     """One component of every output: output i is sum_{j <= i} w[i][j] z_j,
     summed in column order, z_j the packed normals of role + 2j.  One
-    column's normals are held at a time."""
-    out = []
+    column's normals are held at a time, and its last product, w[j][j] z_j,
+    is taken in their memory, so a one-time draw allocates no array
+    beyond its normals and weights."""
+    out = [None] * len(weights)
     for j in range(len(weights)):
         z = rng.normals(realization, 0, role + 2 * j, n)
-        for i in range(j, len(weights)):
+        for i in range(len(weights) - 1, j - 1, -1):
+            w = weights[i][j] * z if i > j else np.multiply(z, weights[j][j], out=z)
             if j == 0:
-                out.append(weights[i][0] * z)
+                out[i] = w
             else:
-                out[i] += weights[i][j] * z
+                out[i] += w
     return out
 
 
@@ -596,15 +611,18 @@ def _sample(model, L, times, rng, realization, increment):
     one per increasing time >= 0, or with increment, the one set of
     U(t_h) - U(t) for times (t, t_h), stamped with t_h.
 
-    The weights of _weights are applied to packed normals in
+    The factors of _law are applied to packed normals in
     np.tril_indices(L + 1) order, so the variate of (l, m) is number
     l(l+1)/2 + m of its stream at any L.  Column j draws roles
     ROLE_LAW_RE + 2j and ROLE_LAW_IM + 2j, an increment roles ROLE_INC_RE
     and ROLE_INC_IM.  Time 0 of a joint draw is the one-time law draw,
     and a time has the same bits whatever later times are drawn with it."""
     L = check_degree("degree L", L)
-    law = _law_weights if increment or len(times) == 1 else _weights
-    weights = law(model, L, tuple(times), increment)
+    _, head, rest = _law(model, L, tuple(times), increment)
+    # w[i][j], j <= i: column j of the factor of Sigma_l at (l, 0) and of
+    # Sigma_l / 2 at (l, m >= 1), so a one-time law gets sqrt(v_l), sqrt(v_l / 2)
+    weights = [[_packed(head[:, i, j], rest[:, i, j], L) for j in range(i + 1)]
+               for i in range(head.shape[1])]
     roles = (ROLE_INC_RE, ROLE_INC_IM) if increment else (ROLE_LAW_RE, ROLE_LAW_IM)
     n = (L + 1) * (L + 2) // 2
     re, im = (_combine(weights, rng, realization, role, n) for role in roles)
@@ -653,6 +671,24 @@ def sample_combined_pair(model, L, t, h, rng, realization=0):
     t = check_real("sample_combined_pair: t (above tau)", t, model.tau)
     h = check_real("sample_combined_pair: h", h)
     return _sample(model, L, [t, t + h], rng, realization, True)[0]
+
+
+def chi_square_power(model, L, t, rng, row, n, h=None):
+    """The per-degree Parseval power p_l summed over n independent draws of
+    U(t) (h None, the law of sample_combined) or of the increment
+    U(t+h) - U(t) (that of sample_combined_pair), from its exact law
+    v_l chi^2_{n(2l+1)}: one variate per degree, in degree order, from
+    stream (row, ROLE_POWER), times v_l read from the samplers' cached law."""
+    L = check_degree("degree L", L)
+    n = check_degree("chi_square_power: n", n, 1)
+    if h is None:
+        t = check_real("chi_square_power: t", t)
+        times = (t,)
+    else:
+        t = check_real("chi_square_power: t (above tau)", t, model.tau)
+        times = (t, t + check_real("chi_square_power: h", h))
+    v = _law(model, L, times, h is not None)[0][:, 0, 0]
+    return v * rng.chi_squares(row, ROLE_POWER, n * (2.0 * np.arange(L + 1) + 1.0))
 
 
 # --------------------------------------------------------------------------

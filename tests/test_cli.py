@@ -120,7 +120,7 @@ def test_truncation_run_writes_artifacts(tmp_path):
     assert (tmp_path / "run" / "trunc_0.5.json").exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 7 and manifest["experiment"] == "truncation"
-    assert manifest["version"] and manifest["rng_scheme"] == 6
+    assert manifest["version"] and manifest["rng_scheme"] == 7
 
 
 def test_increments_run(tmp_path):

@@ -11,7 +11,8 @@ from fracsphere import (AlgebraicSpectrum, DomainError, ErrorCurve,
                         FractionalModel, GridSpec, RngStream,
                         coefficient_variance, evolution_snapshots,
                         fit_loglog_slope, increment_curve, ml_neg,
-                        sample_combined, truncation_error_curve)
+                        sample_combined, sample_combined_times,
+                        truncation_error_curve)
 from fracsphere import stochastic
 from fracsphere.stochastic import sigma_squared, cross_sigma
 
@@ -91,14 +92,17 @@ def test_truncation_shared_draw_monotone(small_model):
 
 
 def test_truncation_matches_direct_estimator(small_model):
-    """The curve equals the estimator computed directly from the samplers."""
+    """The curve equals the estimator built directly: realization 0 from the
+    sampler, plus v_l chi^2_{4(2l+1)} for the other four realizations, drawn
+    from Philox key (seed, row << 8 | role) with row 0 and role 0."""
     curve = truncation_error_curve(small_model, 24, [6, 12], 1e-4, 5, seed=3)
+    c = sample_combined(small_model, 24, 1e-4, RngStream(3), realization=0)
+    v = coefficient_variance(small_model, np.arange(25), 1e-4)
+    gen = np.random.Generator(np.random.Philox(key=np.array([3, 0 << 8 | 0],
+                                                            dtype=np.uint64)))
+    p = c.degree_power() + v * gen.chisquare(4 * (2.0 * np.arange(25) + 1.0))
     for L, emp, bound, flag in curve.rows:
-        acc = 0.0
-        for j in range(5):
-            c = sample_combined(small_model, 24, 1e-4, RngStream(3), realization=j)
-            acc += c.degree_power()[int(L) + 1:].sum()
-        assert emp == pytest.approx(math.sqrt(acc / 5), rel=1e-12)
+        assert emp == pytest.approx(math.sqrt(p[int(L) + 1:].sum() / 5), rel=1e-12)
     # L = 12 is past both knees at t = 1e-4 (case III, valid bound); L = 6
     # sits below the early-time knee with tau below it too, hence flagged
     flags = {int(r[0]): r[3] for r in curve.rows}
@@ -175,7 +179,7 @@ def test_truncation_ml_neg_calls_independent_of_n_real(monkeypatch):
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     counts = []
     for n_real in (2, 6):
-        stochastic._law_weights.cache_clear()
+        stochastic._law.cache_clear()
         calls.clear()
         truncation_error_curve(m, n_real=n_real, **kw)
         counts.append(len(calls))
@@ -203,10 +207,10 @@ def test_increment_curve_builds_each_covariance_stack_once(small_model, monkeypa
     built, real = [], stochastic._covariance_stack
     monkeypatch.setattr(stochastic, "_covariance_stack",
                         lambda L, lags, alpha: built.append(lags) or real(L, lags, alpha))
-    stochastic._law_weights.cache_clear()
+    stochastic._law.cache_clear()
     hs = [1e-6, 2e-6, 3e-6]
     increment_curve(small_model, 12, 2e-5, hs, 4, seed=3)
-    stochastic._law_weights.cache_clear()
+    stochastic._law.cache_clear()
     s = 2e-5 - small_model.tau
     assert sorted(built) == sorted((s, 2e-5 + h - small_model.tau) for h in hs)
 
@@ -239,6 +243,35 @@ def test_increment_bound_column(small_model):
     assert curve.meta["increment_c"] > 0.0
 
 
+def test_chi_square_keys_never_field_keys(small_model, monkeypatch):
+    # every Philox key a curve's chi-square powers open differs from every
+    # key a coefficient draw opens, for the rows and realizations used here
+    opened, chi, philox, chi_squares = [], [], np.random.Philox, RngStream.chi_squares
+
+    def opening(key):
+        opened.append(tuple(int(k) for k in key))
+        return philox(key=key)
+
+    def recorded(self, *args):
+        before = len(opened)
+        out = chi_squares(self, *args)
+        chi.extend(range(before, len(opened)))
+        return out
+
+    monkeypatch.setattr(np.random, "Philox", opening)
+    monkeypatch.setattr(RngStream, "chi_squares", recorded)
+    truncation_error_curve(small_model, 16, [4, 8], 1e-4, 3, seed=5)
+    increment_curve(small_model, 8, 2e-5, [1e-6 * k for k in range(1, 8)], 3, seed=5)
+    for j in range(8):
+        sample_combined_times(small_model, 4, [5e-6, 2e-5, 4e-5], RngStream(5),
+                              realization=j)
+    chi_keys = {opened[i] for i in chi}
+    field_keys = {k for i, k in enumerate(opened) if i not in chi}
+    assert len(chi) == 1 + 7 and len(opened) == len(chi) + 2 + 7 * 2 + 8 * 6
+    assert {k[1] & 0xFF for k in chi_keys} == {0}
+    assert not chi_keys & field_keys
+
+
 def test_increment_determinism_workers(small_model, tmp_path):
     kw = dict(L=24, t=2e-5, h_grid=[1e-6, 2e-6], n_real=4, seed=31)
     a = increment_curve(small_model, **kw)
@@ -264,7 +297,7 @@ def test_snapshots_shared_draw(small_model, tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 8 and manifest["L"] == 16
     assert manifest["tool"] == "fracsphere"
-    assert manifest["rng_scheme"] == 6
+    assert manifest["rng_scheme"] == 7
 
 
 def test_snapshots_time_zero_is_initial_draw(small_model, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from fracsphere import stochastic
 from fracsphere import (AccuracyError, AlgebraicSpectrum, CoefficientSet, DomainError,
-                        FractionalModel, RngStream, coefficient_variance,
+                        FractionalModel, RngStream, chi_square_power, coefficient_variance,
                         covariance_function, cross_sigma, holder_envelope, ml_neg,
                         sample_combined, sample_combined_pair, sample_combined_times,
                         sigma_squared, sigma_squared_bound)
@@ -390,6 +390,33 @@ def test_law_single_draw_chi_square(spectra, alpha):
         p = sample_combined(m, L, t, RngStream(77), realization=j).degree_power()
         big_t = np.sum(p / v - (2 * ells + 1)) / math.sqrt(np.sum(2.0 * (2 * ells + 1)))
         assert abs(big_t) < 5.0
+
+
+def test_chi_square_power_matches_sampler_in_law(model):
+    # p_l / v_l of a sampler draw and of a one-draw chi-square power are
+    # both chi^2_{2l+1}: per degree, the two samples' means and variances
+    # agree within 5 standard errors
+    L, t, n = 6, 1e-4, 4000
+    v = coefficient_variance(model, np.arange(L + 1), t)
+    rng = RngStream(41)
+    field = np.array([sample_combined(model, L, t, rng, realization=j).degree_power()
+                      for j in range(n)]) / v
+    chi = np.array([chi_square_power(model, L, t, rng, j, 1) for j in range(n)]) / v
+    for x, y in zip(field.T, chi.T):
+        se = math.sqrt((x.var() + y.var()) / n)
+        assert abs(x.mean() - y.mean()) <= 5.0 * se
+        se = math.sqrt((np.mean((x - x.mean()) ** 4) - x.var() ** 2
+                        + np.mean((y - y.mean()) ** 4) - y.var() ** 2) / n)
+        assert abs(x.var() - y.var()) <= 5.0 * se
+
+
+@pytest.mark.parametrize("t,h", [(1e-4, None), (2e-5, 3e-6)])
+def test_chi_square_power_prefix_across_degrees(model, t, h):
+    # rows l <= 50 of a degree-50 chi-square power are those at degree 400
+    rng = RngStream(606)
+    small = chi_square_power(model, 50, t, rng, 5, 49, h)
+    big = chi_square_power(model, 400, t, rng, 5, 49, h)
+    assert np.array_equal(small, big[:51])
 
 
 def _law_draw_reference(v, rng, realization, roles):
