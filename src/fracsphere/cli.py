@@ -133,7 +133,7 @@ def cmd_sigma(args):
 
 def cmd_bounds(args):
     cfg = load_config(args.config)
-    _apply_overrides(cfg, args, ["alpha", "tau", "seed"])
+    _apply_overrides(cfg, args, ["alpha", "tau"])
     model = model_from_config(cfg)
     bc = bound_constants(model.alpha, model.spec_c, model.spec_a,
                          increment_c_override=cfg["increment_c"])
@@ -335,11 +335,14 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"fracsphere {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_config(sp):
+    def add_model(sp):
         sp.add_argument("--config", metavar="FILE",
                         help="JSON config file (flat schema; flags override keys)")
         sp.add_argument("--alpha", type=float, help="fractional order in (0,1]")
         sp.add_argument("--tau", type=float, help="noise onset time (model time units)")
+
+    def add_config(sp):
+        add_model(sp)
         sp.add_argument("--seed", type=int, help="64-bit RNG seed")
         sp.add_argument("--out", help="output directory")
 
@@ -358,7 +361,7 @@ def build_parser():
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("bounds", help="bound constants as JSON")
-    add_config(sp)
+    add_model(sp)
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("simulate", help="evolution snapshot maps (PPM/PNG + CSV)")

@@ -49,11 +49,13 @@ def check_degree(name, value, least=0):
 
 
 def check_degrees(name, values):
-    """An ndarray of degrees as a float array: every element a finite
-    non-negative whole number.  Bool, string and object arrays are refused."""
-    arr = np.asarray(values)
-    if arr.dtype.kind in "iuf":
-        arr = np.asarray(arr, dtype=float)
+    """Degrees as a float array: an ndarray whose every element is a finite
+    non-negative whole number (bool, string and object arrays are refused),
+    or one degree, checked by check_degree, as a 1-element array."""
+    if not isinstance(values, np.ndarray):
+        return np.array([check_degree(name, values)], dtype=float)
+    if values.dtype.kind in "iuf":
+        arr = np.asarray(values, dtype=float)
         bad = ~(np.isfinite(arr) & (arr >= 0.0) & (arr == np.floor(arr)))
         if not bad.any():
             return arr

@@ -58,10 +58,7 @@ class AlgebraicSpectrum:
     def value(self, ell):
         """X_l for a degree, or an ndarray of them for an ndarray of degrees.
         A scalar runs through the array code, so both give the same bits."""
-        if isinstance(ell, np.ndarray):
-            ells = check_degrees("spectrum value: degree", ell)
-        else:
-            ells = np.array([check_degree("spectrum value: degree", ell)], dtype=float)
+        ells = check_degrees("spectrum value: degree", ell)
         out = np.full(ells.shape, self.head)
         nz = ells != 0.0
         out[nz] = self.coeff * ells[nz] ** (-self.kappa)

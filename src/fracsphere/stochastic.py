@@ -28,7 +28,8 @@ U(t+h) - U(t), which is again the case k = 1, of variance
           + A_l D_l,
     D_l = sigma^2_{l,s+h} + sigma^2_{l,s} - 2 cross_sigma(l, s, h),  s = t - tau.
 
-Both kernel variances take a degree or an ndarray of degrees.  In the
+Both kernel variances take a degree or an ndarray of degrees; a degree
+runs through the array code as a 1-element array.  In the
 scaled time u = lambda^(1/alpha) r the kernel is E_alpha(-u^alpha), so
 
     sigma^2_{l,s,alpha} = lambda^(-1/alpha) F_alpha(lambda^(1/alpha) s),
@@ -237,13 +238,6 @@ _TABLE_BLOCK = 16        # panels added per table extension (four decades)
 _CROSS_NODES = 1 << 15   # nodes per cross_sigma degree block (256 KB per array)
 
 
-def _degrees(name, ell):
-    """A degree as an int, or an ndarray of degrees as floats."""
-    if isinstance(ell, np.ndarray):
-        return check_degrees(f"{name}: degree", ell)
-    return check_degree(f"{name}: degree", ell)
-
-
 def _accuracy_check(name, val, err, ells, **where):
     # near the underflow limit (1e-300) a value has no relative accuracy
     bad = err > _REL_TOL * val + 1e-300
@@ -345,24 +339,19 @@ def _sigma_squared(ells, t, alpha):
     return out
 
 
-@functools.lru_cache(maxsize=4096)
-def _sigma_squared_one(ell, t, alpha):
-    return float(_sigma_squared(np.array([float(ell)]), t, alpha)[0])
-
-
 def sigma_squared(ell, t, alpha):
     """Variance of the stochastic integral of the decay kernel:
     int_0^t E_alpha(-lambda_l r^alpha)^2 dr, in [0, t].
 
     ell is a degree or an ndarray of degrees (then an ndarray comes back);
-    every degree reads the same per-alpha table, and an element of an
-    array result has the same bits as the scalar call."""
-    ells = _degrees("sigma_squared", ell)
+    every degree reads the same per-alpha table.  A degree runs through the
+    array code as a 1-element array, with no per-scalar cache, so an
+    element of an array result has the same bits as the scalar call."""
+    ells = check_degrees("sigma_squared: degree", ell)
     alpha = check_alpha("sigma_squared: alpha", alpha)
     t = check_real("sigma_squared: t", t, strict=False)
-    if isinstance(ells, np.ndarray):
-        return _sigma_squared(ells, t, alpha)
-    return _sigma_squared_one(ells, t, alpha)
+    out = _sigma_squared(ells, t, alpha)
+    return out if isinstance(ell, np.ndarray) else float(out[0])
 
 
 def sigma_squared_bound(ell, t, alpha):
@@ -431,23 +420,17 @@ def _cross_sigma(ells, s, h, alpha):
     return out
 
 
-@functools.lru_cache(maxsize=4096)
-def _cross_sigma_one(ell, s, h, alpha):
-    return float(_cross_sigma(np.array([float(ell)]), s, h, alpha)[0])
-
-
 def cross_sigma(ell, s, h, alpha):
     """Two-time covariance int_0^s E(-lambda (r+h)^a) E(-lambda r^a) dr of the
     stochastic integrals at lags s and s+h; equals sigma_squared at h = 0.
 
     ell is a degree or an ndarray of degrees, as for sigma_squared."""
-    ells = _degrees("cross_sigma", ell)
+    ells = check_degrees("cross_sigma: degree", ell)
     alpha = check_alpha("cross_sigma: alpha", alpha)
     s = check_real("cross_sigma: s", s, strict=False)
     h = check_real("cross_sigma: h", h, strict=False)
-    if isinstance(ells, np.ndarray):
-        return _cross_sigma(ells, s, h, alpha)
-    return _cross_sigma_one(ells, s, h, alpha)
+    out = _cross_sigma(ells, s, h, alpha)
+    return out if isinstance(ell, np.ndarray) else float(out[0])
 
 
 # --------------------------------------------------------------------------
@@ -479,13 +462,12 @@ def _packed(head, rest, L):
     return out
 
 
-def _covariance_stack(L, lags, alpha):
-    """(L+1, k, k) covariances of the noise integrals at the increasing
-    lags: entry (i, j) is cross_sigma at the smaller lag and the lag
-    difference, one vector call per entry."""
-    ells = np.arange(L + 1)
+def _covariance_stack(ells, lags, alpha):
+    """(n, k, k) covariances of the noise integrals at the increasing lags
+    for the n degrees ells: entry (i, j) is cross_sigma at the smaller lag
+    and the lag difference, one vector call per entry."""
     k = len(lags)
-    cov = np.empty((L + 1, k, k))
+    cov = np.empty((ells.size, k, k))
     for i in range(k):
         for j in range(i, k):
             lo, hi = lags[i], lags[j]
@@ -493,20 +475,20 @@ def _covariance_stack(L, lags, alpha):
     return cov
 
 
-def _joint_covariance(model, L, times):
-    """(L+1, k, k) covariances Sigma_l(t_i, t_j) of V_{l,0} at the k
-    increasing times: C_l E_i E_j, E_i = E_alpha(-lambda_l t_i^alpha), plus
-    A_l times the noise integrals' covariance where both times are past
-    tau.  The diagonal has the bits of coefficient_variance.  The noise
-    block is skipped when A vanishes on 0..L."""
-    ells = np.arange(L + 1)
+def _joint_covariance(model, ells, times):
+    """(n, k, k) covariances Sigma_l(t_i, t_j) of V_{l,0} for the n degrees
+    ells at the k increasing times: C_l E_i E_j, E_i =
+    E_alpha(-lambda_l t_i^alpha), plus A_l times the noise integrals'
+    covariance where both times are past tau.  At one time this is v_l,
+    so coefficient_variance is its diagonal.  The noise block is skipped
+    when A vanishes on ells."""
     e = np.stack([_decay_factors(ells, t, model.alpha) for t in times], axis=1)
     cov = (model.spec_c.value(ells)[:, None] * e)[:, :, None] * e[:, None, :]
     lags = tuple(t - model.tau for t in times if t > model.tau)
     a = model.spec_a.value(ells)
     if lags and np.any(a):
         first = len(times) - len(lags)
-        cov[:, first:, first:] += a[:, None, None] * _covariance_stack(L, lags, model.alpha)
+        cov[:, first:, first:] += a[:, None, None] * _covariance_stack(ells, lags, model.alpha)
     return cov
 
 
@@ -543,7 +525,7 @@ def _increment_variance(L, lags, alpha):
     covariance stack at the lags (s, s + h).  A D_l below the kernels'
     error allowance 1e-10 (c00 + c11 + 2 c01) has no accurate digit and
     raises AccuracyError instead of being clamped."""
-    cov = _covariance_stack(L, lags, alpha)
+    cov = _covariance_stack(np.arange(L + 1), lags, alpha)
     c00, c11, c01 = cov[:, 0, 0], cov[:, 1, 1], cov[:, 0, 1]
     d = c00 + c11 - 2.0 * c01
     bad = d < _REL_TOL * (c00 + c11 + 2.0 * c01)
@@ -581,7 +563,7 @@ def _law(model, L, times, increment):
     if increment:
         cov = _increment_law(model, L, *times)[:, None, None]
     else:
-        cov = _joint_covariance(model, L, times)
+        cov = _joint_covariance(model, np.arange(L + 1), times)
     law = (cov, _cholesky(cov, times), _cholesky(cov / 2.0, times))
     for a in law:
         a.flags.writeable = False
@@ -698,17 +680,14 @@ def coefficient_variance(model, ell, t):
     """E|V_{l,m}(t)|^2 = C_l E_alpha(-lambda_l t^alpha)^2
     + 1_{t>tau} A_l sigma^2_{l,t-tau,alpha}.
 
-    ell is a degree or an ndarray of degrees (then an ndarray comes back);
-    a scalar runs through the array code, so an element of an array result
-    has the same bits as the scalar call."""
-    ells = _degrees("coefficient_variance", ell)
-    if not isinstance(ells, np.ndarray):
-        ells = np.array([ells], dtype=float)
+    This is the one-time diagonal of the samplers' joint covariance, so a
+    draw's law and this value cannot drift apart.  ell is a degree or an
+    ndarray of degrees (then an ndarray comes back); a degree runs through
+    the array code as a 1-element array, with no per-scalar cache, so an
+    element of an array result has the same bits as the scalar call."""
+    ells = check_degrees("coefficient_variance: degree", ell)
     t = check_real("coefficient_variance: t", t)
-    e = _decay_factors(ells, t, model.alpha)
-    v = model.spec_c.value(ells) * e * e
-    if t > model.tau:
-        v += model.spec_a.value(ells) * sigma_squared(ells, t - model.tau, model.alpha)
+    v = _joint_covariance(model, ells.ravel(), (t,))[:, 0, 0].reshape(ells.shape)
     return v if isinstance(ell, np.ndarray) else float(v[0])
 
 

@@ -84,9 +84,13 @@ def test_domain_error_exit_code():
 
 
 def test_unknown_subcommand_usage_error():
-    res = subprocess.run([sys.executable, "-m", "fracsphere", "frobnicate"],
-                         capture_output=True)
-    assert res.returncode == 2
+    # bounds reads no seed and writes nothing: --seed and --out used to be
+    # accepted and ignored, exit 0
+    for argv in (["frobnicate"], ["bounds", "--alpha", "0.5", "--seed", "5"],
+                 ["bounds", "--alpha", "0.5", "--out", "/nonexistent/zzz"]):
+        res = subprocess.run([sys.executable, "-m", "fracsphere", *argv],
+                             capture_output=True)
+        assert res.returncode == 2
 
 
 def test_help_lists_flags():

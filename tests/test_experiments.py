@@ -206,7 +206,7 @@ def test_increment_sqrt_scaling(small_model):
 def test_increment_curve_builds_each_covariance_stack_once(small_model, monkeypatch):
     built, real = [], stochastic._covariance_stack
     monkeypatch.setattr(stochastic, "_covariance_stack",
-                        lambda L, lags, alpha: built.append(lags) or real(L, lags, alpha))
+                        lambda ells, lags, alpha: built.append(lags) or real(ells, lags, alpha))
     stochastic._law.cache_clear()
     hs = [1e-6, 2e-6, 3e-6]
     increment_curve(small_model, 12, 2e-5, hs, 4, seed=3)

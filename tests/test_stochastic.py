@@ -206,18 +206,6 @@ def test_sigma_squared_independent_of_query_order():
     assert alone == after_far == here
 
 
-def test_repeated_scalar_kernels_are_cached(monkeypatch):
-    sigma_squared(123, 2e-4, 0.75)
-    cross_sigma(123, 2e-4, 1e-5, 0.75)
-    calls, real = [], stochastic.ml_neg
-    monkeypatch.setattr(stochastic, "ml_neg",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
-    for _ in range(2000):
-        sigma_squared(123, 2e-4, 0.75)
-        cross_sigma(123, 2e-4, 1e-5, 0.75)
-    assert calls == []
-
-
 def test_kernel_degree_and_range_checks():
     for bad in (np.array([1.0, -1.0]), np.array([2.5]), np.array([np.nan])):
         with pytest.raises(DomainError):
@@ -792,6 +780,33 @@ def test_coefficient_variance_cases(model):
     assert coefficient_variance(model, 10, t) == pytest.approx(
         model.spec_c.value(10) * e * e
         + model.spec_a.value(10) * sigma_squared(10, t - model.tau, 0.5), rel=1e-11, abs=0.0)
+
+
+def test_coefficient_variance_alpha1_closed_form(spectra):
+    # C_l e^(-2 lambda t) + 1_{t>tau} A_l (1 - e^(-2 lambda (t - tau)))/(2 lambda),
+    # A_0 (t - tau) at l = 0, written out independently of the sampler's
+    # covariance; relative 1e-12, and exactly 0 where the closed form underflows
+    spec_c, spec_a = spectra
+    tau = 1e-5
+    ells = np.arange(401)
+    underflows = 0
+    for a in (spec_a, AlgebraicSpectrum(0.0, 0.0, 2.5)):
+        m = FractionalModel(1.0, tau, spec_c, a)
+        for t in (5e-6, tau, 2e-5, 1e-2):  # before, at and after the noise onset
+            ref = []
+            for ell in range(401):
+                lam = ell * (ell + 1.0)
+                v = spec_c.value(ell) * math.exp(-2.0 * lam * t)
+                if t > tau:
+                    v += a.value(ell) * closed_form_sigma2_a1(ell, t - tau)
+                ref.append(v)
+            ref = np.array(ref)
+            var = coefficient_variance(m, ells, t)
+            nz = ref > 0.0
+            assert var[nz] == pytest.approx(ref[nz], rel=1e-12, abs=0.0)
+            assert np.all(var[~nz] == 0.0)
+            underflows += int(np.sum(~nz))
+    assert underflows > 0  # A = 0 at t = 1e-2 reaches it from l = 193 on
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
