@@ -22,7 +22,7 @@ from .errors import AccuracyError, DomainError, check_path
 from .spectra import AlgebraicSpectrum, bound_constants
 from .stochastic import FractionalModel, sigma_squared, sigma_squared_bound
 from .specfun import ml_neg
-from .synthesis import GridSpec
+from .synthesis import GridSpec, _format_g17
 from .experiments import (evolution_snapshots, fit_loglog_slope,
                           increment_curve, truncation_error_curve,
                           write_manifest)
@@ -310,6 +310,21 @@ def _selftest_checks(cfg):
     pdev = abs(quad_power - parseval) / parseval
     yield "synthesis", worst <= 1e-9 and pdev <= 1e-8, \
         f"pointwise dev {worst:.2e}, Parseval dev {pdev:.2e}"
+
+    # 8. the map CSVs' array '%.17g' against Python's, on a fixed sample
+    # across the fixed-notation window [1e-4, 1e17) and its edges
+    rng = np.random.default_rng(17)
+    tens = np.array([float(f"1e{j}") for j in range(-6, 19)])
+    bits = rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).view(np.float64)
+    sample = np.concatenate([
+        rng.uniform(1.0, 10.0, 18000) * 10.0 ** rng.integers(-5, 18, 18000),
+        bits[np.isfinite(bits)], tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+        [0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max]])
+    sample *= rng.choice([-1.0, 1.0], sample.size)
+    text = _format_g17(sample)
+    bad = sum(row.tobytes().rstrip(b"\0") != b"%.17g" % v
+              for row, v in zip(text, sample.tolist()))
+    yield "map-csv-format", bad == 0, f"{bad} of {sample.size} values differ from '%.17g'"
 
 
 def cmd_selftest(args):

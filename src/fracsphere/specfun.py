@@ -176,27 +176,29 @@ def _norm_assoc_diagonals(L, x):
         prev2, prev1 = prev1, cur
 
 
-def _norm_assoc_rows(values, x):
+def _norm_assoc_rows(re, im, starts, x):
     """Ring sums split by the parity of d = l - m: returns (even, odd), each
     of shape (2, L+1, len(x)), where even[:, m, j] holds the real and
-    imaginary parts of sum_{l-m even} values[l, m] N_{l,m}(x_j) and odd the
-    same over odd l - m.
+    imaginary parts of sum_{l-m even} V_{l,m} N_{l,m}(x_j) and odd the same
+    over odd l - m.
 
-    `values` is an (L+1, L+1) array of coefficients for 0 <= m <= l.  As
+    `re` and `im` hold Re V and Im V packed by degree, V_{l,m} at
+    starts[l] + m for 0 <= m <= l <= L (CoefficientSet's layout).  As
     N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x), even + odd is the ring sum at x_j
     and even - odd the ring sum at -x_j, so one pass serves a ring and its
-    mirror.  The all-orders recurrence adds values[m+d, m] N_{m+d,m}(x)
-    into the half of parity d at each step, so the (l, m, ring) table is
-    never formed.
+    mirror.  The all-orders recurrence adds V_{m+d,m} N_{m+d,m}(x), read at
+    starts[m + d] + m, into the half of parity d at each step, so neither
+    the (l, m, ring) table nor an (L+1, L+1) coefficient square is formed.
     """
     x = np.asarray(x, dtype=float)
-    L = values.shape[0] - 1
+    L = len(starts) - 1
+    orders = np.arange(L + 1)
     sums = np.zeros((2, 2, L + 1, x.size))
     for d, rows in _norm_assoc_diagonals(L, x):
-        v = np.diagonal(values, -d)  # values[m+d, m], m = 0..L-d
+        at = starts[d:] + orders[:L + 1 - d]  # V_{m+d,m}, m = 0..L-d
         half = sums[d & 1, :, :L + 1 - d]
-        half[0] += v.real[:, None] * rows
-        half[1] += v.imag[:, None] * rows
+        half[0] += re[at][:, None] * rows
+        half[1] += im[at][:, None] * rows
     return sums[0], sums[1]
 
 

@@ -7,8 +7,9 @@ A real field with coefficients {V_{l,m} : m >= 0} is evaluated as
 
 in two passes.  First the ring sums g_m(theta_j) = sum_l V_{l,m}
 N_{l,m}(cos theta_j) for every order and latitude come from one all-orders
-normalized Legendre recurrence (specfun._norm_assoc_rows: L array steps,
-O(L^2 nLat) work, no (l, m, ring) table).  Every grid kind has mirrored
+normalized Legendre recurrence over the packed coefficients
+(specfun._norm_assoc_rows: L array steps, O(L^2 nLat) work, no (l, m, ring)
+table and no (L+1)^2 coefficient square).  Every grid kind has mirrored
 rings, theta_{nLat-1-j} = pi - theta_j, and N_{l,m}(-x) = (-1)^(l-m)
 N_{l,m}(x), so the recurrence runs on the northern rings only (the equator
 ring included when nLat is odd) and keeps the sums over even and odd l - m
@@ -21,6 +22,7 @@ same phases e^{2 pi i m k / nLon} as their bins).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import DomainError, check_degree
 from .specfun import _norm_assoc_rows
+from .stochastic import _layout
 
 __all__ = ["GridSpec", "FieldMap", "synthesize", "write_map_csv",
            "read_map_csv", "write_map_image"]
@@ -104,7 +107,8 @@ def synthesize(coeffs, grid):
     n_lat, n_lon = grid.n_lat, grid.n_lon
     north = (n_lat + 1) // 2  # rings 0..north-1, the equator ring included
     south = n_lat // 2  # ring n_lat-1-j mirrors ring j < south
-    even, odd = _norm_assoc_rows(coeffs.values, np.cos(grid.colatitudes()[:north]))
+    even, odd = _norm_assoc_rows(coeffs.re, coeffs.im, _layout(L)[1],
+                                 np.cos(grid.colatitudes()[:north]))
     even[:, 1:] *= 2.0
     odd[:, 1:] *= 2.0
     spectrum = np.zeros((n_lat, n_lon), dtype=complex)
@@ -116,8 +120,8 @@ def synthesize(coeffs, grid):
         parts[:north, :width] += e + o
         parts[::-1][:south, :width] += e[:south] - o[:south]
     del even, odd, e, o  # views of the ring sums, freed before the FFT
-    # unscaled inverse DFT: sum_b spectrum[b] e^{2 pi i b k / n_lon}
-    vals = np.fft.ifft(spectrum, axis=1, norm="forward").real.copy()
+    # unscaled inverse DFT, in place: sum_b spectrum[b] e^{2 pi i b k / n_lon}
+    vals = np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum).real.copy()
     return FieldMap(grid=grid, values=vals, time=coeffs.time,
                     meta={"L": L, "seed": coeffs.seed, "realization": coeffs.realization})
 
@@ -125,25 +129,164 @@ def synthesize(coeffs, grid):
 # --------------------------------------------------------------------------
 # CSV
 
+_G17_WIDTH = 24  # the longest '%.17g' of a float64, e.g. "-2.2250738585072014e-308"
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitter for float64
+_CSV_BLOCK_ROWS = 32  # latitude rows formatted and written at a time
+
+
+@functools.cache
+def _g17_tables():
+    """The exact formatter's tables, built on first use.
+
+    10^k for k = 0..20 (exact doubles) with their Veltkamp halves; the least
+    double >= 10^X for X = -4..17, so that X = floor(log10 a) is one search;
+    and the ASCII digits of 0..9999 as one uint32 each, plain in entries
+    0..9999 and with trailing zeros turned into NUL in entries 10^4..2*10^4-1.
+    """
+    pow10 = np.concatenate(([1.0], np.cumprod(np.full(20, 10.0))))
+    split = _SPLIT * pow10
+    pow10_hi = split - (split - pow10)
+    floors = []
+    for x in range(-4, 18):
+        t = float(f"1e{x}")  # the double nearest 10^x
+        num, den = t.as_integer_ratio()
+        below = num * 10 ** max(-x, 0) < den * 10 ** max(x, 0)
+        floors.append(math.nextafter(t, math.inf) if below else t)
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    kept = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    chars = digits + ord("0")
+    quads = np.concatenate([chars, chars * kept]).astype(np.uint8)
+    tables = (pow10, pow10_hi, pow10 - pow10_hi, np.array(floors), quads.view(np.uint32).ravel())
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _format_g17(values):
+    """The bytes of '%.17g' % v for every value, as the rows of an
+    (n, _G17_WIDTH) uint8 array padded with NUL.
+
+    A value whose decimal exponent X = floor(log10 |v|) lies in [-4, 16],
+    which %g prints in fixed notation, takes a few array operations:
+    - X is found exactly, by a search in the least doubles >= 10^X;
+    - with k = 16 - X <= 20, 10^k is an exact double, and Dekker's
+      error-free product (Numer. Math. 18 (1971) 224) gives |v| 10^k = p + e
+      exactly, p an integer above 2^53.  D = p + floor(e), plus a carry
+      decided on e - floor(e) with ties to even, is the correctly rounded
+      17-digit significand.  It never rounds up to 10^17: the largest double
+      below each power of ten in the window lies more than half a unit of
+      the 17th digit below it;
+    - D is cut into 4-digit groups through a 10^4-entry digit table whose
+      trailing zeros are NUL, and the sign, the "0." with its leading zeros
+      and the decimal point are placed with static slices, one slice per
+      (X, sign) group.
+    Every other value (+-0, |v| < 1e-4, |v| >= 1e17, subnormals, inf, nan)
+    is formatted by Python, one element at a time.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    pow10, pow10_hi, pow10_lo, floors, quads = _g17_tables()
+    out = np.zeros((v.size, _G17_WIDTH), np.uint8)
+    a = np.abs(v)
+    fixed = (a >= floors[0]) & (a < floors[-1])
+    at = np.flatnonzero(fixed)
+    a = a[at]
+    x = np.searchsorted(floors, a, side="right") - 5
+    k = 16 - x
+    b, b_hi, b_lo = pow10[k], pow10_hi[k], pow10_lo[k]
+    split = _SPLIT * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    p = a * b
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    floor_e = np.floor(e)
+    frac = e - floor_e
+    d = p.astype(np.int64) + floor_e.astype(np.int64)
+    d += (frac > 0.5) | ((frac == 0.5) & (d & 1).astype(bool))
+    # sort by (X, sign), so that each group is one run of rows
+    code = (2 * (x + 4) + (v[at] < 0)).astype(np.int8)
+    order = np.argsort(code, kind="stable")
+    d = d[order]
+    # 17 digits as 1 + 4 x 4; a group whose later groups are all zero takes
+    # the table half with its trailing zeros as NUL
+    high, low = np.divmod(d, 10 ** 8)
+    lead, mid = np.divmod(high, 10 ** 8)
+    groups = np.empty((d.size, 5), np.int64)
+    groups[:, 0] = lead
+    groups[:, 1], groups[:, 2] = np.divmod(mid, 10 ** 4)
+    groups[:, 3], groups[:, 4] = np.divmod(low, 10 ** 4)
+    tail = 10 ** 4 * (low == 0)
+    groups[:, 1] += tail * (groups[:, 2] == 0)
+    groups[:, 2] += tail
+    groups[:, 3] += 10 ** 4 * (groups[:, 4] == 0)
+    groups[:, 4] += 10 ** 4
+    digits = quads[groups].view(np.uint8).reshape(d.size, 20)[:, 3:]
+    text = np.zeros((d.size, _G17_WIDTH), np.uint8)
+    start = 0
+    for c, count in enumerate(np.bincount(code, minlength=42).tolist()):
+        if not count:
+            continue
+        rows, dig, start = text[start:start + count], digits[start:start + count], start + count
+        xc, s = c // 2 - 4, c % 2
+        if s:
+            rows[:, 0] = ord("-")
+        if xc >= 0:
+            rows[:, s:s + xc + 1] = dig[:, :xc + 1] | ord("0")  # NUL -> '0'
+            if xc < 16:
+                rows[:, s + xc + 1] = np.where(dig[:, xc + 1] != 0, ord("."), 0)
+                rows[:, s + xc + 2:s + 18] = dig[:, xc + 1:]
+        else:
+            rows[:, s:s + 1 - xc] = ord("0")
+            rows[:, s + 1] = ord(".")
+            rows[:, s + 1 - xc:s + 18 - xc] = dig
+    out[at[order]] = text
+    rest = np.flatnonzero(~fixed)
+    out[rest] = np.array([b"%.17g" % f for f in v[rest].tolist()],
+                         dtype=f"S{_G17_WIDTH}").view(np.uint8).reshape(rest.size, _G17_WIDTH)
+    return out
+
+
+def _trimmed(text):
+    """Rows of _format_g17 cut to the longest one."""
+    return text[:, :np.count_nonzero(text, axis=1).max()]
+
+
 def write_map_csv(fmap, path):
     """Write `theta,phi,value` rows, latitude-major, 17 significant digits
     (round-trips exactly; decimal point independent of locale).
 
-    Each latitude row is one `%` on a template of preformatted longitudes,
-    with the row's colatitude put in place of the NUL placeholders, and is
-    written as soon as it is formatted."""
-    phis = ["%.17g" % ph for ph in fmap.grid.longitudes()]
-    row_format = "".join("\0," + ph + ",%.17g\n" for ph in phis)
-    with open(path, "w", newline="") as f:
-        f.write("theta,phi,value\n")
-        for th, row in zip(fmap.grid.colatitudes(), fmap.values):
-            f.write(row_format.replace("\0", "%.17g" % th) % tuple(row.tolist()))
+    Every number has the bytes of '%.17g' % v, from the exact array
+    formatter _format_g17: values in [1e-4, 1e17) on whole arrays, every
+    other value by Python one at a time.  Blocks of _CSV_BLOCK_ROWS latitude
+    rows are laid out as fixed-width fields padded with NUL, the NULs are
+    deleted, and each block is written as soon as it is formatted, so the
+    temporaries stay at a few MB."""
+    grid = fmap.grid
+    theta = _trimmed(_format_g17(grid.colatitudes()))
+    phi = _trimmed(_format_g17(grid.longitudes()))
+    wt = theta.shape[1]
+    wv = wt + phi.shape[1] + 2  # where the value field starts
+    block = np.zeros((_CSV_BLOCK_ROWS, grid.n_lon, wv + _G17_WIDTH + 1), np.uint8)
+    block[:, :, wt] = block[:, :, wv - 1] = ord(",")
+    block[:, :, wt + 1:wv - 1] = phi
+    block[:, :, -1] = ord("\n")
+    with open(path, "wb") as f:
+        f.write(b"theta,phi,value\n")
+        for top in range(0, grid.n_lat, _CSV_BLOCK_ROWS):
+            rows = fmap.values[top:top + _CSV_BLOCK_ROWS]
+            lines = block[:len(rows)]
+            lines[:, :, :wt] = theta[top:top + len(rows), None]
+            lines[:, :, wv:-1] = _format_g17(rows).reshape(len(rows), grid.n_lon, _G17_WIDTH)
+            f.write(lines.tobytes().translate(None, b"\0"))
 
 
 def read_map_csv(path, grid):
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    vals = np.atleast_2d(data)[:, 2].reshape(grid.n_lat, grid.n_lon)
-    return FieldMap(grid=grid, values=vals)
+    """The FieldMap of a CSV written by write_map_csv on `grid`."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape != (grid.n_lat * grid.n_lon, 3):
+        raise DomainError(f"read_map_csv: {path} has {data.shape[0]} rows of {data.shape[1]} "
+                          f"columns, the {grid.n_lat}x{grid.n_lon} grid needs "
+                          f"{grid.n_lat * grid.n_lon} of 3")
+    return FieldMap(grid=grid, values=data[:, 2].reshape(grid.n_lat, grid.n_lon))
 
 
 # --------------------------------------------------------------------------

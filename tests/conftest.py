@@ -44,7 +44,9 @@ def record_calls(monkeypatch):
 def ml_oracle(alpha, x, beta=1.0, dps=35):
     """High-precision E_{alpha,beta}(-x) oracle (mpmath).
 
-    Power series for small x, branch-cut integral otherwise; independent of
+    Power series for small x, the algebraic asymptotic series for alpha < 1
+    and x > 1e5 (where the branch-cut quadrature loses digits: 2.1e-5
+    relative at x = 1e150), branch-cut integral otherwise; independent of
     the package's double-precision evaluator.
     """
     with mp.workdps(dps):
@@ -64,6 +66,8 @@ def ml_oracle(alpha, x, beta=1.0, dps=35):
                     break
                 k += 1
             return s
+        if a < 1 and xx > 1e5:
+            return _ml_oracle_asymptotic(a, b, xx, dps)
         if b > 1:
             return (1 / mp.gamma(b - a) - ml_oracle(alpha, x, float(b - a), dps)) / xx
 
@@ -80,6 +84,25 @@ def ml_oracle(alpha, x, beta=1.0, dps=35):
             knots += [max(v0 - w, mp.mpf("0.01")), v0, v0 + w]
         knots = sorted(set(float(k) for k in knots))
         return mp.quad(f, knots + [mp.inf], maxdegree=10) / (a * mp.pi)
+
+
+def _ml_oracle_asymptotic(a, b, x, dps):
+    """E_{a,b}(-x) = sum_{k>=1} (-1)^(k+1) x^-k / Gamma(b - a k) for 0 < a < 1,
+    summed until a nonzero term is below 10^-dps of the sum; raises if the
+    terms start to grow first (terms at poles of 1/Gamma are exact zeros)."""
+    s = mp.mpf(0)
+    last = mp.inf
+    for k in range(1, 10 * dps + 10):
+        term = (-1) ** (k + 1) * x ** -k * mp.rgamma(b - a * k)
+        if term == 0:
+            continue
+        s += term
+        if abs(term) < mp.mpf(10) ** -dps * abs(s):
+            return s
+        if abs(term) > last:
+            break
+        last = abs(term)
+    raise RuntimeError(f"ml_oracle: asymptotic terms do not settle at a={a}, b={b}, x={x}")
 
 
 def unit_points(n, seed):

@@ -282,6 +282,7 @@ def test_criterion_9_determinism(tmp_path):
              "--out", str(out), "--workers", str(workers)],
             capture_output=True, text=True)
         assert res.returncode == 0, res.stdout + res.stderr
+        assert "PASS map-csv-format" in res.stdout
         return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
     a = run_selftest("a", 1)

@@ -1,15 +1,16 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
-                        FractionalModel, GridSpec, RngStream, sample_combined,
-                        synthesize, write_map_csv, write_map_image)
+                        FractionalModel, GridSpec, RngStream, evolution_snapshots,
+                        sample_combined, synthesize, write_map_csv, write_map_image)
 from fracsphere.specfun import _norm_assoc_order, assoc_legendre_norm_table
-from fracsphere.synthesis import read_map_csv
+from fracsphere.synthesis import _format_g17, read_map_csv
 
 
 def naive_eval(coeffs, thetas, phis):
@@ -192,7 +193,7 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_bytes_match_per_value_format(tmp_path):
-    # the row-template writer must give the bytes of one
+    # the array writer must give the bytes of one
     # "%.17g,%.17g,%.17g\n" per value, also for signed zeros, subnormals and
     # extreme magnitudes
     grid = GridSpec(33, 64)
@@ -206,6 +207,115 @@ def test_csv_bytes_match_per_value_format(tmp_path):
     write_map_csv(fmap, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == hashlib.sha256("".join(ref).encode()).hexdigest())
+
+
+def test_read_map_csv_row_count_mismatch(tmp_path):
+    # a CSV of another grid is a DomainError, not a reshape traceback
+    path = tmp_path / "map.csv"
+    write_map_csv(synthesize(random_coeffs(4, seed=2), GridSpec(4, 6)), path)
+    for grid in (GridSpec(4, 5), GridSpec(5, 6)):
+        with pytest.raises(DomainError):
+            read_map_csv(path, grid)
+    assert read_map_csv(path, GridSpec(3, 8)).values.shape == (3, 8)  # 24 rows either way
+    path.write_text("theta,phi,value\n0,0\n0,1\n")  # a column short
+    with pytest.raises(DomainError):
+        read_map_csv(path, GridSpec(2, 1))
+
+
+def assert_g17(values):
+    """_format_g17 gives the bytes of '%.17g' % v for every value."""
+    values = np.asarray(values, dtype=float)
+    text = _format_g17(values)
+    assert text.shape == (values.size, 24)
+    got = [row.tobytes().rstrip(b"\0") for row in text]
+    bad = [(v, g) for v, g in zip(values.tolist(), got) if g != b"%.17g" % v]
+    assert not bad, bad[:5]
+
+
+def test_g17_random_bit_patterns():
+    bits = np.random.default_rng(2301).integers(0, 2 ** 64, size=110_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert values.size >= 100_000
+    assert_g17(values)
+
+
+def test_g17_fixed_notation_window():
+    # |v| in [1e-4, 1e17), printed in fixed notation: random decimal
+    # magnitudes, and random bit patterns with binary exponents -14..56
+    rng = np.random.default_rng(2302)
+    n = 60_000
+    sign = rng.choice([-1.0, 1.0], n)
+    decimal = sign * rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-4, 17, n)
+    exponent = rng.integers(1023 - 13, 1023 + 57, n, dtype=np.uint64)
+    mantissa = rng.integers(0, 2 ** 52, n, dtype=np.uint64)
+    binary = ((exponent << np.uint64(52)) | mantissa).view(np.float64) * sign
+    values = np.concatenate([decimal, binary])
+    values = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e17)]
+    assert values.size >= 100_000
+    assert_g17(values)
+
+
+def test_g17_half_way_ties():
+    # v = m / 2^(k+1) with m odd and 10^X <= v < 10^(X+1), k = 16 - X:
+    # v 10^k = m 5^k / 2 lies exactly half-way between two 17-digit
+    # significands N and N + 1, and %g rounds to the even one; m = 1 mod 4
+    # makes N even, m = 3 mod 4 odd
+    rng = np.random.default_rng(2303)
+    values, parities = [], set()
+    for x in range(-4, 16):
+        k = 16 - x
+        lo = math.ceil(Fraction(10) ** x * 2 ** (k + 1))
+        hi = min(math.floor(Fraction(10) ** (x + 1) * 2 ** (k + 1)), 2 ** 53)
+        for m in rng.integers(lo + 4, hi - 4, 100).tolist():
+            for r in (1, 3):
+                m_odd = m - m % 4 + r
+                v = m_odd / 2 ** (k + 1)
+                scaled = Fraction(v) * 10 ** k
+                assert scaled.denominator == 2 and 10 ** 16 <= scaled < 10 ** 17
+                parities.add((x, int(scaled) % 2))
+                values += [v, -v]
+    assert len(parities) == 2 * 20
+    assert_g17(values)
+
+
+def test_g17_powers_of_ten_neighbours():
+    # a few doubles on either side of every power of ten from 1e-6 to 1e18,
+    # which takes in both sides of the window's edges 1e-4 and 1e17 and of
+    # 1e-5 and 1e16; and the claim that no double in the window rounds up to
+    # the next power of ten: the largest double below each one prints below it
+    values = []
+    for j in range(-6, 19):
+        t = float(f"1e{j}")
+        below = t if Fraction(t) < Fraction(10) ** j else np.nextafter(t, 0.0)
+        if -4 < j <= 17:
+            assert Fraction("%.17g" % below) < Fraction(10) ** j
+        up = down = t
+        for _ in range(4):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            values += [up, down]
+        values.append(t)
+    values = np.array(values)
+    assert_g17(np.concatenate([values, -values]))
+
+
+def test_g17_special_values():
+    tiny = np.finfo(float).tiny
+    assert_g17([0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), tiny, 1e300, -1e300,
+                np.finfo(float).max, -np.finfo(float).max, np.inf, -np.inf, np.nan,
+                1e-4, 1e16, 1e17, 9999999999999998.0, 99999999999999984.0, 1.0, -1.5])
+
+
+def test_snapshot_csvs_match_per_value_format(model05, tmp_path):
+    # the CSVs that simulate writes are the per-value '%.17g' of its maps
+    grid = GridSpec(11, 24)
+    times = [1e-12, 1e-5, 1e-4]
+    maps = evolution_snapshots(model05, 12, times, grid, seed=4, out_dir=str(tmp_path))
+    for t, fmap in zip(times, maps):
+        ref = ["theta,phi,value\n"]
+        for th, row in zip(grid.colatitudes(), fmap.values):
+            ref += ["%.17g,%.17g,%.17g\n" % (th, ph, v) for ph, v in zip(grid.longitudes(), row)]
+        assert (tmp_path / f"map_t{t:g}.csv").read_bytes() == "".join(ref).encode()
 
 
 def test_zero_map_csv(tmp_path):
