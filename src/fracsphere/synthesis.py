@@ -281,7 +281,10 @@ def write_map_csv(fmap, path):
 
 def read_map_csv(path, grid):
     """The FieldMap of a CSV written by write_map_csv on `grid`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:  # a field that is not a number, or ragged rows
+        raise DomainError(f"read_map_csv: {path} is not a map CSV: {e}") from e
     if data.shape != (grid.n_lat * grid.n_lon, 3):
         raise DomainError(f"read_map_csv: {path} has {data.shape[0]} rows of {data.shape[1]} "
                           f"columns, the {grid.n_lat}x{grid.n_lon} grid needs "

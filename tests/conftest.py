@@ -44,11 +44,14 @@ def record_calls(monkeypatch):
 def ml_oracle(alpha, x, beta=1.0, dps=35):
     """High-precision E_{alpha,beta}(-x) oracle (mpmath).
 
-    Power series for small x, the algebraic asymptotic series for alpha < 1
-    and x > 1e5 (where the branch-cut quadrature loses digits: 2.1e-5
-    relative at x = 1e150), branch-cut integral otherwise; independent of
-    the package's double-precision evaluator.
+    Power series wherever its largest term (about exp(x^(1/alpha))) has at
+    most 40 digits, summed with that many extra digits, as its terms cancel
+    to a value below 1; the algebraic asymptotic series for alpha < 1 and
+    x > 1e5 (where the branch-cut quadrature loses digits: 2.1e-5 relative
+    at x = 1e150); branch-cut integral otherwise.  Independent of the
+    package's double-precision evaluator.
     """
+    extra = _series_peak_digits(alpha, beta, x) if x <= 1e5 else math.inf
     with mp.workdps(dps):
         a, b, xx = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
         if xx == 0:
@@ -56,16 +59,17 @@ def ml_oracle(alpha, x, beta=1.0, dps=35):
         if a == 1:
             # E_{1,b}(z) = M(1, b, z)/Gamma(b); branch-cut form is singular here
             return mp.hyp1f1(1, b, -xx) / mp.gamma(b)
-        if xx <= 3:
-            s = mp.mpf(0)
-            k = 0
-            while True:
-                term = (-xx) ** k / mp.gamma(a * k + b)
-                s += term
-                if k > 4 and abs(term) < mp.mpf(10) ** (-dps - 5):
-                    break
-                k += 1
-            return s
+        if extra <= 40:
+            with mp.workdps(dps + extra):
+                s = mp.mpf(0)
+                k = 0
+                while True:
+                    term = (-xx) ** k / mp.gamma(a * k + b)
+                    s += term
+                    if k > 4 and abs(term) < mp.mpf(10) ** (-dps - 5):
+                        break
+                    k += 1
+            return +s
         if a < 1 and xx > 1e5:
             return _ml_oracle_asymptotic(a, b, xx, dps)
         if b > 1:
@@ -84,6 +88,22 @@ def ml_oracle(alpha, x, beta=1.0, dps=35):
             knots += [max(v0 - w, mp.mpf("0.01")), v0, v0 + w]
         knots = sorted(set(float(k) for k in knots))
         return mp.quad(f, knots + [mp.inf], maxdegree=10) / (a * mp.pi)
+
+
+def _series_peak_digits(alpha, beta, x):
+    """Decimal digits of the largest term x^k / Gamma(alpha k + beta) of the
+    power series (0 if it is below 1), or inf once they pass 40.  The log
+    of a term is concave in k, so the scan stops where it starts to fall."""
+    if x <= 0:
+        return 0
+    top, k = -math.inf, 0
+    while True:
+        ln = k * math.log(x) - math.lgamma(alpha * k + beta)
+        if ln < top:
+            return max(0, math.ceil(top / math.log(10.0)))
+        if ln > 40 * math.log(10.0):
+            return math.inf
+        top, k = max(top, ln), k + 1
 
 
 def _ml_oracle_asymptotic(a, b, x, dps):

@@ -11,7 +11,7 @@ from scipy.special import lpmv
 
 from fracsphere import (AccuracyError, DomainError, SphPoint, gamma, legendre_p, ml_neg,
                         spherical_harmonic, specfun)
-from fracsphere.specfun import (_ml_asymptotic, _ml_integral, _ml_series,
+from fracsphere.specfun import (_ml_asymptotic, _ml_contour, _ml_integral, _ml_series,
                                 assoc_legendre_norm, assoc_legendre_norm_table)
 
 from conftest import addition_sum, harmonic_table, ml_oracle, unit_points
@@ -277,19 +277,28 @@ def test_ml_monotone_and_simon_bound(alpha):
 @pytest.mark.parametrize("alpha,beta", [(0.45, 1.0), (0.75, 1.0), (0.9, 1.0),
                                         (0.75, 0.75)])
 def test_ml_cross_regime_continuity(alpha, beta):
-    """The three evaluators agree on overlap bands around the switch points."""
-    # series vs integral on a low band
-    for x in np.linspace(0.5, 2.0, 7):
-        s, ratio = _ml_series(alpha, beta, x)
-        assert ratio < 300.0  # inside the dispatcher's acceptance region
-        i = _ml_integral(alpha, beta, x)
-        assert s == pytest.approx(i, rel=1e-9)
-    # integral vs asymptotic on a high band
-    for x in np.linspace(40.0, 120.0, 5):
-        a, rel = _ml_asymptotic(alpha, beta, x)
-        assert rel < 1e-12
-        i = _ml_integral(alpha, beta, x)
-        assert a == pytest.approx(i, rel=1e-9)
+    """The four evaluators agree on overlap bands around the switch points."""
+    # series and contour sum vs integral on a low band
+    xs = np.linspace(0.5, 2.0, 7)
+    s, s_rel = _ml_series(alpha, beta, xs)
+    i, i_rel = _ml_integral(alpha, beta, xs)
+    c, c_rel = _ml_contour(alpha, beta, xs)
+    # inside the dispatcher's acceptance regions
+    assert np.all(s_rel <= 1e-10) and np.all(i_rel <= 1e-10) and np.all(c_rel <= 1e-12)
+    assert s == pytest.approx(i, rel=1e-9)
+    assert c == pytest.approx(i, rel=1e-9)
+    # asymptotic series and contour sum vs integral on a high band, the sum
+    # where its bound accepts it (at beta = alpha it cancels there)
+    xs = np.linspace(40.0, 120.0, 5)
+    a, a_rel = _ml_asymptotic(alpha, beta, xs)
+    assert np.all(a_rel < 1e-12)
+    i, i_rel = _ml_integral(alpha, beta, xs)
+    assert np.all(i_rel <= 1e-10)
+    assert a == pytest.approx(i, rel=1e-9)
+    c, c_rel = _ml_contour(alpha, beta, xs)
+    ok = c_rel <= 1e-12
+    assert ok.any() == (beta == 1.0)
+    assert c[ok] == pytest.approx(i[ok], rel=1e-9)
 
 
 def test_ml_accepts_arrays():
@@ -325,11 +334,10 @@ def test_ml_negative_values(alpha, beta, x):
 def test_ml_integral_band_vs_oracle(alpha, unit_beta):
     beta = 1.0 if unit_beta else alpha
     xs = np.geomspace(2.0, 60.0, 12)
-    # below x = 3 the oracle sums its series, whose terms peak near
-    # exp(x^(1/alpha)): give it those digits on top of 20
-    dps = [20 + int(x ** (1.0 / alpha) / math.log(10.0)) if x <= 3.0 else 20 for x in xs]
-    ref = np.array([float(ml_oracle(alpha, float(x), beta, dps=d)) for x, d in zip(xs, dps)])
-    assert _ml_integral(alpha, beta, xs) == pytest.approx(ref, rel=1e-10, abs=0)
+    ref = np.array([float(ml_oracle(alpha, float(x), beta, dps=20)) for x in xs])
+    val, rel = _ml_integral(alpha, beta, xs)
+    assert np.all(rel <= 1e-10)
+    assert val == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.75, 0.9])
@@ -341,19 +349,92 @@ def test_ml_general_array_matches_scalar_bitwise(alpha, unit_beta, monkeypatch):
                                          np.linspace(1.5, 3.0, 100),
                                          np.linspace(3.0, 25.0, 200)]))
     used = {}
-    for name in ("_ml_series", "_ml_asymptotic", "_panels"):
+    for name in ("_ml_contour", "_ml_asymptotic", "_ml_series", "_ml_integral", "_panels"):
         def counted(*args, _name=name, _real=getattr(specfun, name)):
             used[_name] = used.get(_name, 0) + 1
             return _real(*args)
         monkeypatch.setattr(specfun, name, counted)
     vals = ml_neg(alpha, xs, beta=beta)
-    # all three regimes ran, each series once, the integral over more than
-    # one block of nodes
-    assert used["_ml_series"] == 1 and used["_ml_asymptotic"] == 1 and used["_panels"] > 1
+    # each regime ran at most once: at beta = 1 the contour sum took every
+    # element; at beta = alpha the asymptotic series and the integral took
+    # what it left, the integral over more than one block of nodes from
+    # alpha = 3/4 on
+    assert used.pop("_ml_contour") == 1
+    panels = used.pop("_panels", 0)
+    if unit_beta:
+        assert not used and panels == 0
+    else:
+        assert used.pop("_ml_asymptotic") == 1 and used.pop("_ml_integral") == 1
+        assert used.get("_ml_series", 0) <= 1 and panels >= (1 if alpha == 0.3 else 2)
     assert all(v == ml_neg(alpha, float(x), beta=beta) for v, x in zip(vals, xs))
     assert np.array_equal(ml_neg(alpha, xs[1::7], beta=beta), vals[1::7])  # a strided view
     assert np.array_equal(ml_neg(alpha, xs[1:].reshape(20, -1), beta=beta),
                           vals[1:].reshape(20, -1))
+
+
+# x near a sign change of E_{alpha,beta}(-x) (beta < alpha), where the
+# value is 1e-3 or less of the terms: a fixed peak-to-sum rule refused the
+# series there, and the integral's 1e-12 absolute error is not 1e-10 of it
+_SIGN_CHANGE_X = {
+    (0.75, 0.3): [0.5522208883553421, 0.5532846094162641],
+    (0.8, 0.3): [0.5076227858802589, 0.5116132557053772],
+    (0.8, 0.5): [1.1825365229414395, 1.1884753901560625, 1.1918325522828237,
+                 1.2004801920768309, 1.201201658573499, 1.210644416278135, 1.212484993997599],
+    (0.9, 0.3): [0.4478475740731756],
+    (0.9, 0.5): [0.9647102199434751, 0.9722938965036083, 0.9723889555822329,
+                 0.9799371890489108, 0.9843937575030013, 0.9876405662261782],
+    (0.95, 0.3): [0.4239605677709087, 0.4272933611359602],
+    (0.95, 0.5): [0.8974126051002315, 0.8990643105317788, 0.9003601440576231,
+                  0.9061319385063514, 0.9123649459783914, 0.9132551257602791],
+    (0.97, 0.3): [0.4173727634304748, 0.42016806722689076, 0.42065376945428323],
+    (0.97, 0.5): [0.8763505402160865, 0.8781904656575371, 0.8850940024005461,
+                  0.8883553421368547, 0.8920518084865154],
+    (0.99, 0.3): [0.41088732513378723],
+    (0.99, 0.5): [0.8578012550800079, 0.8643457382953181, 0.8645445103466318,
+                  0.8713407749686566],
+    (0.999, 0.3): [0.4076824952076953, 0.40816326530612246],
+    (0.999, 0.5): [0.8511105957075765, 0.8523409363745499, 0.8578012550800079,
+                   0.8643457382953181, 0.8645445103466318],
+}
+
+
+@pytest.mark.parametrize("alpha,beta", list(_SIGN_CHANGE_X))
+def test_ml_near_sign_change_vs_oracle(alpha, beta):
+    xs = np.array(_SIGN_CHANGE_X[alpha, beta])
+    ref = np.array([float(ml_oracle(alpha, float(x), beta)) for x in xs])
+    assert ml_neg(alpha, xs, beta=beta) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+_SWEEP_X = np.array([1e-10, 1e-7, 1e-4, 0.01, 0.3, 0.9, 2.0, 4.0, 8.0, 15.0, 30.0, 300.0,
+                     1e6])
+
+
+@pytest.fixture(scope="module")
+def ml_sweep():
+    """(alpha, beta) -> the oracle over _SWEEP_X, for nine alpha from 0.1 to
+    0.999 and beta in {1, alpha, 1/2, 2}."""
+    alphas = (0.1, 0.2, 0.3, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
+    return {(a, b): np.array([float(ml_oracle(a, float(x), b, dps=20)) for x in _SWEEP_X])
+            for a in alphas for b in sorted({1.0, a, 0.5, 2.0})}
+
+
+def test_ml_oracle_sweep(ml_sweep):
+    for (alpha, beta), ref in ml_sweep.items():
+        vals = ml_neg(alpha, _SWEEP_X, beta=beta)
+        assert vals == pytest.approx(ref, rel=1e-10, abs=0), (alpha, beta)
+
+
+def test_ml_contour_bound_covers_error(ml_sweep):
+    # wherever the dispatcher would accept the contour sum, its bound is
+    # above the error the oracle shows
+    accepted = 0
+    for (alpha, beta), ref in ml_sweep.items():
+        val, rel = _ml_contour(alpha, beta, _SWEEP_X)
+        ok = rel <= 1e-12
+        bound = rel[ok] * np.abs(val[ok])
+        assert np.all(np.abs(val[ok] - ref[ok]) <= bound), (alpha, beta)
+        accepted += ok.sum()
+    assert accepted >= 0.6 * len(ml_sweep) * _SWEEP_X.size
 
 
 def test_ml_huge_x_underflows_to_zero():
@@ -377,14 +458,27 @@ def test_ml_oracle_asymptotic_pin():
     assert float(ml_oracle(0.75, 1e150, 0.75)) == pytest.approx(2.068617e-301, rel=1e-6, abs=0)
 
 
+@pytest.mark.parametrize("alpha,x,ref", [(0.25, 3.0, 0.2190044275604068),
+                                         (0.2, 3.0, 0.22585454512648809),
+                                         (0.1, 2.0, 0.3200153359597274)])
+def test_ml_oracle_small_alpha_pin(alpha, x, ref):
+    # the series' terms peak near exp(x^(1/alpha)) here: summed at a fixed
+    # 35 digits they gave 0.2223, 3.1e68 and -inf; the pins agree to 35
+    # digits between the series at 480 digits and the branch-cut quadrature
+    assert float(ml_oracle(alpha, x)) == pytest.approx(ref, rel=1e-15, abs=0)
+
+
 def test_ml_integral_raises_when_panels_too_coarse(monkeypatch):
-    assert _ml_integral(0.75, 1.0, 10.0) == pytest.approx(ml_neg(0.75, 10.0), rel=1e-10, abs=0)
-    base, dip = specfun._cut_layout(0.75)
+    val, rel = _ml_integral(0.95, 0.95, 20.0)
+    assert rel <= 1e-10
+    assert val == pytest.approx(float(ml_oracle(0.95, 20.0, 0.95, dps=20)), rel=1e-10, abs=0)
+    base, dip = specfun._cut_layout(0.95)
     monkeypatch.setattr(specfun, "_cut_layout", lambda alpha: (base[::6], dip[::4]))
+    assert _ml_integral(0.95, 0.95, 20.0)[1] > 1e-10
+    # x = 20 at alpha = beta = 0.95 is left to the integral (the contour sum
+    # cancels, the asymptotic series has not settled, x is past the series)
     with pytest.raises(AccuracyError):
-        _ml_integral(0.75, 1.0, 10.0)
-    with pytest.raises(AccuracyError):
-        ml_neg(0.75, np.array([0.5, 10.0, 500.0]))
+        ml_neg(0.95, np.array([0.5, 20.0, 500.0]), beta=0.95)
 
 
 def test_cli_import_leaves_out_scipy_integrate():

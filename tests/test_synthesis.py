@@ -222,6 +222,17 @@ def test_read_map_csv_row_count_mismatch(tmp_path):
         read_map_csv(path, GridSpec(2, 1))
 
 
+@pytest.mark.parametrize("text", ["theta,phi,value\nx,0,1\n0,1,2\n",
+                                  "theta,phi,value\n0,0,1\n0,1\n"])
+def test_read_map_csv_bad_field(tmp_path, text):
+    # a field that is not a number, or a ragged row, is a DomainError that
+    # names the file, not numpy's ValueError
+    path = tmp_path / "map.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match="map.csv"):
+        read_map_csv(path, GridSpec(2, 1))
+
+
 def assert_g17(values):
     """_format_g17 gives the bytes of '%.17g' % v for every value."""
     values = np.asarray(values, dtype=float)
