@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .errors import AccuracyError, DomainError
 from .specfun import (SphPoint, assoc_legendre_norm, gamma, legendre_p, ml_neg,
                       spherical_harmonic)
-from .spectra import (AlgebraicSpectrum, BoundConstants, bound_constants,
-                      bound_q_combined, bound_qh, bound_qi, gamma_alpha_kappa,
-                      holder_envelope, increment_bound, m_alpha,
+from .spectra import (AlgebraicSpectrum, bound_q_combined, bound_qh, bound_qi,
+                      gamma_alpha_kappa, holder_envelope, increment_bound, m_alpha,
                       measured_increment_c, psi_h, psi_i, tail_constant)
 from .stochastic import (CoefficientSet, FractionalModel, RngStream,
                          chi_square_power, coefficient_variance, covariance_function,

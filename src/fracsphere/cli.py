@@ -3,8 +3,8 @@
 Subcommands: ml, sigma, bounds, simulate, truncation, increments, selftest.
 Exit codes: 0 success, 2 configuration/domain error, 3 accuracy error,
 4 I/O error.  Model and experiment parameters come from a flat JSON config
-file; any flag overrides the config key of the same name.  Every run that
-writes artifacts also writes a manifest.json sufficient to reproduce it.
+file; each flag sets the config key named by its argparse dest (_config).
+Every run that writes artifacts also writes a manifest.json to reproduce it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .errors import AccuracyError, DomainError, check_path
-from .spectra import AlgebraicSpectrum, bound_constants
+from .spectra import (AlgebraicSpectrum, gamma_alpha_kappa, m_alpha,
+                      measured_increment_c, tail_constant)
 from .stochastic import FractionalModel, sigma_squared, sigma_squared_bound
 from .specfun import _ml_contour, ml_neg
 from .synthesis import GridSpec, _format_g17
@@ -50,7 +51,7 @@ DEFAULT_CONFIG = {
     "n_lon": 1024,          # map columns (simulate)
     "colormap": "coolwarm",  # map colormap: coolwarm | gray
     "increment_c": None,    # override for the measured increment constant
-    "workers": 1,           # worker processes over the curve rows
+    "workers": 1,           # worker processes over the increment rows
     "out": "out",           # output directory
 }
 
@@ -94,11 +95,15 @@ def model_from_config(cfg):
         raise DomainError(f"config keys alpha/tau: {e}") from e
 
 
-def _apply_overrides(cfg, args, keys):
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+def _config(args):
+    """The defaults, then the --config file, then FULLSCALE_PRESET under
+    --full-scale, then every flag given whose dest is a config key."""
+    cfg = load_config(args.config)
+    if getattr(args, "full_scale", False):
+        cfg.update(FULLSCALE_PRESET)
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key in DEFAULT_CONFIG and val is not None)
+    return cfg
 
 
 def _emit(payload):
@@ -132,23 +137,17 @@ def cmd_sigma(args):
 
 
 def cmd_bounds(args):
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args, ["alpha", "tau"])
-    model = model_from_config(cfg)
-    bc = bound_constants(model.alpha, model.spec_c, model.spec_a,
-                         increment_c_override=cfg["increment_c"])
-    _emit({"c_tail_C": bc.c_tail_c, "c_tail_A": bc.c_tail_a,
-           "m_alpha": bc.m_alpha, "gamma_alpha": bc.gamma_alpha,
-           "increment_c": bc.increment_c})
+    cfg = _config(args)
+    m = model_from_config(cfg)
+    _emit({"c_tail_C": tail_constant(m.spec_c), "c_tail_A": tail_constant(m.spec_a),
+           "m_alpha": m_alpha(m.alpha),
+           "gamma_alpha": gamma_alpha_kappa(m.alpha, m.spec_a.kappa),
+           "increment_c": measured_increment_c(m.alpha, override=cfg["increment_c"])})
     return 0
 
 
 def cmd_simulate(args):
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "L", "n_lat",
-                                 "n_lon", "colormap"])
-    if args.times is not None:
-        cfg["times"] = args.times
+    cfg = _config(args)
     model = model_from_config(cfg)
     grid = GridSpec(cfg["n_lat"], cfg["n_lon"])
     evolution_snapshots(model, cfg["L"], cfg["times"], grid, cfg["seed"],
@@ -184,25 +183,16 @@ def _write_curve(cfg, curve, prefix, experiment):
 
 
 def cmd_truncation(args):
-    cfg = load_config(args.config)
-    if args.full_scale:
-        cfg.update(FULLSCALE_PRESET)  # before the flags, so that they win
-    _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t",
-                                 "l_tilde", "n_real", "workers"])
+    cfg = _config(args)
     model = model_from_config(cfg)
     check_path("config key out", cfg["out"])
     curve = truncation_error_curve(model, cfg["l_tilde"], cfg["l_grid"],
-                                   cfg["t"], cfg["n_real"], cfg["seed"],
-                                   workers=cfg["workers"])
+                                   cfg["t"], cfg["n_real"], cfg["seed"])
     return _write_curve(cfg, curve, "trunc", "truncation")
 
 
 def cmd_increments(args):
-    cfg = load_config(args.config)
-    if args.full_scale:
-        cfg.update(FULLSCALE_PRESET)  # before the flags, so that they win
-    _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "t", "L",
-                                 "n_real", "workers"])
+    cfg = _config(args)
     model = model_from_config(cfg)
     check_path("config key out", cfg["out"])
     curve = increment_curve(model, cfg["L"], cfg["t"], cfg["h_grid"],
@@ -274,7 +264,7 @@ def _selftest_checks(cfg):
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
     curve = truncation_error_curve(model, 96, [12, 24, 48], 10 * cfg["tau"],
-                                   8, cfg["seed"], workers=cfg["workers"])
+                                   8, cfg["seed"])
     curve.write_csv(os.path.join(out, f"selftest_trunc_{cfg['alpha']:g}.csv"))
     dominated = all(emp <= bound for _, emp, bound, flag in curve.rows if not flag)
     monot = all(a[1] >= b[1] for a, b in zip(curve.rows, curve.rows[1:]))
@@ -331,8 +321,7 @@ def _selftest_checks(cfg):
 
 
 def cmd_selftest(args):
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args, ["alpha", "tau", "seed", "out", "workers"])
+    cfg = _config(args)
     check_path("config key out", cfg["out"])
     failed = 0
     for name, ok, detail in _selftest_checks(cfg):
@@ -397,7 +386,6 @@ def build_parser():
     sp.add_argument("--t", type=float, help="evaluation time (model time units)")
     sp.add_argument("--l-tilde", dest="l_tilde", type=int, help="reference degree")
     sp.add_argument("--n-real", dest="n_real", type=int, help="MC realizations")
-    sp.add_argument("--workers", type=int, help="worker processes over curve rows")
     sp.add_argument("--full-scale", action="store_true",
                     help="use the full-scale preset (degree 1500, 100 realizations)")
     sp.set_defaults(func=cmd_truncation)
@@ -407,14 +395,14 @@ def build_parser():
     sp.add_argument("--t", type=float, help="base time, > tau (model time units)")
     sp.add_argument("--L", type=int, help="truncation degree")
     sp.add_argument("--n-real", dest="n_real", type=int, help="MC realizations")
-    sp.add_argument("--workers", type=int, help="worker processes over curve rows")
+    sp.add_argument("--workers", type=int, help="worker processes over increment rows")
     sp.add_argument("--full-scale", action="store_true",
                     help="use the full-scale preset (degree 1500, 100 realizations)")
     sp.set_defaults(func=cmd_increments)
 
     sp = sub.add_parser("selftest", help="compact deterministic verification run")
     add_config(sp)
-    sp.add_argument("--workers", type=int, help="worker processes over curve rows")
+    sp.add_argument("--workers", type=int, help="worker processes over increment rows")
     sp.set_defaults(func=cmd_selftest)
 
     return p

@@ -7,10 +7,10 @@ A curve row's n_real realizations therefore cost one field draw, reduced
 with degree_power, plus the other n_real - 1 summed from their exact law
 v_l chi^2_{(n_real - 1)(2l+1)}, one variate per degree (chi_square_power).
 The field draw keeps the sampler checked end to end.  Every row is one
-task of one function, _power, over explicit argument tuples, and draws
-from counter-based RNG streams of its own, so results are bit-identical
-for any worker count: rows run in-process for one worker, else on a
-process pool with the platform's default start method.
+call of _power and draws from counter-based RNG streams of its own.  The
+truncation curve is one row; the increment curve's rows, one per h, run
+in-process for one worker, else on a process pool with the platform's
+default start method, bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -118,17 +118,7 @@ def _power(model, L, t, h, rng, row, n_real):
     return p
 
 
-def _run_jobs(tasks, workers):
-    """_power over the argument tuples in `tasks`, results in task order;
-    no more processes than tasks."""
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        return [_power(*task) for task in tasks]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.starmap(_power, tasks)
-
-
-def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=1):
+def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
     """Estimate the mean-square truncation error curve.
 
     One degree-l_tilde realization serves every L in l_grid (the
@@ -149,10 +139,7 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed, workers=1):
         raise DomainError("truncation_error_curve: need l_grid < l_tilde")
     t = check_real("truncation_error_curve: t", t)
     n_real = check_degree("truncation_error_curve: n_real", n_real, 2)
-    workers = check_degree("truncation_error_curve: workers", workers, 1)
-    [power] = _run_jobs([(model, l_tilde, t, None, RngStream(seed), 0, n_real)],
-                        workers)
-    mean_p = power / n_real
+    mean_p = _power(model, l_tilde, t, None, RngStream(seed), 0, n_real) / n_real
     tail = np.concatenate([np.cumsum(mean_p[::-1])[::-1], [0.0]])
     rows = []
     for L in l_grid:
@@ -185,11 +172,15 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
         raise DomainError("increment_curve: h_grid must be ascending")
     t = check_real("increment_curve: t (above tau)", t, model.tau)
     n_real = check_degree("increment_curve: n_real", n_real, 2)
-    workers = check_degree("increment_curve: workers", workers, 1)
+    workers = min(check_degree("increment_curve: workers", workers, 1), len(hs))
     c = measured_increment_c(model.alpha, override=increment_c)
     rng = RngStream(seed)
-    powers = _run_jobs([(model, L, t, h, rng, i, n_real) for i, h in enumerate(hs)],
-                       workers)
+    tasks = [(model, L, t, h, rng, i, n_real) for i, h in enumerate(hs)]
+    if workers == 1:
+        powers = [_power(*task) for task in tasks]
+    else:
+        with multiprocessing.Pool(workers) as pool:
+            powers = pool.starmap(_power, tasks)
     rows = []
     for h, p in zip(hs, powers):
         emp = math.sqrt(float(p.sum()) / n_real)
@@ -201,8 +192,7 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
     return ErrorCurve(kind="increment", rows=rows, meta=meta)
 
 
-def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm",
-                        vrange=None, realization=0):
+def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm"):
     """Simulate one realization jointly at the given ascending times, render
     each as an image + CSV under out_dir, and return the field maps.
     Files are named map_t{t:g}; times whose names collide are refused
@@ -215,19 +205,19 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
         if stem in stems[:i]:
             raise DomainError(f"evolution_snapshots: times {times[stems.index(stem)]!r} "
                               f"and {times[i]!r} share the file name {stem}")
-    sets = sample_combined_times(model, L, times, RngStream(seed), realization)
+    sets = sample_combined_times(model, L, times, RngStream(seed))
     os.makedirs(out_dir, exist_ok=True)
     maps = []
     for name, coeffs in zip(stems, sets):
         fmap = synthesize(coeffs, grid)
         stem = os.path.join(out_dir, name)
-        write_map_image(fmap, stem + ".ppm", colormap=colormap, vrange=vrange)
+        write_map_image(fmap, stem + ".ppm", colormap=colormap)
         write_map_csv(fmap, stem + ".csv")
         maps.append(fmap)
     write_manifest(out_dir, {
         "experiment": "simulate", "alpha": model.alpha, "tau": model.tau,
         "spec_c": vars(model.spec_c), "spec_a": vars(model.spec_a),
-        "L": L, "times": times, "seed": seed, "realization": realization,
+        "L": L, "times": times, "seed": seed,
         "n_lat": grid.n_lat, "n_lon": grid.n_lon, "colormap": colormap,
     })
     return maps

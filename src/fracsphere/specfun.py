@@ -605,7 +605,10 @@ def ml_neg(alpha, x, beta=1.0):
         value;
       - for x >= 3, the algebraic asymptotic series, stopped by its
         envelope and accepted at an estimate of 1e-13: large x at
-        beta = alpha, where the sum cancels, and x past 1e150;
+        beta = alpha, where the sum cancels, and x past 1e150.  At small
+        alpha it is the only regime within tolerance for every x >= 3:
+        at alpha = 0.05 the branch-cut integral's estimate stays near
+        2e-9 and the contour sum's bound above 7e-12 from x = 3 to 1e6;
       - the few elements left (values near a sign change, alpha near 1 at
         moderate x): the branch-cut integral on fixed Gauss-Legendre
         panels or, for x <= 16^alpha, the compensated power series,

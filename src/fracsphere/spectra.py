@@ -20,7 +20,6 @@ from .specfun import gamma, ml_neg
 
 __all__ = [
     "AlgebraicSpectrum",
-    "BoundConstants",
     "tail_constant",
     "m_alpha",
     "gamma_alpha_kappa",
@@ -33,7 +32,6 @@ __all__ = [
     "increment_bound",
     "holder_envelope",
     "measured_increment_c",
-    "bound_constants",
 ]
 
 
@@ -256,24 +254,3 @@ def holder_envelope(beta_star, t, tau, spec_c, spec_a, lmax=100_000):
         out = out + (t - tau) * _weighted_tail_sum(spec_a, expo, int(lmax))
     return 2.0 ** (4.0 - beta_star) * out
 
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """The closed-form constants for one model configuration."""
-
-    c_tail_c: float
-    c_tail_a: float
-    m_alpha: float
-    gamma_alpha: float
-    increment_c: float
-
-
-def bound_constants(alpha, spec_c, spec_a, increment_c_override=None):
-    """All bound constants for a model, as exported by the CLI."""
-    return BoundConstants(
-        c_tail_c=tail_constant(spec_c),
-        c_tail_a=tail_constant(spec_a),
-        m_alpha=m_alpha(alpha),
-        gamma_alpha=gamma_alpha_kappa(alpha, spec_a.kappa),
-        increment_c=measured_increment_c(alpha, override=increment_c_override),
-    )

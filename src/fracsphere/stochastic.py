@@ -269,6 +269,9 @@ class _SquaredKernelTable:
         m = np.arange(_HEAD_TERMS)
         e = np.array([(-1.0) ** k / math.gamma(1.0 + alpha * k) for k in m])
         self.head_coef = np.convolve(e, e)[:_HEAD_TERMS] / (1.0 + alpha * m)
+        # knots z0 10^(k/4) overflow past the last block end with k/4 <= 308.25
+        k_end = _TABLE_BLOCK * int(308.25 * _PANELS_PER_DECADE // _TABLE_BLOCK)
+        self.z_end = self.z0 * 10.0 ** (k_end / _PANELS_PER_DECADE)
         self.knots = np.array([self.z0])
         self.cum = self._head(self.knots)
         self.cum_err = np.zeros(1)
@@ -333,6 +336,10 @@ def _sigma_squared(ells, t, alpha):
         table = _TABLES.get(alpha)
         if table is None:
             table = _TABLES[alpha] = _SquaredKernelTable(alpha)
+        if z.max() >= table.z_end:
+            raise AccuracyError(
+                f"sigma_squared: lambda^(1/alpha) t = {z.max():.3e} is past the "
+                f"kernel table's last knot {table.z_end:.3e} at alpha={alpha}, t={t}")
         val, err = table(z)
         _accuracy_check("sigma_squared", val, err, ells[pos], t=t, alpha=alpha)
         out[pos] = np.minimum(val / scale, t)  # integrand <= 1, so sigma^2 <= t

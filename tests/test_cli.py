@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import fracsphere
-from fracsphere.cli import main
+from fracsphere.cli import DEFAULT_CONFIG, main
 
 
 def run_cli(*args):
@@ -58,7 +59,11 @@ def test_bounds_keys():
     payload = json.loads(out)
     assert set(payload) == {"c_tail_C", "c_tail_A", "m_alpha", "gamma_alpha",
                             "increment_c"}
+    assert payload["c_tail_C"] == pytest.approx(math.sqrt(2.0 / 0.3 + 1.0 / 1.3))
+    assert payload["c_tail_A"] == pytest.approx(math.sqrt(1e4 * (4.0 + 2.0 / 3.0)))
     assert payload["m_alpha"] == pytest.approx(math.pi / 4)
+    assert payload["gamma_alpha"] == 2.5
+    assert payload["increment_c"] > 0.0
 
 
 def test_missing_config_exit_code():
@@ -98,8 +103,9 @@ def test_help_lists_flags():
                          capture_output=True, text=True)
     assert res.returncode == 0
     for flag in ("--config", "--alpha", "--tau", "--seed", "--out", "--t",
-                 "--l-tilde", "--n-real", "--workers"):
+                 "--l-tilde", "--n-real", "--full-scale"):
         assert flag in res.stdout
+    assert "--workers" not in res.stdout  # the curve is one row
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -174,6 +180,16 @@ def test_simulate_colliding_snapshot_names_refused(tmp_path, record_calls):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_past_kernel_table_is_accuracy_error(tmp_path):
+    # the sigma^2 table's knots used to overflow to inf here: exit 2 from
+    # ml_neg on NaN nodes after three RuntimeWarnings
+    code, _ = run_cli("simulate", "--out", str(tmp_path / "maps"), "--L", "4",
+                      "--times", "1e300", "--n-lat", "4", "--n-lon", "4")
+    assert code == 3
+    assert not (tmp_path / "maps").exists()
+
+
 def test_simulate_fractional_grid_refused(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "maps"
@@ -195,6 +211,44 @@ def test_full_scale_flags_win(tmp_path):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["L"] == 8 and manifest["n_real"] == 2
     assert manifest["l_tilde"] == 1500  # unflagged preset keys still apply
+
+
+def _subcommand_parsers():
+    from fracsphere.cli import build_parser
+
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {name: sp for name, sp in sub.choices.items()
+            if name in ("bounds", "simulate", "truncation", "increments", "selftest")}
+
+
+@pytest.mark.parametrize("command", sorted(_subcommand_parsers()))
+def test_every_flag_sets_its_config_key(command):
+    # the parser is the only record of which keys a subcommand takes: each
+    # option's dest is a config key, and a value given lands in cfg[dest]
+    from fracsphere.cli import _config
+
+    parser = _subcommand_parsers()[command]
+    argv, expect = [], {}
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        assert action.dest in DEFAULT_CONFIG or action.dest in ("config", "full_scale")
+        if action.dest in ("config", "full_scale"):
+            continue
+        if action.choices:
+            value = list(action.choices)[-1]
+        else:
+            value = {int: 7, float: 0.375, None: "somewhere"}[action.type]
+        if action.nargs == "+":
+            value = [value, value * 2]
+        assert value != DEFAULT_CONFIG[action.dest]
+        expect[action.dest] = value
+        argv += [action.option_strings[0],
+                 *map(str, value if isinstance(value, list) else [value])]
+    assert command != "simulate" or "times" in expect
+    cfg = _config(parser.parse_args(argv))
+    assert {key: cfg[key] for key in expect} == expect
 
 
 SMALL_RUNS = {
@@ -225,7 +279,7 @@ SMALL_RUNS = {
     ("truncation", {"c_head": "x"}),
     ("bounds", {"increment_c": "x"}),
     ("increments", {"increment_c": "x"}),
-    ("truncation", {"workers": 1.7}),
+    ("increments", {"workers": 1.7}),
     ("increments", {"workers": True}),
     ("truncation", {"seed": "x"}),
 ])

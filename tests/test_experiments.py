@@ -123,16 +123,14 @@ def test_truncation_expectation_analytic(small_model):
     assert abs(curve.rows[0][1] ** 2 - mean_sq) <= 5.0 * sd
 
 
-def test_truncation_determinism_and_workers(small_model, tmp_path):
+def test_truncation_determinism(small_model, tmp_path):
     kw = dict(l_tilde=40, l_grid=[8, 16, 32], t=1e-4, n_real=6, seed=99)
     a = truncation_error_curve(small_model, **kw)
     b = truncation_error_curve(small_model, **kw)
-    w = truncation_error_curve(small_model, workers=4, **kw)
-    pa, pb, pw = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "w.csv"
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     a.write_csv(pa)
     b.write_csv(pb)
-    w.write_csv(pw)
-    assert pa.read_bytes() == pb.read_bytes() == pw.read_bytes()
+    assert pa.read_bytes() == pb.read_bytes()
 
 
 def test_truncation_flags_case_condition(small_model):
@@ -357,8 +355,7 @@ def test_snapshot_pointwise_variance(small_model):
 
 @pytest.mark.parametrize("workers", [0, -3, 1.7, True, "2", math.nan, None])
 def test_curves_refuse_bad_workers(small_model, workers):
-    with pytest.raises(DomainError):
-        truncation_error_curve(small_model, 16, [4, 8], 1e-4, 3, 1, workers=workers)
+    # the truncation curve is one row and takes no worker count
     with pytest.raises(DomainError):
         increment_curve(small_model, 8, 2e-5, [1e-6, 2e-6], 3, 1, workers=workers)
 
@@ -366,14 +363,12 @@ def test_curves_refuse_bad_workers(small_model, workers):
 _SPAWN_SCRIPT = """
 import multiprocessing
 multiprocessing.set_start_method("spawn")
-from fracsphere import (AlgebraicSpectrum, FractionalModel, increment_curve,
-                        truncation_error_curve)
+from fracsphere import AlgebraicSpectrum, FractionalModel, increment_curve
 model = FractionalModel(0.5, 1e-5, AlgebraicSpectrum(1.0, 1.0, 2.3),
                         AlgebraicSpectrum(1e4, 1e4, 2.5))
 for workers in (1, 2, 3):
-    trunc = truncation_error_curve(model, 40, [8, 16, 32], 1e-4, 6, 99, workers=workers)
     inc = increment_curve(model, 24, 2e-5, [1e-6, 2e-6], 4, 31, workers=workers)
-    print(repr(trunc.rows), repr(inc.rows))
+    print(repr(inc.rows))
 """
 
 

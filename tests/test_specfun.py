@@ -424,6 +424,17 @@ def test_ml_oracle_sweep(ml_sweep):
         assert vals == pytest.approx(ref, rel=1e-10, abs=0), (alpha, beta)
 
 
+@pytest.mark.parametrize("alpha,beta", [(0.03, 0.03), (0.03, 0.015), (0.05, 0.05),
+                                        (0.05, 0.025)])
+def test_ml_small_alpha_vs_oracle(alpha, beta):
+    # below the sweep's alpha = 0.1 only the asymptotic series meets the
+    # tolerance from x = 3 on: at alpha = 0.05 the branch-cut integral's
+    # estimate is about 2e-9 and the contour sum's bound 7e-12 to 2e-6
+    xs = np.geomspace(3.0, 1e150, 13)
+    ref = np.array([float(ml_oracle(alpha, float(x), beta)) for x in xs])
+    assert ml_neg(alpha, xs, beta=beta) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
 def test_ml_contour_bound_covers_error(ml_sweep):
     # wherever the dispatcher would accept the contour sum, its bound is
     # above the error the oracle shows

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fracsphere import (AlgebraicSpectrum, DomainError, bound_constants,
-                        bound_q_combined, bound_qh, bound_qi,
-                        gamma_alpha_kappa, holder_envelope, increment_bound,
-                        m_alpha, measured_increment_c, psi_h, psi_i,
-                        tail_constant)
+from fracsphere import (AlgebraicSpectrum, DomainError, bound_q_combined,
+                        bound_qh, bound_qi, gamma_alpha_kappa, holder_envelope,
+                        increment_bound, m_alpha, measured_increment_c, psi_h,
+                        psi_i, tail_constant)
 from fracsphere.spectra import combined_case
 
 
@@ -240,13 +239,3 @@ def test_holder_envelope(spec_c, spec_a):
     ref = 2.0 ** 3.0 * (float(np.sum(ells[:10_000] ** 3.0 * ells[:10_000] ** -4.5))
                         + 10_000.0 ** -0.5 / 0.5)
     assert v == pytest.approx(ref, rel=1e-10)
-
-
-def test_bound_constants_report(spec_c, spec_a):
-    bc = bound_constants(0.5, spec_c, spec_a)
-    assert bc.c_tail_c == pytest.approx(tail_constant(spec_c))
-    assert bc.c_tail_a == pytest.approx(tail_constant(spec_a))
-    assert bc.m_alpha == pytest.approx(math.pi / 4)
-    assert bc.gamma_alpha == 2.5
-    assert bc.increment_c > 0.0
-

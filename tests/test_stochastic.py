@@ -224,6 +224,18 @@ def test_kernel_degree_and_range_checks():
         sigma_squared(10 ** 5, 1.0, 0.01)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sigma_squared_past_table_end_refused():
+    # lambda^(1/alpha) t above 1e302 at alpha = 1/2 used to build table
+    # knots z0 10^(k/4) that overflow to inf, with three RuntimeWarnings,
+    # and end in a DomainError from ml_neg on the NaN nodes (exit 2)
+    assert sigma_squared(5, 1e298, 0.5) == pytest.approx(0.2452, rel=1e-3)
+    with pytest.raises(AccuracyError, match=r"sigma_squared.*alpha=0.5, t=1e\+300"):
+        sigma_squared(5, 1e300, 0.5)
+    with pytest.raises(AccuracyError, match="alpha=0.1"):
+        sigma_squared(1, 1e279, 0.1)
+
+
 # --------------------------------------------------------------------------
 # samplers: determinism and shape
 
