@@ -4,7 +4,8 @@ Subcommands: ml, sigma, bounds, simulate, truncation, increments, selftest.
 Exit codes: 0 success, 2 configuration/domain error, 3 accuracy error,
 4 I/O error.  Model and experiment parameters come from a flat JSON config
 file; each flag sets the config key named by its argparse dest (_config).
-Every run that writes artifacts also writes a manifest.json to reproduce it.
+Every run that writes artifacts also writes its experiment's run_record as
+manifest.json; a config key the run does not read is accepted, not recorded.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, DomainError, check_path
+from .errors import AccuracyError, DomainError, check_degree, check_path, check_real
 from .spectra import (AlgebraicSpectrum, gamma_alpha_kappa, m_alpha,
                       measured_increment_c, tail_constant)
-from .stochastic import FractionalModel, sigma_squared, sigma_squared_bound
+from .stochastic import FractionalModel, RngStream, sigma_squared, sigma_squared_bound
 from .specfun import _ml_contour, ml_neg
 from .synthesis import GridSpec, _format_g17
 from .experiments import (evolution_snapshots, fit_loglog_slope,
-                          increment_curve, truncation_error_curve,
+                          increment_curve, run_record, truncation_error_curve,
                           write_manifest)
 
 # flat config schema with defaults (times and grids mirror the reference
@@ -50,7 +51,6 @@ DEFAULT_CONFIG = {
     "n_lat": 512,           # map rows (simulate)
     "n_lon": 1024,          # map columns (simulate)
     "colormap": "coolwarm",  # map colormap: coolwarm | gray
-    "increment_c": None,    # override for the measured increment constant
     "workers": 1,           # worker processes over the increment rows
     "out": "out",           # output directory
 }
@@ -142,7 +142,7 @@ def cmd_bounds(args):
     _emit({"c_tail_C": tail_constant(m.spec_c), "c_tail_A": tail_constant(m.spec_a),
            "m_alpha": m_alpha(m.alpha),
            "gamma_alpha": gamma_alpha_kappa(m.alpha, m.spec_a.kappa),
-           "increment_c": measured_increment_c(m.alpha, override=cfg["increment_c"])})
+           "increment_c": measured_increment_c(m.alpha)})
     return 0
 
 
@@ -168,14 +168,13 @@ def _safe_fit(curve):
 
 
 def _write_curve(cfg, curve, prefix, experiment):
-    """Write the curve as <prefix>_<alpha>.csv/.json and the manifest under
-    the out directory, and emit the slope fit."""
+    """Write the curve as <prefix>_<alpha>.csv and its record as the
+    manifest under the out directory, and emit the slope fit."""
     os.makedirs(cfg["out"], exist_ok=True)  # only once the curve exists
     stem = os.path.join(cfg["out"], f"{prefix}_{cfg['alpha']:g}")
     curve.write_csv(stem + ".csv")
-    curve.write_json(stem + ".json")
     fit = _safe_fit(curve)
-    write_manifest(cfg["out"], {"experiment": experiment, **cfg})
+    write_manifest(cfg["out"], {"experiment": experiment, **curve.meta})
     _emit({"csv": stem + ".csv", "slope": fit.slope if fit else None,
            "r2": fit.r2 if fit else None,
            "window": list(fit.window) if fit else None})
@@ -196,8 +195,7 @@ def cmd_increments(args):
     model = model_from_config(cfg)
     check_path("config key out", cfg["out"])
     curve = increment_curve(model, cfg["L"], cfg["t"], cfg["h_grid"],
-                            cfg["n_real"], cfg["seed"], workers=cfg["workers"],
-                            increment_c=cfg["increment_c"])
+                            cfg["n_real"], cfg["seed"], workers=cfg["workers"])
     return _write_curve(cfg, curve, "inc", "increments")
 
 
@@ -273,7 +271,7 @@ def _selftest_checks(cfg):
 
     hs = [k * 1e-6 for k in range(1, 6)]
     curve = increment_curve(model, 64, cfg["tau"] + 1e-6, hs, 8, cfg["seed"],
-                            workers=cfg["workers"], increment_c=cfg["increment_c"])
+                            workers=cfg["workers"])
     curve.write_csv(os.path.join(out, f"selftest_inc_{cfg['alpha']:g}.csv"))
     dominated = all(emp <= bound for _, emp, bound, _ in curve.rows)
     yield "increment-curve", dominated, f"bound dominates: {dominated}"
@@ -323,11 +321,15 @@ def _selftest_checks(cfg):
 def cmd_selftest(args):
     cfg = _config(args)
     check_path("config key out", cfg["out"])
+    model = model_from_config(cfg)
+    cfg.update(seed=RngStream(cfg["seed"]).seed, t=check_real("config key t", cfg["t"]),
+               workers=check_degree("config key workers", cfg["workers"], 1))
     failed = 0
     for name, ok, detail in _selftest_checks(cfg):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1
-    write_manifest(cfg["out"], {"experiment": "selftest", **cfg})
+    write_manifest(cfg["out"], {"experiment": "selftest", **run_record(
+        model, seed=cfg["seed"], t=cfg["t"], workers=cfg["workers"])})
     return 0 if failed == 0 else 3
 
 

@@ -11,6 +11,9 @@ call of _power and draws from counter-based RNG streams of its own.  The
 truncation curve is one row; the increment curve's rows, one per h, run
 in-process for one worker, else on a process pool with the platform's
 default start method, bit-identical for any worker count.
+
+Each experiment's run_record (the model, then the parameters it used, as
+used) is its manifest; a curve carries it as ErrorCurve.meta.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .synthesis import _colormap_table, synthesize, write_map_csv, write_map_ima
 
 __all__ = ["ErrorCurve", "SlopeFit", "truncation_error_curve",
            "increment_curve", "evolution_snapshots", "fit_loglog_slope",
-           "write_manifest"]
+           "run_record", "write_manifest"]
 
 
 @dataclass
@@ -44,6 +47,7 @@ class ErrorCurve:
     kind is "degree" (truncation, x = L) or "increment" (x = h).  flag = 1
     marks rows where the bound's case conditions fail; such rows carry no
     valid bound (column set to 0) and are excluded from slope fits.
+    meta is the run record of the experiment that made the curve.
     """
 
     kind: str
@@ -63,13 +67,6 @@ class ErrorCurve:
             f.write("x,empirical,bound,flag\n")
             for x, emp, bound, flag in self.rows:
                 f.write("%.17g,%.17g,%.17g,%d\n" % (x, emp, bound, flag))
-
-    def write_json(self, path):
-        with open(path, "w") as f:
-            json.dump({"kind": self.kind, "meta": self.meta,
-                       "rows": [list(r) for r in self.rows]}, f, indent=1,
-                      sort_keys=True)
-            f.write("\n")
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,8 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
         raise DomainError("truncation_error_curve: need l_grid < l_tilde")
     t = check_real("truncation_error_curve: t", t)
     n_real = check_degree("truncation_error_curve: n_real", n_real, 2)
-    mean_p = _power(model, l_tilde, t, None, RngStream(seed), 0, n_real) / n_real
+    rng = RngStream(seed)
+    mean_p = _power(model, l_tilde, t, None, rng, 0, n_real) / n_real
     tail = np.concatenate([np.cumsum(mean_p[::-1])[::-1], [0.0]])
     rows = []
     for L in l_grid:
@@ -151,16 +149,15 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
         except DomainError:
             bound, flag = 0.0, 1
         rows.append((float(L), emp, bound, flag))
-    meta = {"alpha": model.alpha, "tau": model.tau, "t": t, "l_tilde": l_tilde,
-            "n_real": n_real, "seed": seed}
+    meta = run_record(model, t=t, l_tilde=l_tilde, l_grid=l_grid, n_real=n_real,
+                      seed=rng.seed)
     return ErrorCurve(kind="degree", rows=rows, meta=meta)
 
 
-def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
-                    increment_c=None):
+def increment_curve(model, L, t, h_grid, n_real, seed, workers=1):
     """Estimate the mean-square temporal increment curve
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
-    q(t) sqrt(h) bound (measured constant unless overridden).
+    q(t) sqrt(h) bound with the measured constant (measured_increment_c).
 
     Each h is one row: realization i of row i is drawn directly from the
     increment's exact law (sample_combined_pair) and reduced, and the
@@ -173,7 +170,7 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
     t = check_real("increment_curve: t (above tau)", t, model.tau)
     n_real = check_degree("increment_curve: n_real", n_real, 2)
     workers = min(check_degree("increment_curve: workers", workers, 1), len(hs))
-    c = measured_increment_c(model.alpha, override=increment_c)
+    c = measured_increment_c(model.alpha)
     rng = RngStream(seed)
     tasks = [(model, L, t, h, rng, i, n_real) for i, h in enumerate(hs)]
     if workers == 1:
@@ -187,8 +184,8 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1,
         bound = increment_bound(t, h, model.tau, model.alpha,
                                 model.spec_c, model.spec_a, c)
         rows.append((h, emp, bound, 0))
-    meta = {"alpha": model.alpha, "tau": model.tau, "t": t, "L": L,
-            "n_real": n_real, "seed": seed, "increment_c": c}
+    meta = run_record(model, t=t, L=L, h_grid=hs, n_real=n_real, seed=rng.seed,
+                      workers=workers, increment_c=c)
     return ErrorCurve(kind="increment", rows=rows, meta=meta)
 
 
@@ -197,6 +194,7 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
     each as an image + CSV under out_dir, and return the field maps.
     Files are named map_t{t:g}; times whose names collide are refused
     before drawing."""
+    L = check_degree("evolution_snapshots: L", L)
     times = check_list("evolution_snapshots: times", times, check_real)
     out_dir = check_path("evolution_snapshots: out_dir", out_dir)
     _colormap_table(colormap)  # refuse an unknown name before drawing
@@ -205,7 +203,8 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
         if stem in stems[:i]:
             raise DomainError(f"evolution_snapshots: times {times[stems.index(stem)]!r} "
                               f"and {times[i]!r} share the file name {stem}")
-    sets = sample_combined_times(model, L, times, RngStream(seed))
+    rng = RngStream(seed)
+    sets = sample_combined_times(model, L, times, rng)
     os.makedirs(out_dir, exist_ok=True)
     maps = []
     for name, coeffs in zip(stems, sets):
@@ -214,21 +213,24 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
         write_map_image(fmap, stem + ".ppm", colormap=colormap)
         write_map_csv(fmap, stem + ".csv")
         maps.append(fmap)
-    write_manifest(out_dir, {
-        "experiment": "simulate", "alpha": model.alpha, "tau": model.tau,
-        "spec_c": vars(model.spec_c), "spec_a": vars(model.spec_a),
-        "L": L, "times": times, "seed": seed,
-        "n_lat": grid.n_lat, "n_lon": grid.n_lon, "colormap": colormap,
-    })
+    write_manifest(out_dir, {"experiment": "simulate", **run_record(
+        model, L=L, times=times, seed=rng.seed, n_lat=grid.n_lat, n_lon=grid.n_lon,
+        colormap=colormap)})
     return maps
 
 
-def write_manifest(out_dir, config):
-    """Record everything needed to reproduce a run."""
-    payload = dict(config)
-    payload["tool"] = "fracsphere"
-    payload["version"] = __version__
-    payload["rng_scheme"] = RNG_SCHEME
+def run_record(model, **params):
+    """A run's record: the model (alpha, tau and both spectra), then the
+    parameters the run used, as it used them."""
+    return {"alpha": model.alpha, "tau": model.tau, "spec_c": vars(model.spec_c),
+            "spec_a": vars(model.spec_a), **params}
+
+
+def write_manifest(out_dir, record):
+    """Write a run's record as manifest.json, with the tool, its version and
+    the RNG scheme."""
+    payload = {**record, "tool": "fracsphere", "version": __version__,
+               "rng_scheme": RNG_SCHEME}
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)

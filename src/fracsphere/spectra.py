@@ -191,15 +191,10 @@ def bound_q_combined(L, t, tau, alpha, spec_c, spec_a):
 _measured_c_cache: dict[float, float] = {}
 
 
-def measured_increment_c(alpha, override=None):
+def measured_increment_c(alpha):
     """The generic constant C of the increment bound, measured once per
-    alpha as max over a log grid x in [1e-6, 1e8] of (1+x) E_{alpha,alpha}(-x).
-
-    `override` substitutes a user-configured value.
-    """
+    alpha as max over a log grid x in [1e-6, 1e8] of (1+x) E_{alpha,alpha}(-x)."""
     alpha = check_alpha("measured_increment_c: alpha", alpha)
-    if override is not None:
-        return check_real("increment constant override", override)
     if alpha not in _measured_c_cache:
         xs = np.logspace(-6.0, 8.0, 200)
         vals = (1.0 + xs) * ml_neg(alpha, xs, beta=alpha)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import fracsphere
-from fracsphere.cli import DEFAULT_CONFIG, main
+from fracsphere.cli import DEFAULT_CONFIG, FULLSCALE_PRESET, build_parser, main
 
 
 def run_cli(*args):
@@ -127,7 +127,6 @@ def test_truncation_run_writes_artifacts(tmp_path):
     payload = json.loads(out)
     assert payload["slope"] < 0.0
     assert (tmp_path / "run" / "trunc_0.5.csv").exists()
-    assert (tmp_path / "run" / "trunc_0.5.json").exists()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 7 and manifest["experiment"] == "truncation"
     assert manifest["version"] and manifest["rng_scheme"] == 7
@@ -210,7 +209,12 @@ def test_full_scale_flags_win(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["L"] == 8 and manifest["n_real"] == 2
-    assert manifest["l_tilde"] == 1500  # unflagged preset keys still apply
+    # unflagged preset keys still apply (increments reads none of the others)
+    code, _ = run_cli("truncation", "--config", str(cfg), "--full-scale", "--n-real", "2")
+    assert code == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["n_real"] == 2 and manifest["l_tilde"] == 1500
+    assert manifest["l_grid"] == FULLSCALE_PRESET["l_grid"]
 
 
 def _subcommand_parsers():
@@ -325,3 +329,70 @@ def test_unknown_colormap_refused_before_drawing(tmp_path, record_calls):
     assert code == 2
     assert not calls
     assert not out.exists()
+
+
+# the manifest is the experiment's run record: the model, the parameters
+# the run used (as used), and the tool, version and RNG scheme
+RECORD_KEYS = {"alpha", "tau", "spec_c", "spec_a", "experiment", "tool", "version",
+               "rng_scheme"}
+RUN_KEYS = {
+    "truncation": {"t", "l_tilde", "l_grid", "n_real", "seed"},
+    "increments": {"t", "L", "h_grid", "n_real", "seed", "workers", "increment_c"},
+    "simulate": {"L", "times", "seed", "n_lat", "n_lon", "colormap"},
+    "selftest": {"seed", "t", "workers"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_KEYS))
+def test_manifest_is_the_run_record(tmp_path, command):
+    # the curve and selftest manifests used to dump the whole config, keys
+    # the run never read included, with the seed as given and the measured
+    # increment constant as null; the curves also wrote a JSON copy
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    small = SMALL_RUNS.get(command, {})
+    cfg.write_text(json.dumps({**small, "seed": 7.0, "out": str(out)}))
+    code, _ = run_cli(command, "--config", str(cfg))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == RECORD_KEYS | RUN_KEYS[command]
+    assert manifest["experiment"] == command
+    assert {key: manifest[key] for key in small} == small
+    assert manifest["spec_a"] == {"head": 1e4, "coeff": 1e4, "kappa": 2.5}
+    assert manifest["seed"] == 7 and isinstance(manifest["seed"], int)
+    if command != "simulate":  # simulate's JSON files are its maps' sidecars
+        assert [p.name for p in out.glob("*.json")] == ["manifest.json"]
+    if command == "increments":
+        code, bounds = run_cli("bounds", "--alpha", str(manifest["alpha"]))
+        assert code == 0
+        assert isinstance(manifest["increment_c"], float)
+        assert manifest["increment_c"] == json.loads(bounds)["increment_c"]
+
+
+def test_unread_config_keys_not_recorded(tmp_path):
+    # truncation reads none of these keys: the run used to exit 0 and write
+    # all four values into its manifest as if they had had an effect
+    unread = {"workers": "x", "colormap": "jet", "n_lat": "q", "times": "abc"}
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    cfg.write_text(json.dumps({**SMALL_RUNS["truncation"], **unread, "out": str(out)}))
+    code, _ = run_cli("truncation", "--config", str(cfg))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not set(unread) & set(manifest)
+
+
+def test_readme_matches_config_and_parser():
+    # the README's key list and command-line block name exactly the
+    # config's keys and the parser's subcommands
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [keys] = re.findall(r"^Keys: `([^`]*)`", text, re.M)
+    assert keys.replace(",", " ").split() == list(DEFAULT_CONFIG)
+    [block] = re.findall(r"## Command line\n\n```sh\n(.*?)```", text, re.S)
+    named = {line.split()[1] for line in block.splitlines()}
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert named == set(sub.choices)

@@ -68,10 +68,6 @@ def test_error_curve_validation(tmp_path):
     p = tmp_path / "c.csv"
     curve.write_csv(p)
     assert p.read_text().splitlines()[0] == "x,empirical,bound,flag"
-    jp = tmp_path / "c.json"
-    curve.write_json(jp)
-    data = json.loads(jp.read_text())
-    assert data["kind"] == "degree" and data["meta"]["seed"] == 5
 
 
 # --------------------------------------------------------------------------

@@ -214,7 +214,6 @@ def test_measured_increment_c():
     # alpha = 1/2: E_{1/2,1/2}(0) = 1/Gamma(1/2)
     assert measured_increment_c(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-4)
     assert measured_increment_c(0.75) > 0.0
-    assert measured_increment_c(0.75, override=2.5) == 2.5
 
 
 def test_holder_envelope(spec_c, spec_a):
