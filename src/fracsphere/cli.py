@@ -72,6 +72,9 @@ def load_config(path):
         raise OSError(f"cannot read config file {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise DomainError(f"config file {path} is not valid JSON: {e}") from e
+    if not isinstance(user, dict):
+        raise DomainError(f"config file {path} must hold a JSON object, "
+                          f"got {json.dumps(user)[:40]}")
     cfg = dict(DEFAULT_CONFIG)
     for key, val in user.items():
         if key not in DEFAULT_CONFIG:

@@ -314,19 +314,17 @@ def _colormap_table(name):
     raise DomainError(f"unknown colormap {name!r} (have: gray, coolwarm)")
 
 
-def write_map_image(fmap, path, colormap="coolwarm", vrange=None):
+def write_map_image(fmap, path, colormap="coolwarm"):
     """Write an equirectangular PPM (P6, maxval 255) and a sidecar JSON with
     the scaling used; also writes a PNG sibling when Pillow is available.
 
-    Values map linearly onto the 256-entry colormap over [vmin, vmax]
-    (the data range unless `vrange` is given); a degenerate range maps
-    everything to index 0.  Output is written in a single call so a failed
-    open leaves no partial file.
+    Values map linearly onto the 256-entry colormap over the data range
+    [vmin, vmax]; a degenerate range maps everything to index 0.  Output is
+    written in a single call so a failed open leaves no partial file.
     """
-    vmin, vmax = vrange if vrange is not None else (float(fmap.values.min()),
-                                                    float(fmap.values.max()))
+    vmin, vmax = float(fmap.values.min()), float(fmap.values.max())
     if vmax > vmin:
-        idx = np.rint(np.clip((fmap.values - vmin) / (vmax - vmin), 0.0, 1.0) * 255.0)
+        idx = np.rint((fmap.values - vmin) / (vmax - vmin) * 255.0)  # in [0, 255]
     else:
         idx = np.zeros_like(fmap.values)
     table = _colormap_table(colormap)

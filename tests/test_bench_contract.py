@@ -7,6 +7,7 @@ gate's expectations."""
 
 import importlib.util
 import inspect
+import json
 import math
 import sys
 from pathlib import Path
@@ -90,3 +91,32 @@ def test_gate_expectation_runs(workload, monkeypatch):
     xs = cfg["l_grid"] if wl["command"] == "truncation" else cfg["h_grid"]
     assert [x for x, _, _ in rows] == [float(x) for x in xs]
     assert all(0.0 < mean < math.inf and 0.0 < se < math.inf for _, mean, se in rows)
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]])
+def test_workload_calls_its_traced_layers(workload, tmp_path, monkeypatch):
+    # a traced benchmark run fails when a layer its workload "uses" records
+    # no call; run the workload's tiny config through the CLI with every
+    # wrap point counted, from cold law caches as in a fresh process
+    from fracsphere import cli, stochastic
+
+    gate = _load("gate", PERFBENCH / "gate.py")
+    monkeypatch.setitem(sys.modules, "gate", gate)  # run.py imports it by name
+    run = _load("perfbench_run", PERFBENCH / "run.py")
+    wl = run.WORKLOADS[workload]
+    called = set()
+    for module, path, layer, *_ in tracer.WRAP_POINTS:
+        owner, attr = tracer._resolve(module, path)
+
+        def recorded(*args, _layer=layer, _inner=getattr(owner, attr), **kwargs):
+            called.add(_layer)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, recorded)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**run.MODEL, **wl["config"], **wl["tiny"]}))
+    stochastic._law.cache_clear()
+    assert cli.main([wl["command"], "--config", str(cfg), "--seed", "11",
+                     "--out", str(tmp_path / "out")]) == 0
+    expected = set(wl["uses"] + run.ALWAYS_USED) - {tracer.ROOT_LAYER}
+    assert expected - called == set()

@@ -77,10 +77,19 @@ def test_bad_config_key(tmp_path):
     assert run_cli("bounds", "--config", str(cfg))[0] == 2
 
 
-def test_invalid_json_config(tmp_path):
+def test_invalid_json_config(tmp_path, capsys):
+    # valid JSON that is no object is refused before any key is read
     cfg = tmp_path / "c.json"
-    cfg.write_text("{")
-    assert run_cli("bounds", "--config", str(cfg))[0] == 2
+    out = tmp_path / "out"
+    for body in ("{", "null", "5", '"abc"', "[]"):
+        cfg.write_text(body)
+        for command in ("bounds", "simulate", "truncation", "increments", "selftest"):
+            argv = [command, "--config", str(cfg)]
+            if command != "bounds":
+                argv += ["--out", str(out)]
+            assert run_cli(*argv) == (2, ""), (body, command)
+            assert f"config file {cfg}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_domain_error_exit_code():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -239,7 +240,9 @@ def test_ml_vs_oracle_grid(alpha, beta):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_ml_closed_forms_array_matches_scalar_bitwise(alpha):
-    # (1/2, 1/2) mixes its closed form (x <= 10) with the regimes past it
+    # (1/2, 1/2) has no closed form here: it mixes the two-term series, the
+    # contour sum, the asymptotic series and (near x = 5) the branch-cut
+    # integral
     rng = np.random.default_rng(11)
     xs = np.concatenate([[0.0], rng.uniform(0.0, 60.0, 997), np.logspace(-9, 6, 203),
                          [10.0, np.nextafter(10.0, 11.0)]])
@@ -412,10 +415,22 @@ _SWEEP_X = np.array([1e-10, 1e-7, 1e-4, 0.01, 0.3, 0.9, 2.0, 4.0, 8.0, 15.0, 30.
 @pytest.fixture(scope="module")
 def ml_sweep():
     """(alpha, beta) -> the oracle over _SWEEP_X, for nine alpha from 0.1 to
-    0.999 and beta in {1, alpha, 1/2, 2}."""
+    0.999 and beta in {1, alpha, 1/2, 3/4, 2}."""
     alphas = (0.1, 0.2, 0.3, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999)
     return {(a, b): np.array([float(ml_oracle(a, float(x), b, dps=20)) for x in _SWEEP_X])
-            for a in alphas for b in sorted({1.0, a, 0.5, 2.0})}
+            for a in alphas for b in sorted({1.0, a, 0.5, 0.75, 2.0})}
+
+
+@pytest.mark.parametrize("alpha,beta,x", [(0.6, 0.5, 3.0449101796407185), (0.75, 0.5, 1.3794),
+                                          (0.9, 0.75, 2.4848), (0.95, 0.75, 2.0909)])
+def test_ml_refuses_at_known_sign_changes(alpha, beta, x):
+    # the value is 5e-5 to 2e-4 of the terms' size here and no regime's
+    # relative bound is within 1e-10 of it: a refusal, never a wrong value.
+    # An absolute error floor near the roots would turn these into values
+    # to check against the oracle.
+    where = re.escape(f"alpha={alpha}, beta={beta}, x={x} ")
+    with pytest.raises(AccuracyError, match=where):
+        ml_neg(alpha, x, beta=beta)
 
 
 def test_ml_oracle_sweep(ml_sweep):
@@ -480,12 +495,14 @@ def test_ml_oracle_small_alpha_pin(alpha, x, ref):
 
 
 def test_ml_integral_raises_when_panels_too_coarse(monkeypatch):
-    val, rel = _ml_integral(0.95, 0.95, 20.0)
-    assert rel <= 1e-10
-    assert val == pytest.approx(float(ml_oracle(0.95, 20.0, 0.95, dps=20)), rel=1e-10, abs=0)
+    x = np.array([20.0])
+    val, rel = _ml_integral(0.95, 0.95, x)
+    assert rel[0] <= 1e-10
+    ref = float(ml_oracle(0.95, 20.0, 0.95, dps=20))
+    assert val[0] == pytest.approx(ref, rel=1e-10, abs=0)
     base, dip = specfun._cut_layout(0.95)
     monkeypatch.setattr(specfun, "_cut_layout", lambda alpha: (base[::6], dip[::4]))
-    assert _ml_integral(0.95, 0.95, 20.0)[1] > 1e-10
+    assert _ml_integral(0.95, 0.95, x)[1][0] > 1e-10
     # x = 20 at alpha = beta = 0.95 is left to the integral (the contour sum
     # cancels, the asymptotic series has not settled, x is past the series)
     with pytest.raises(AccuracyError):

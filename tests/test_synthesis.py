@@ -339,13 +339,13 @@ def test_zero_map_csv(tmp_path):
 
 
 def test_ppm_bytes_documented_example(tmp_path):
-    # 2x2 map [[0, 1], [0.5, 0.25]] on [0, 1] with the gray map:
+    # 2x2 map [[0, 1], [0.5, 0.25]] on its range [0, 1] with the gray map:
     # indices 0, 255, 128, 64 -> documented raw bytes
     grid = GridSpec(2, 2)
     fmap = synthesize(zero_coeffs(1), grid)
     fmap.values = np.array([[0.0, 1.0], [0.5, 0.25]])
     path = tmp_path / "map.ppm"
-    write_map_image(fmap, str(path), colormap="gray", vrange=(0.0, 1.0))
+    write_map_image(fmap, str(path), colormap="gray")
     raw = path.read_bytes()
     header = b"P6\n2 2\n255\n"
     expect = bytes([0, 0, 0, 255, 255, 255, 128, 128, 128, 64, 64, 64])
