@@ -8,7 +8,9 @@ three maps are one draw from the exact joint law of the coefficients
 across the times, so the large-scale pattern persists while small scales
 relax and, after tau, noise power appears.
 
-Writes map_t*.ppm / .png / .csv plus a manifest into evolution_out/.
+Writes map_t*.ppm / .json / .csv plus a manifest into evolution_out/: each
+.json sidecar holds the map's colour scaling, the manifest the run's
+parameters.
 """
 
 from fracsphere import (AlgebraicSpectrum, FractionalModel, GridSpec,

@@ -45,9 +45,9 @@ DEFAULT_CONFIG = {
     "times": [1e-12, 1e-5, 1e-4],   # snapshot times (simulate); > 0, ascending
     "L": 400,               # truncation degree (simulate/increments)
     "l_tilde": 400,         # reference degree (truncation)
-    "l_grid": [25, 50, 75, 100, 150, 200, 300],  # degrees for the error curve
+    "l_grid": [25, 50, 75, 100, 150, 200, 300],  # increasing degrees (truncation)
     "n_real": 50,           # Monte Carlo realizations
-    "h_grid": [1e-6 * k for k in range(1, 12)],  # increments (increments)
+    "h_grid": [1e-6 * k for k in range(1, 12)],  # increasing lags h (increments)
     "n_lat": 512,           # map rows (simulate)
     "n_lon": 1024,          # map columns (simulate)
     "colormap": "coolwarm",  # map colormap: coolwarm | gray
@@ -376,7 +376,7 @@ def build_parser():
     add_model(sp)
     sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("simulate", help="evolution snapshot maps (PPM/PNG + CSV)")
+    sp = sub.add_parser("simulate", help="evolution snapshot maps (PPM + CSV)")
     add_config(sp)
     sp.add_argument("--L", type=int, help="truncation degree")
     sp.add_argument("--times", type=float, nargs="+",

@@ -42,15 +42,13 @@ __all__ = ["ErrorCurve", "SlopeFit", "truncation_error_curve",
 
 @dataclass
 class ErrorCurve:
-    """Rows of (abscissa, empirical value, theoretical bound, flag).
-
-    kind is "degree" (truncation, x = L) or "increment" (x = h).  flag = 1
-    marks rows where the bound's case conditions fail; such rows carry no
-    valid bound (column set to 0) and are excluded from slope fits.
+    """Rows of (abscissa, empirical value, theoretical bound, flag): x is
+    the degree L of a truncation curve, the lag h of an increment curve.
+    flag = 1 marks rows where the bound's case conditions fail; such rows
+    carry no valid bound (column set to 0) and are excluded from slope fits.
     meta is the run record of the experiment that made the curve.
     """
 
-    kind: str
     rows: list  # (x, empirical, bound, flag)
     meta: dict = field(default_factory=dict)
 
@@ -130,8 +128,8 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
     """
     l_tilde = check_degree("truncation_error_curve: l_tilde", l_tilde)
     l_grid = check_list("truncation_error_curve: l_grid", l_grid, check_degree)
-    if sorted(l_grid) != l_grid:
-        raise DomainError("truncation_error_curve: l_grid must be ascending")
+    if any(b <= a for a, b in zip(l_grid, l_grid[1:])):
+        raise DomainError(f"truncation_error_curve: l_grid must be increasing, got {l_grid}")
     if l_grid[-1] >= l_tilde:
         raise DomainError("truncation_error_curve: need l_grid < l_tilde")
     t = check_real("truncation_error_curve: t", t)
@@ -151,7 +149,7 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
         rows.append((float(L), emp, bound, flag))
     meta = run_record(model, t=t, l_tilde=l_tilde, l_grid=l_grid, n_real=n_real,
                       seed=rng.seed)
-    return ErrorCurve(kind="degree", rows=rows, meta=meta)
+    return ErrorCurve(rows=rows, meta=meta)
 
 
 def increment_curve(model, L, t, h_grid, n_real, seed, workers=1):
@@ -165,8 +163,8 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1):
     the per-degree increment variances computed once per h."""
     L = check_degree("increment_curve: L", L)
     hs = check_list("increment_curve: h_grid", h_grid, check_real)
-    if sorted(hs) != hs:
-        raise DomainError("increment_curve: h_grid must be ascending")
+    if any(b <= a for a, b in zip(hs, hs[1:])):
+        raise DomainError(f"increment_curve: h_grid must be increasing, got {hs}")
     t = check_real("increment_curve: t (above tau)", t, model.tau)
     n_real = check_degree("increment_curve: n_real", n_real, 2)
     workers = min(check_degree("increment_curve: workers", workers, 1), len(hs))
@@ -186,7 +184,7 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1):
         rows.append((h, emp, bound, 0))
     meta = run_record(model, t=t, L=L, h_grid=hs, n_real=n_real, seed=rng.seed,
                       workers=workers, increment_c=c)
-    return ErrorCurve(kind="increment", rows=rows, meta=meta)
+    return ErrorCurve(rows=rows, meta=meta)
 
 
 def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm"):

@@ -9,6 +9,7 @@ noise spectrum A_l (decay kappa2); lambda_l = l(l+1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -188,19 +189,18 @@ def bound_q_combined(L, t, tau, alpha, spec_c, spec_a):
                       psi_i(alpha, t - tau) * at) * L ** (-kal / 2.0)
 
 
-_measured_c_cache: dict[float, float] = {}
-
-
 def measured_increment_c(alpha):
     """The generic constant C of the increment bound, measured once per
     alpha as max over a log grid x in [1e-6, 1e8] of (1+x) E_{alpha,alpha}(-x)."""
-    alpha = check_alpha("measured_increment_c: alpha", alpha)
-    if alpha not in _measured_c_cache:
-        xs = np.logspace(-6.0, 8.0, 200)
-        vals = (1.0 + xs) * ml_neg(alpha, xs, beta=alpha)
-        # include the x -> 0 limit E_{a,a}(0) = 1/Gamma(a)
-        _measured_c_cache[alpha] = max(float(np.max(vals)), 1.0 / gamma(alpha))
-    return _measured_c_cache[alpha]
+    return _measured_c(check_alpha("measured_increment_c: alpha", alpha))
+
+
+@functools.cache
+def _measured_c(alpha):
+    xs = np.logspace(-6.0, 8.0, 200)
+    vals = (1.0 + xs) * ml_neg(alpha, xs, beta=alpha)
+    # include the x -> 0 limit E_{a,a}(0) = 1/Gamma(a)
+    return max(float(np.max(vals)), 1.0 / gamma(alpha))
 
 
 def increment_bound(t, h, tau, alpha, spec_c, spec_a, c):

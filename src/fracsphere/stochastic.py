@@ -184,25 +184,20 @@ class RngStream:
 @dataclass(eq=False)
 class CoefficientSet:
     """Complex coefficients {V_{l,m} : 0 <= m <= l <= L} of a real field,
-    packed in np.tril_indices(L + 1) order (entry l(l+1)/2 + m holds (l, m)),
-    plus bookkeeping."""
+    packed in np.tril_indices(L + 1) order (entry l(l+1)/2 + m holds (l, m))."""
 
     L: int
     re: np.ndarray  # Re V_{l,m}, packed
     im: np.ndarray  # Im V_{l,m}, packed
-    time: float = 0.0
-    seed: int = 0
-    realization: int = 0
 
     @classmethod
-    def from_square(cls, values, time=0.0, seed=0, realization=0):
+    def from_square(cls, values):
         """The set of an (L+1, L+1) array's entries values[l, m], m <= l;
         entries with m > l are dropped."""
         values = np.asarray(values, dtype=complex)
         L = values.shape[0] - 1
         packed = values[_layout(L)[2]]
-        return cls(L=L, re=packed.real.copy(), im=packed.imag.copy(),
-                   time=float(time), seed=int(seed), realization=int(realization))
+        return cls(L=L, re=packed.real.copy(), im=packed.imag.copy())
 
     @property
     def values(self):
@@ -314,7 +309,10 @@ class _SquaredKernelTable:
         return val, err
 
 
-_TABLES = {}
+@functools.cache
+def _table(alpha):
+    """The squared-kernel table of alpha, built once and grown in place."""
+    return _SquaredKernelTable(alpha)
 
 
 def _scaled(ells, alpha, t):
@@ -333,9 +331,7 @@ def _sigma_squared(ells, t, alpha):
     pos = ells > 0.0
     if t > 0.0 and np.any(pos):
         scale, z = _scaled(ells[pos], alpha, t)
-        table = _TABLES.get(alpha)
-        if table is None:
-            table = _TABLES[alpha] = _SquaredKernelTable(alpha)
+        table = _table(alpha)
         if z.max() >= table.z_end:
             raise AccuracyError(
                 f"sigma_squared: lambda^(1/alpha) t = {z.max():.3e} is past the "
@@ -598,7 +594,7 @@ def _combine(weights, rng, realization, role, n):
 def _sample(model, L, times, rng, realization, increment):
     """Coefficient sets of one realization from their exact Gaussian law:
     one per increasing time >= 0, or with increment, the one set of
-    U(t_h) - U(t) for times (t, t_h), stamped with t_h.
+    U(t_h) - U(t) for times (t, t_h).
 
     The factors of _law are applied to packed normals in
     np.tril_indices(L + 1) order, so the variate of (l, m) is number
@@ -619,9 +615,7 @@ def _sample(model, L, times, rng, realization, increment):
     for im_t in im:
         np.negative(im_t, out=im_t)  # V_{l,m} = sigma (Z1 - i Z2)
         im_t[starts] = 0.0           # V_{l,0} is real
-    return [CoefficientSet(L=L, re=re_t, im=im_t, time=t, seed=rng.seed,
-                           realization=realization)
-            for t, re_t, im_t in zip(times[-1:] if increment else times, re, im)]
+    return [CoefficientSet(L=L, re=re_t, im=im_t) for re_t, im_t in zip(re, im)]
 
 
 def sample_combined(model, L, t, rng, realization=0):
@@ -653,7 +647,7 @@ def sample_combined_times(model, L, times, rng, realization=0):
 
 def sample_combined_pair(model, L, t, h, rng, realization=0):
     """Draw the increment U(t+h) - U(t), t > tau, h > 0, as one
-    CoefficientSet stamped t + h, from its own exact law: sqrt(v_l) times
+    CoefficientSet, from its own exact law: sqrt(v_l) times
     one pair of normal arrays (roles ROLE_INC_RE and ROLE_INC_IM),
     v_l = (E(t+h) - E(t))^2 C_l + A_l D_l.  The pair (U(t), U(t+h)) itself
     is sample_combined_times at (t, t + h)."""

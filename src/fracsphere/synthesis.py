@@ -1,4 +1,4 @@
-"""Field-map synthesis on latitude-longitude grids, plus image/CSV output.
+"""Field-map synthesis on latitude-longitude grids, plus PPM/CSV output.
 
 A real field with coefficients {V_{l,m} : m >= 0} is evaluated as
 
@@ -26,7 +26,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,12 +87,11 @@ class GridSpec:
 
 @dataclass
 class FieldMap:
-    """Real field values on a grid, latitude-major, plus metadata."""
+    """Real field values on a grid, latitude-major.  The run's parameters
+    (L, seed, time) are recorded once, in the experiment's manifest."""
 
     grid: GridSpec
     values: np.ndarray  # (n_lat, n_lon)
-    time: float = 0.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.values.shape != (self.grid.n_lat, self.grid.n_lon):
@@ -122,8 +121,7 @@ def synthesize(coeffs, grid):
     del even, odd, e, o  # views of the ring sums, freed before the FFT
     # unscaled inverse DFT, in place: sum_b spectrum[b] e^{2 pi i b k / n_lon}
     vals = np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum).real.copy()
-    return FieldMap(grid=grid, values=vals, time=coeffs.time,
-                    meta={"L": L, "seed": coeffs.seed, "realization": coeffs.realization})
+    return FieldMap(grid=grid, values=vals)
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +314,7 @@ def _colormap_table(name):
 
 def write_map_image(fmap, path, colormap="coolwarm"):
     """Write an equirectangular PPM (P6, maxval 255) and a sidecar JSON with
-    the scaling used; also writes a PNG sibling when Pillow is available.
+    the scaling used, exactly {"colormap", "vmax", "vmin"}.
 
     Values map linearly onto the 256-entry colormap over the data range
     [vmin, vmax]; a degenerate range maps everything to index 0.  Output is
@@ -332,14 +330,7 @@ def write_map_image(fmap, path, colormap="coolwarm"):
     header = b"P6\n%d %d\n255\n" % (fmap.grid.n_lon, fmap.grid.n_lat)
     with open(path, "wb") as f:
         f.write(header + pixels.tobytes())
-    sidecar = {"time": fmap.time, "L": fmap.meta.get("L"), "seed": fmap.meta.get("seed"),
-               "vmin": vmin, "vmax": vmax, "colormap": colormap}
-    base, _ = os.path.splitext(path)
-    with open(base + ".json", "w") as f:
+    sidecar = {"vmin": vmin, "vmax": vmax, "colormap": colormap}
+    with open(os.path.splitext(path)[0] + ".json", "w") as f:
         json.dump(sidecar, f, indent=1, sort_keys=True)
         f.write("\n")
-    try:
-        from PIL import Image
-    except ImportError:
-        return
-    Image.fromarray(pixels, mode="RGB").save(base + ".png")

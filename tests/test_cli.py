@@ -1,10 +1,14 @@
 import argparse
+import ast
 import importlib
 import json
 import math
 import pkgutil
+import re
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,30 @@ def test_module_exports_resolve(module):
     assert missing == []
 
 
+def test_src_imports_only_declared_packages():
+    # every import under src/fracsphere, those inside functions included,
+    # names the standard library, the package or a [project].dependencies
+    # entry: an optional import of an undeclared package used to change
+    # what a run wrote depending on what the host had installed
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    deps = tomllib.loads((root / "pyproject.toml").read_text())["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_") for dep in deps}
+    allowed = set(sys.stdlib_module_names) | declared | {"fracsphere"}
+    undeclared = []
+    for path in sorted((root / "src" / "fracsphere").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared += [f"{path.name}:{node.lineno} {name}" for name in names
+                           if name.split(".")[0] not in allowed]
+    assert undeclared == []
+
+
 def test_truncation_run_writes_artifacts(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -171,6 +199,27 @@ def test_simulate_run(tmp_path):
     assert (tmp_path / "map_t0.0001.csv").exists()
     sidecar = json.loads((tmp_path / "map_t0.0001.json").read_text())
     assert sidecar["colormap"] == "coolwarm"
+
+
+def test_simulate_writes_exactly_its_files(tmp_path, monkeypatch):
+    # with an image library importable, simulate used to write a PNG beside
+    # each PPM, and each sidecar repeated L, seed and time from the manifest
+    def fromarray(pixels, mode=None):
+        return types.SimpleNamespace(save=lambda path: Path(path).touch())
+
+    pil = types.ModuleType("PIL")
+    pil.Image = types.SimpleNamespace(fromarray=fromarray)
+    monkeypatch.setitem(sys.modules, "PIL", pil)
+    monkeypatch.setitem(sys.modules, "PIL.Image", pil.Image)
+    code, _ = run_cli("simulate", "--out", str(tmp_path), "--L", "4",
+                      "--times", "1e-5", "1e-4", "--n-lat", "4", "--n-lon", "4")
+    assert code == 0
+    stems = ["map_t1e-05", "map_t0.0001"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["manifest.json"] + [stem + ext for stem in stems for ext in (".csv", ".ppm", ".json")])
+    for stem in stems:
+        sidecar = json.loads((tmp_path / f"{stem}.json").read_text())
+        assert set(sidecar) == {"colormap", "vmax", "vmin"}
 
 
 def test_simulate_colliding_snapshot_names_refused(tmp_path, record_calls):
@@ -295,12 +344,15 @@ SMALL_RUNS = {
     ("increments", {"workers": 1.7}),
     ("increments", {"workers": True}),
     ("truncation", {"seed": "x"}),
+    ("truncation", {"l_grid": [4, 4, 8]}),
+    ("increments", {"h_grid": [1e-6, 1e-6, 2e-6]}),
 ])
 def test_bad_grid_values_refused(tmp_path, command, bad):
     # each value used to run on (truncated, as L = 1, with a negative
-    # degree indexing the tail from its end, or with 1.7 workers recorded
-    # in the manifest), write nothing, or end in a traceback with exit 1;
-    # none may leave an empty output directory behind
+    # degree indexing the tail from its end, with 1.7 workers recorded
+    # in the manifest, or with a repeated grid entry giving duplicate rows
+    # and a slope fitted through two points), write nothing, or end in a
+    # traceback with exit 1; none may leave an empty output directory behind
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "run"
     cfg.write_text(json.dumps({**SMALL_RUNS[command], **bad, "out": str(out)}))

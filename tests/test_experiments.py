@@ -28,14 +28,14 @@ def small_model():
 
 def test_slope_exact_power_law():
     rows = [(float(x), x ** -1.25, 0.0, 0) for x in (2, 4, 8, 16, 32)]
-    fit = fit_loglog_slope(ErrorCurve("degree", rows))
+    fit = fit_loglog_slope(ErrorCurve(rows))
     assert fit.slope == pytest.approx(-1.25, abs=1e-12)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_slope_constant_rows():
     rows = [(float(x), 3.7, 0.0, 0) for x in (1, 2, 3, 4)]
-    fit = fit_loglog_slope(ErrorCurve("degree", rows))
+    fit = fit_loglog_slope(ErrorCurve(rows))
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
@@ -44,27 +44,27 @@ def test_slope_noisy_power_law():
     xs = np.geomspace(1.0, 100.0, 25)
     ys = 2.0 * xs ** -0.8 * np.exp(rng.normal(scale=0.02, size=xs.size))
     rows = [(float(x), float(y), 0.0, 0) for x, y in zip(xs, ys)]
-    fit = fit_loglog_slope(ErrorCurve("degree", rows))
+    fit = fit_loglog_slope(ErrorCurve(rows))
     assert fit.slope == pytest.approx(-0.8, abs=0.05)
 
 
 def test_slope_window_and_flags():
     rows = [(1.0, 1.0, 0.0, 1), (2.0, 0.5, 1.0, 0), (4.0, 0.25, 1.0, 0),
             (8.0, 0.125, 1.0, 0), (16.0, 0.0, 1.0, 0)]
-    fit = fit_loglog_slope(ErrorCurve("degree", rows))
+    fit = fit_loglog_slope(ErrorCurve(rows))
     # flagged row and the zero row are excluded
     assert fit.window == (2.0, 8.0)
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(DomainError):
-        fit_loglog_slope(ErrorCurve("degree", rows[:2]))
+        fit_loglog_slope(ErrorCurve(rows[:2]))
 
 
 def test_error_curve_validation(tmp_path):
     with pytest.raises(DomainError):
-        ErrorCurve("degree", [(2.0, 1.0, 1.0, 0), (1.0, 1.0, 1.0, 0)])
+        ErrorCurve([(2.0, 1.0, 1.0, 0), (1.0, 1.0, 1.0, 0)])
     with pytest.raises(DomainError):
-        ErrorCurve("degree", [(1.0, -1.0, 1.0, 0)])
-    curve = ErrorCurve("degree", [(1.0, 1.0, 2.0, 0)], meta={"seed": 5})
+        ErrorCurve([(1.0, -1.0, 1.0, 0)])
+    curve = ErrorCurve([(1.0, 1.0, 2.0, 0)], meta={"seed": 5})
     p = tmp_path / "c.csv"
     curve.write_csv(p)
     assert p.read_text().splitlines()[0] == "x,empirical,bound,flag"

@@ -441,11 +441,9 @@ def test_law_draws_bitwise_from_roles(model):
     rng, L, t, h = RngStream(31), 12, 2e-5, 3e-6
     one = sample_combined(model, L, t, rng, realization=3)
     v = coefficient_variance(model, np.arange(L + 1), t)
-    assert one.time == t
     assert np.array_equal(one.values, _law_draw_reference(v, rng, 3, (4, 5)))
     inc = sample_combined_pair(model, L, t, h, rng, realization=3)
     v = stochastic._increment_law(model, L, t, t + h)
-    assert inc.time == t + h
     assert np.array_equal(inc.values, _law_draw_reference(v, rng, 3, (2, 3)))
 
 
@@ -470,7 +468,6 @@ def test_increment_without_accurate_digit_refused(model):
 def test_initial_sampler_structure(hom_model):
     rng = RngStream(5)
     c = sample_combined(hom_model, 30, 1e-4, rng)
-    assert c.time == 1e-4
     assert np.all(c.values[:, 0].imag == 0.0)  # m = 0 row is real
     tri = np.tril(np.ones((31, 31), dtype=bool))
     assert np.all(c.values[~tri] == 0.0)  # m > l entries empty
@@ -484,7 +481,6 @@ def test_homogeneous_decay(model, hom_model):
     init = _initial_draw(model.spec_c, 20, rng)
     same, later = stochastic._sample(hom_model, 20, [0.0, 0.5], rng, 0, False)
     assert np.array_equal(same.values, init.values)
-    assert later.time == 0.5
     assert later.values[0, 0] == init.values[0, 0]  # lambda_0 = 0
     fac = ml_neg(model.alpha, 2.0 * 0.5 ** model.alpha)
     assert later.values[1, 1] == pytest.approx(fac * init.values[1, 1], rel=1e-14,
@@ -530,7 +526,6 @@ def test_pair_marginal_bitwise(model):
     single = sample_combined(model, 30, 1e-4, rng, realization=4)
     a, b = sample_combined_times(model, 30, [1e-4, 1e-4 + 3e-6], rng, realization=4)
     assert np.array_equal(a.values, single.values)
-    assert b.time == pytest.approx(1e-4 + 3e-6)
 
 
 def test_times_sampler_consistency(model, hom_model):
@@ -876,8 +871,8 @@ def test_degree_power_matches_square_formula():
 
 def test_from_square_round_trip(model):
     c = sample_combined(model, 20, 1e-4, RngStream(9), realization=4)
-    back = CoefficientSet.from_square(c.values, c.time, c.seed, c.realization)
-    assert (back.L, back.time, back.seed, back.realization) == (20, 1e-4, 9, 4)
+    back = CoefficientSet.from_square(c.values)
+    assert back.L == 20
     assert np.array_equal(back.re, c.re) and np.array_equal(back.im, c.im)
     full = np.arange(36.0).reshape(6, 6) * (1.0 - 2.0j)  # nonzero above the diagonal
     c = CoefficientSet.from_square(full)

@@ -353,7 +353,7 @@ def test_ppm_bytes_documented_example(tmp_path):
     sidecar = json.loads((tmp_path / "map.json").read_text())
     assert sidecar["vmin"] == 0.0 and sidecar["vmax"] == 1.0
     assert sidecar["colormap"] == "gray"
-    assert set(sidecar) >= {"time", "L", "seed", "vmin", "vmax", "colormap"}
+    assert set(sidecar) == {"colormap", "vmax", "vmin"}
 
 
 def test_constant_map_single_color(tmp_path):
@@ -375,15 +375,6 @@ def test_unwritable_path_no_partial_file(tmp_path):
     with pytest.raises(OSError):
         write_map_image(fmap, str(missing))
     assert not missing.exists()
-
-
-def test_png_sibling_written(tmp_path):
-    pytest.importorskip("PIL")
-    grid = GridSpec(2, 3)
-    fmap = synthesize(zero_coeffs(1), grid)
-    path = tmp_path / "map.ppm"
-    write_map_image(fmap, str(path))
-    assert (tmp_path / "map.png").exists()
 
 
 def test_synthesis_from_isotropic_draw():
