@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 configuration/domain error, 3 accuracy error,
 4 I/O error.  Model and experiment parameters come from a flat JSON config
 file; each flag sets the config key named by its argparse dest (_config).
 Every run that writes artifacts also writes its experiment's run_record as
-manifest.json; a config key the run does not read is accepted, not recorded.
+manifest.json; a config key the run does not read is accepted, not recorded
+(workers is read by none).  Every subcommand runs in one process.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, DomainError, check_degree, check_path, check_real
+from .errors import AccuracyError, DomainError, check_path, check_real
 from .spectra import (AlgebraicSpectrum, gamma_alpha_kappa, m_alpha,
                       measured_increment_c, tail_constant)
 from .stochastic import FractionalModel, RngStream, sigma_squared, sigma_squared_bound
@@ -51,12 +52,14 @@ DEFAULT_CONFIG = {
     "n_lat": 512,           # map rows (simulate)
     "n_lon": 1024,          # map columns (simulate)
     "colormap": "coolwarm",  # map colormap: coolwarm | gray
-    "workers": 1,           # worker processes over the increment rows
+    # read by no subcommand: kept only because perfbench/run.py's pinned MODEL
+    # sends it and load_config refuses an unknown key
+    "workers": 1,
     "out": "out",           # output directory
 }
 
-# full-scale preset matching the reference study: a cold run took 0.5-0.7 s
-# (truncation, alpha 3/4) and 1.5-1.8 s (increments, t = 1.1e-5) on a
+# full-scale preset matching the reference study: a cold run took 0.52-0.60 s
+# (truncation, alpha 3/4) and 1.22-1.42 s (increments, t = 1.1e-5) on a
 # 2-core Xeon with Python 3.11
 FULLSCALE_PRESET = {"l_tilde": 1500, "L": 1500, "n_real": 100,
                     "l_grid": [25, 50, 100, 200, 400, 800]}
@@ -159,24 +162,17 @@ def cmd_simulate(args):
     return 0
 
 
-def _safe_fit(curve):
-    """Slope fit for CLI reporting: prefer unflagged rows, fall back to all
-    positive rows, report null when the curve is too short either way."""
-    for include_flagged in (False, True):
-        try:
-            return fit_loglog_slope(curve, include_flagged=include_flagged)
-        except DomainError:
-            continue
-    return None
-
-
 def _write_curve(cfg, curve, prefix, experiment):
     """Write the curve as <prefix>_<alpha>.csv and its record as the
-    manifest under the out directory, and emit the slope fit."""
+    manifest under the out directory, and emit the slope fit over the
+    unflagged rows: null when fewer than three of them are usable."""
     os.makedirs(cfg["out"], exist_ok=True)  # only once the curve exists
     stem = os.path.join(cfg["out"], f"{prefix}_{cfg['alpha']:g}")
     curve.write_csv(stem + ".csv")
-    fit = _safe_fit(curve)
+    try:
+        fit = fit_loglog_slope(curve)
+    except DomainError:
+        fit = None
     write_manifest(cfg["out"], {"experiment": experiment, **curve.meta})
     _emit({"csv": stem + ".csv", "slope": fit.slope if fit else None,
            "r2": fit.r2 if fit else None,
@@ -198,7 +194,7 @@ def cmd_increments(args):
     model = model_from_config(cfg)
     check_path("config key out", cfg["out"])
     curve = increment_curve(model, cfg["L"], cfg["t"], cfg["h_grid"],
-                            cfg["n_real"], cfg["seed"], workers=cfg["workers"])
+                            cfg["n_real"], cfg["seed"])
     return _write_curve(cfg, curve, "inc", "increments")
 
 
@@ -207,8 +203,7 @@ def cmd_increments(args):
 
 def _selftest_checks(cfg):
     """Yields (name, passed, detail).  Desk-small versions of the library's
-    verification checks; the written CSVs are byte-stable for a fixed seed
-    and independent of the worker count."""
+    verification checks; the written CSVs are byte-stable for a fixed seed."""
     import fracsphere as fs
 
     # 1. addition theorem
@@ -273,8 +268,7 @@ def _selftest_checks(cfg):
         f"bound dominates: {dominated}, tail monotone: {monot}"
 
     hs = [k * 1e-6 for k in range(1, 6)]
-    curve = increment_curve(model, 64, cfg["tau"] + 1e-6, hs, 8, cfg["seed"],
-                            workers=cfg["workers"])
+    curve = increment_curve(model, 64, cfg["tau"] + 1e-6, hs, 8, cfg["seed"])
     curve.write_csv(os.path.join(out, f"selftest_inc_{cfg['alpha']:g}.csv"))
     dominated = all(emp <= bound for _, emp, bound, _ in curve.rows)
     yield "increment-curve", dominated, f"bound dominates: {dominated}"
@@ -325,14 +319,13 @@ def cmd_selftest(args):
     cfg = _config(args)
     check_path("config key out", cfg["out"])
     model = model_from_config(cfg)
-    cfg.update(seed=RngStream(cfg["seed"]).seed, t=check_real("config key t", cfg["t"]),
-               workers=check_degree("config key workers", cfg["workers"], 1))
+    cfg.update(seed=RngStream(cfg["seed"]).seed, t=check_real("config key t", cfg["t"]))
     failed = 0
     for name, ok, detail in _selftest_checks(cfg):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1
     write_manifest(cfg["out"], {"experiment": "selftest", **run_record(
-        model, seed=cfg["seed"], t=cfg["t"], workers=cfg["workers"])})
+        model, seed=cfg["seed"], t=cfg["t"])})
     return 0 if failed == 0 else 3
 
 
@@ -400,14 +393,12 @@ def build_parser():
     sp.add_argument("--t", type=float, help="base time, > tau (model time units)")
     sp.add_argument("--L", type=int, help="truncation degree")
     sp.add_argument("--n-real", dest="n_real", type=int, help="MC realizations")
-    sp.add_argument("--workers", type=int, help="worker processes over increment rows")
     sp.add_argument("--full-scale", action="store_true",
                     help="use the full-scale preset (degree 1500, 100 realizations)")
     sp.set_defaults(func=cmd_increments)
 
     sp = sub.add_parser("selftest", help="compact deterministic verification run")
     add_config(sp)
-    sp.add_argument("--workers", type=int, help="worker processes over increment rows")
     sp.set_defaults(func=cmd_selftest)
 
     return p

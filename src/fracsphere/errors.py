@@ -41,7 +41,7 @@ def whole(value):
 
 def check_degree(name, value, least=0):
     """value as an int: a whole number >= least (a degree, or a count such
-    as n_real or workers)."""
+    as n_real)."""
     as_int = whole(value)
     if as_int is None or as_int < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -98,6 +98,14 @@ def check_list(name, values, check):
     if not items:
         raise DomainError(f"{name} must be a non-empty list, got {values!r}")
     return [check(name, item) for item in items]
+
+
+def check_increasing(name, values, check):
+    """values as check_list gives them, each entry above the one before it."""
+    items = check_list(name, values, check)
+    if any(not b > a for a, b in zip(items, items[1:])):
+        raise DomainError(f"{name} must be increasing, got {items}")
+    return items
 
 
 def check_path(name, value):

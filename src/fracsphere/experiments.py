@@ -8,9 +8,7 @@ with degree_power, plus the other n_real - 1 summed from their exact law
 v_l chi^2_{(n_real - 1)(2l+1)}, one variate per degree (chi_square_power).
 The field draw keeps the sampler checked end to end.  Every row is one
 call of _power and draws from counter-based RNG streams of its own.  The
-truncation curve is one row; the increment curve's rows, one per h, run
-in-process for one worker, else on a process pool with the platform's
-default start method, bit-identical for any worker count.
+truncation curve is one row; the increment curve has one row per h.
 
 Each experiment's run_record (the model, then the parameters it used, as
 used) is its manifest; a curve carries it as ErrorCurve.meta.
@@ -20,14 +18,15 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, check_degree, check_list, check_path, check_real
+from .errors import (DomainError, check_degree, check_increasing, check_list,
+                     check_path, check_real)
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
 from .stochastic import (RNG_SCHEME, RngStream, chi_square_power, sample_combined,
                          sample_combined_pair, sample_combined_times)
@@ -46,19 +45,20 @@ class ErrorCurve:
     the degree L of a truncation curve, the lag h of an increment curve.
     flag = 1 marks rows where the bound's case conditions fail; such rows
     carry no valid bound (column set to 0) and are excluded from slope fits.
-    meta is the run record of the experiment that made the curve.
+    Abscissae are finite, >= 0 and increasing; empirical and bound values
+    finite and >= 0.  meta is the run record of the experiment that made
+    the curve.
     """
 
     rows: list  # (x, empirical, bound, flag)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        xs = [r[0] for r in self.rows]
-        if xs != sorted(xs):
-            raise DomainError("ErrorCurve: rows must be sorted by abscissa")
+        non_negative = partial(check_real, strict=False)
+        check_increasing("ErrorCurve: abscissae", [r[0] for r in self.rows], non_negative)
         for x, emp, bound, flag in self.rows:
-            if emp < 0 or bound < 0:
-                raise DomainError("ErrorCurve: empirical and bound must be >= 0")
+            non_negative("ErrorCurve: empirical", emp)
+            non_negative("ErrorCurve: bound", bound)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -77,10 +77,10 @@ class SlopeFit:
     window: tuple
 
 
-def fit_loglog_slope(curve, window=None, include_flagged=False):
-    """OLS fit on (ln x, ln empirical) over rows with positive empirical
-    values (and, by default, unflagged bounds) inside `window`."""
-    rows = [r for r in curve.rows if r[1] > 0.0 and (include_flagged or r[3] == 0)]
+def fit_loglog_slope(curve, window=None):
+    """OLS fit on (ln x, ln empirical) over unflagged rows with positive
+    empirical values inside `window`."""
+    rows = [r for r in curve.rows if r[1] > 0.0 and r[3] == 0]
     if window is not None:
         lo, hi = window
         rows = [r for r in rows if lo <= r[0] <= hi]
@@ -95,10 +95,6 @@ def fit_loglog_slope(curve, window=None, include_flagged=False):
     used = ([r[0] for r in rows][0], [r[0] for r in rows][-1])
     return SlopeFit(slope=float(slope), intercept=float(intercept), r2=r2, window=used)
 
-
-# --------------------------------------------------------------------------
-# Monte Carlo tasks: every argument travels with the task, so the pool works
-# under any start method
 
 def _power(model, L, t, h, rng, row, n_real):
     """Per-degree Parseval power summed over the n_real realizations of one
@@ -127,9 +123,7 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
     fail are flagged.
     """
     l_tilde = check_degree("truncation_error_curve: l_tilde", l_tilde)
-    l_grid = check_list("truncation_error_curve: l_grid", l_grid, check_degree)
-    if any(b <= a for a, b in zip(l_grid, l_grid[1:])):
-        raise DomainError(f"truncation_error_curve: l_grid must be increasing, got {l_grid}")
+    l_grid = check_increasing("truncation_error_curve: l_grid", l_grid, check_degree)
     if l_grid[-1] >= l_tilde:
         raise DomainError("truncation_error_curve: need l_grid < l_tilde")
     t = check_real("truncation_error_curve: t", t)
@@ -152,7 +146,7 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
     return ErrorCurve(rows=rows, meta=meta)
 
 
-def increment_curve(model, L, t, h_grid, n_real, seed, workers=1):
+def increment_curve(model, L, t, h_grid, n_real, seed):
     """Estimate the mean-square temporal increment curve
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
     q(t) sqrt(h) bound with the measured constant (measured_increment_c).
@@ -162,20 +156,12 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1):
     other n_real - 1 add the chi-square law of their summed power, with
     the per-degree increment variances computed once per h."""
     L = check_degree("increment_curve: L", L)
-    hs = check_list("increment_curve: h_grid", h_grid, check_real)
-    if any(b <= a for a, b in zip(hs, hs[1:])):
-        raise DomainError(f"increment_curve: h_grid must be increasing, got {hs}")
+    hs = check_increasing("increment_curve: h_grid", h_grid, check_real)
     t = check_real("increment_curve: t (above tau)", t, model.tau)
     n_real = check_degree("increment_curve: n_real", n_real, 2)
-    workers = min(check_degree("increment_curve: workers", workers, 1), len(hs))
     c = measured_increment_c(model.alpha)
     rng = RngStream(seed)
-    tasks = [(model, L, t, h, rng, i, n_real) for i, h in enumerate(hs)]
-    if workers == 1:
-        powers = [_power(*task) for task in tasks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            powers = pool.starmap(_power, tasks)
+    powers = [_power(model, L, t, h, rng, i, n_real) for i, h in enumerate(hs)]
     rows = []
     for h, p in zip(hs, powers):
         emp = math.sqrt(float(p.sum()) / n_real)
@@ -183,7 +169,7 @@ def increment_curve(model, L, t, h_grid, n_real, seed, workers=1):
                                 model.spec_c, model.spec_a, c)
         rows.append((h, emp, bound, 0))
     meta = run_record(model, t=t, L=L, h_grid=hs, n_real=n_real, seed=rng.seed,
-                      workers=workers, increment_c=c)
+                      increment_c=c)
     return ErrorCurve(rows=rows, meta=meta)
 
 

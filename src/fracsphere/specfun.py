@@ -326,6 +326,7 @@ _TALBOT_N = 32           # nodes on the parabola; the sum takes the 16 upper one
 _TALBOT_EPS = 1e-15      # the sum's rounding per unit of sum_k |c_k / (z_k^alpha + x)|
 _TALBOT_REL_TOL = 1e-12  # accepted bound / |value|
 _TALBOT_X_MAX = 1e150    # keeps (x + Re z_k^alpha)^2 finite
+_KUMMER_BETA_MIN = 1e-4  # alpha = 1: the least beta the Kummer value is trusted at
 _ASYM_REL_TOL = 1e-13
 _SERIES_TERMS = 4000
 _REL_TOL = 1e-10         # the series and the branch-cut integral: bound / |value|
@@ -588,8 +589,12 @@ def ml_neg(alpha, x, beta=1.0):
         path (alpha = 1/2 in the benchmark's increments and simulate runs)
         takes no mask;
       - x = 0, where the value is 1/Gamma(beta);
-      - alpha = 1 by Kummer's M(1, beta, -x)/Gamma(beta), for every beta:
-        the contour sum below is derived for alpha < 1;
+      - alpha = 1 by Kummer's M(1, beta, -x)/Gamma(beta), for every
+        beta >= 1e-4: the contour sum below is derived for alpha < 1.
+        The Kummer value has no error estimate; against mpmath it is
+        within 3e-11 for beta >= 1e-4, but 2e-10 off at beta = 3e-5 and
+        3e-5 at 1e-12, so alpha = 1, beta < 1e-4, x > 0 raises
+        AccuracyError;
       - the two-term series for x <= 1e-8, where the contour sum is about
         60 ulps off (7e-15 at alpha = 3/4, x = 1e-9);
       - for x <= 1e150, the Bromwich integral as a 16-term sum on a fixed
@@ -629,6 +634,9 @@ def _ml_general(a, b, xs):
     out = np.full_like(xs, _rgamma(b))  # the value at x = 0
     todo = xs != 0.0
     if a == 1.0:  # E_{1,b}(-x) = M(1, b, -x)/Gamma(b)  (Kummer)
+        if b < _KUMMER_BETA_MIN and todo.any():
+            raise AccuracyError(f"ml_neg: alpha=1 with beta={b} < {_KUMMER_BETA_MIN:g} "
+                                f"has no evaluation that meets the accuracy target")
         out[todo] = _hyp1f1(1.0, b, -xs[todo]) * _rgamma(b)
         return out
     tiny = todo & (xs <= 1e-8)

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
-                     check_degrees, check_list, check_real, check_unit_interval,
+                     check_degrees, check_increasing, check_real, check_unit_interval,
                      whole)
 from .spectra import AlgebraicSpectrum, m_alpha
 from .specfun import _panels, _rule, ml_neg
@@ -636,12 +636,10 @@ def sample_combined_times(model, L, times, rng, realization=0):
     Snapshot 0 is sample_combined at times[0], bit for bit, and the first
     i snapshots do not depend on the times after them.  Each time takes
     two roles below 256, so at most 126 times are drawn together."""
-    times = check_list("sample_combined_times: times", times, check_real)
+    times = check_increasing("sample_combined_times: times", times, check_real)
     if len(times) > _MAX_TIMES:
         raise DomainError(f"sample_combined_times: at most {_MAX_TIMES} times, "
                           f"got {len(times)}")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise DomainError("sample_combined_times: times must be increasing")
     return _sample(model, L, times, rng, realization, False)
 
 

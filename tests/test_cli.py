@@ -119,6 +119,16 @@ def test_help_lists_flags():
                  "--l-tilde", "--n-real", "--full-scale"):
         assert flag in res.stdout
     assert "--workers" not in res.stdout  # the curve is one row
+    # every curve runs its rows in one process: no subcommand takes a
+    # worker count
+    for command in ("increments", "selftest"):
+        res = subprocess.run([sys.executable, "-m", "fracsphere", command, "--help"],
+                             capture_output=True, text=True)
+        assert res.returncode == 0
+        assert "--workers" not in res.stdout
+    res = subprocess.run([sys.executable, "-m", "fracsphere", "increments",
+                          "--workers", "2"], capture_output=True, text=True)
+    assert res.returncode == 2 and "--workers" in res.stderr
 
 
 @pytest.mark.parametrize("module", sorted(
@@ -157,7 +167,7 @@ def test_src_imports_only_declared_packages():
 def test_truncation_run_writes_artifacts(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "l_tilde": 32, "l_grid": [8, 16, 24], "n_real": 4, "t": 1e-4,
+        "l_tilde": 32, "l_grid": [16, 20, 24], "n_real": 4, "t": 1e-4,
         "seed": 7, "out": str(tmp_path / "run")}))
     code, out = run_cli("truncation", "--config", str(cfg))
     assert code == 0
@@ -167,6 +177,23 @@ def test_truncation_run_writes_artifacts(tmp_path):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 7 and manifest["experiment"] == "truncation"
     assert manifest["version"] and manifest["rng_scheme"] == 7
+
+
+def test_slope_null_when_fewer_than_three_unflagged_rows(tmp_path):
+    # the bound has no valid case at L = 8 here, so two rows are unflagged:
+    # the slope used to be refitted over every row, the flagged one
+    # included, and reported as if the bound's rows had been fitted
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "l_tilde": 32, "l_grid": [8, 16, 24], "n_real": 4, "t": 1e-4,
+        "seed": 7, "out": str(tmp_path / "run")}))
+    code, out = run_cli("truncation", "--config", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["slope"] is None and payload["r2"] is None
+    assert payload["window"] is None
+    rows = (tmp_path / "run" / "trunc_0.5.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["1", "0", "0"]
 
 
 def test_increments_run(tmp_path):
@@ -341,18 +368,19 @@ SMALL_RUNS = {
     ("truncation", {"c_head": "x"}),
     ("bounds", {"increment_c": "x"}),
     ("increments", {"increment_c": "x"}),
-    ("increments", {"workers": 1.7}),
-    ("increments", {"workers": True}),
+    ("truncation", {"l_grid": [8, 4, 12]}),
+    ("simulate", {"times": [1e-4, 1e-5]}),
     ("truncation", {"seed": "x"}),
     ("truncation", {"l_grid": [4, 4, 8]}),
     ("increments", {"h_grid": [1e-6, 1e-6, 2e-6]}),
 ])
 def test_bad_grid_values_refused(tmp_path, command, bad):
     # each value used to run on (truncated, as L = 1, with a negative
-    # degree indexing the tail from its end, with 1.7 workers recorded
-    # in the manifest, or with a repeated grid entry giving duplicate rows
-    # and a slope fitted through two points), write nothing, or end in a
-    # traceback with exit 1; none may leave an empty output directory behind
+    # degree indexing the tail from its end, or with a repeated grid entry
+    # giving duplicate rows and a slope fitted through two points), write
+    # nothing, or end in a traceback with exit 1; none may leave an empty
+    # output directory behind.  A descending grid or time list is refused
+    # by the same increasing-entries check as a repeated one
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "run"
     cfg.write_text(json.dumps({**SMALL_RUNS[command], **bad, "out": str(out)}))
@@ -398,9 +426,9 @@ RECORD_KEYS = {"alpha", "tau", "spec_c", "spec_a", "experiment", "tool", "versio
                "rng_scheme"}
 RUN_KEYS = {
     "truncation": {"t", "l_tilde", "l_grid", "n_real", "seed"},
-    "increments": {"t", "L", "h_grid", "n_real", "seed", "workers", "increment_c"},
+    "increments": {"t", "L", "h_grid", "n_real", "seed", "increment_c"},
     "simulate": {"L", "times", "seed", "n_lat", "n_lon", "colormap"},
-    "selftest": {"seed", "t", "workers"},
+    "selftest": {"seed", "t"},
 }
 
 
@@ -441,6 +469,12 @@ def test_unread_config_keys_not_recorded(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert not set(unread) & set(manifest)
+    # no subcommand reads workers, so a count of 4 changes nothing
+    cfg.write_text(json.dumps({**SMALL_RUNS["increments"], "workers": 4, "out": str(out)}))
+    code, _ = run_cli("increments", "--config", str(cfg))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["experiment"] == "increments" and "workers" not in manifest
 
 
 def test_readme_matches_config_and_parser():

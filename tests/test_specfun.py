@@ -263,6 +263,23 @@ def test_ml_alpha1_general_beta():
         assert ml_neg(1.0, x, beta=1.6) == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("beta", [1e-4, 1e-3, 0.03])
+def test_ml_alpha1_small_beta_vs_oracle(beta):
+    for x in np.geomspace(1e-3, 1e8, 45):
+        ref = float(ml_oracle(1.0, float(x), beta, dps=50))
+        assert ml_neg(1.0, float(x), beta=beta) == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("beta", [3e-5, 1e-12, 1e-320])
+def test_ml_alpha1_tiny_beta_refused(beta):
+    # Kummer's value used to come back 2e-10 off at beta = 3e-5, 3e-5 off at
+    # 1e-12 and infinite at 1e-320, each with exit 0
+    for x in (1e-3, 1.0, np.array([0.0, 1.0])):
+        with pytest.raises(AccuracyError, match="alpha=1"):
+            ml_neg(1.0, x, beta=beta)
+    assert ml_neg(1.0, 0.0, beta=beta) == ml_neg(0.5, 0.0, beta=beta)  # 1/Gamma(beta)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0])
 def test_ml_monotone_and_simon_bound(alpha):
     # for beta = 1: 0 < E <= 1/(1 + x/Gamma(1+alpha)), strictly decreasing;
