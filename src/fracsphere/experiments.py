@@ -25,8 +25,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .errors import (DomainError, check_degree, check_increasing, check_list,
-                     check_path, check_real)
+from .errors import (DomainError, check_degree, check_increasing, check_path,
+                     check_real)
 from .spectra import bound_q_combined, increment_bound, measured_increment_c
 from .stochastic import (RNG_SCHEME, RngStream, chi_square_power, sample_combined,
                          sample_combined_pair, sample_combined_times)
@@ -174,12 +174,13 @@ def increment_curve(model, L, t, h_grid, n_real, seed):
 
 
 def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm"):
-    """Simulate one realization jointly at the given ascending times, render
-    each as an image + CSV under out_dir, and return the field maps.
-    Files are named map_t{t:g}; times whose names collide are refused
-    before drawing."""
+    """Simulate one realization jointly at the given increasing times,
+    synthesize every time's map in one call (one Legendre recurrence),
+    render each as an image + CSV under out_dir, and return the field maps.
+    Files are named map_t{t:g}; times that do not increase or whose names
+    collide are refused before drawing."""
     L = check_degree("evolution_snapshots: L", L)
-    times = check_list("evolution_snapshots: times", times, check_real)
+    times = check_increasing("evolution_snapshots: times", times, check_real)
     out_dir = check_path("evolution_snapshots: out_dir", out_dir)
     _colormap_table(colormap)  # refuse an unknown name before drawing
     stems = [f"map_t{t:g}" for t in times]
@@ -188,15 +189,12 @@ def evolution_snapshots(model, L, times, grid, seed, out_dir, colormap="coolwarm
             raise DomainError(f"evolution_snapshots: times {times[stems.index(stem)]!r} "
                               f"and {times[i]!r} share the file name {stem}")
     rng = RngStream(seed)
-    sets = sample_combined_times(model, L, times, rng)
+    maps = synthesize(sample_combined_times(model, L, times, rng), grid)
     os.makedirs(out_dir, exist_ok=True)
-    maps = []
-    for name, coeffs in zip(stems, sets):
-        fmap = synthesize(coeffs, grid)
+    for name, fmap in zip(stems, maps):
         stem = os.path.join(out_dir, name)
         write_map_image(fmap, stem + ".ppm", colormap=colormap)
         write_map_csv(fmap, stem + ".csv")
-        maps.append(fmap)
     write_manifest(out_dir, {"experiment": "simulate", **run_record(
         model, L=L, times=times, seed=rng.seed, n_lat=grid.n_lat, n_lon=grid.n_lon,
         colormap=colormap)})

@@ -168,30 +168,53 @@ def _norm_assoc_diagonals(L, x):
         prev2, prev1 = prev1, cur
 
 
-def _norm_assoc_rows(re, im, starts, x):
-    """Ring sums split by the parity of d = l - m: returns (even, odd), each
-    of shape (2, L+1, len(x)), where even[:, m, j] holds the real and
-    imaginary parts of sum_{l-m even} V_{l,m} N_{l,m}(x_j) and odd the same
-    over odd l - m.
+_ROWS_BLOCK = 8  # diagonals d = l - m whose rows are buffered per matmul
 
-    `re` and `im` hold Re V and Im V packed by degree, V_{l,m} at
-    starts[l] + m for 0 <= m <= l <= L (CoefficientSet's layout).  As
-    N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x), even + odd is the ring sum at x_j
-    and even - odd the ring sum at -x_j, so one pass serves a ring and its
-    mirror.  The all-orders recurrence adds V_{m+d,m} N_{m+d,m}(x), read at
-    starts[m + d] + m, into the half of parity d at each step, so neither
+
+def _norm_assoc_rows(re, im, starts, x):
+    """Ring sums of k coefficient sets split by the parity of d = l - m:
+    returns one (even, odd) pair per set, each of shape (2, L+1, len(x)),
+    where even[:, m, j] holds the real and imaginary parts of
+    sum_{l-m even} V_{l,m} N_{l,m}(x_j) and odd the same over odd l - m.
+
+    `re` and `im` are sequences of k packed arrays, Re V and Im V of each
+    set by degree, V_{l,m} at starts[l] + m for 0 <= m <= l <= L
+    (CoefficientSet's layout).  As N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x),
+    even + odd is the ring sum at x_j and even - odd the ring sum at -x_j,
+    so one pass serves a ring and its mirror.
+
+    One all-orders recurrence serves every set.  The rows of _ROWS_BLOCK
+    consecutive diagonals go into an (L+1, block, len(x)) buffer, and at
+    each block end every set adds, per order m, one matrix product: its
+    (2*2 x block) coefficients V_{m+d,m}, zero at the other parity, times
+    that order's rows.  A set's products have the same shapes and operands
+    whatever the other sets are, so its sums have the same bits; neither
     the (l, m, ring) table nor an (L+1, L+1) coefficient square is formed.
     """
     x = np.asarray(x, dtype=float)
     L = len(starts) - 1
     orders = np.arange(L + 1)
-    sums = np.zeros((2, 2, L + 1, x.size))
-    for d, rows in _norm_assoc_diagonals(L, x):
-        at = starts[d:] + orders[:L + 1 - d]  # V_{m+d,m}, m = 0..L-d
-        half = sums[d & 1, :, :L + 1 - d]
-        half[0] += re[at][:, None] * rows
-        half[1] += im[at][:, None] * rows
-    return sums[0], sums[1]
+    sums = [np.zeros((L + 1, 4, x.size)) for _ in re]  # [m, 2 parity + re/im, ring]
+    rows = np.zeros((L + 1, _ROWS_BLOCK, x.size))
+    coef = np.zeros((len(re), L + 1, 4, _ROWS_BLOCK))
+    product = np.empty((L + 1, 4, x.size))
+    for d, diagonal in _norm_assoc_diagonals(L, x):
+        b = d % _ROWS_BLOCK
+        if b == 0:  # rows past a diagonal's last order keep finite values
+            coef[:] = 0.0  # of an earlier block; their coefficients are zero
+        n = L + 1 - d  # orders m = 0..L-d
+        rows[:n, b] = diagonal
+        at = starts[d:] + orders[:n]  # V_{m+d,m}
+        p = 2 * (d & 1)
+        for c, re_s, im_s in zip(coef, re, im):
+            c[:n, p, b] = re_s[at]
+            c[:n, p + 1, b] = im_s[at]
+        if b == _ROWS_BLOCK - 1 or d == L:
+            top = n + b  # the orders the block's first diagonal reaches
+            for c, s in zip(coef, sums):
+                np.matmul(c[:top], rows[:top], out=product[:top])
+                s[:top] += product[:top]
+    return [(s[:, :2].transpose(1, 0, 2), s[:, 2:].transpose(1, 0, 2)) for s in sums]
 
 
 def assoc_legendre_norm(ell, m, x):

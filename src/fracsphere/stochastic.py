@@ -575,20 +575,24 @@ def _law(model, L, times, increment):
 
 def _combine(weights, rng, realization, role, n):
     """One component of every output: output i is sum_{j <= i} w[i][j] z_j,
-    summed in column order, z_j the packed normals of role + 2j.  One
-    column's normals are held at a time, and its last product, w[j][j] z_j,
-    is taken in their memory, so a one-time draw allocates no array
-    beyond its normals and weights."""
+    summed in column order, z_j the packed normals of role + 2j.  A column
+    whose weights are None is zero: it draws no normals and adds nothing,
+    and an output whose columns are all zero is zeros.  One column's normals are
+    held at a time, and its last product, w[j][j] z_j, is taken in their
+    memory, so a one-time draw allocates no array beyond its normals and
+    weights."""
     out = [None] * len(weights)
     for j in range(len(weights)):
+        if weights[j][j] is None:
+            continue
         z = rng.normals(realization, 0, role + 2 * j, n)
         for i in range(len(weights) - 1, j - 1, -1):
             w = weights[i][j] * z if i > j else np.multiply(z, weights[j][j], out=z)
-            if j == 0:
+            if out[i] is None:
                 out[i] = w
             else:
                 out[i] += w
-    return out
+    return [np.zeros(n) if o is None else o for o in out]
 
 
 def _sample(model, L, times, rng, realization, increment):
@@ -605,9 +609,12 @@ def _sample(model, L, times, rng, realization, increment):
     L = check_degree("degree L", L)
     _, head, rest = _law(model, L, tuple(times), increment)
     # w[i][j], j <= i: column j of the factor of Sigma_l at (l, 0) and of
-    # Sigma_l / 2 at (l, m >= 1), so a one-time law gets sqrt(v_l), sqrt(v_l / 2)
-    weights = [[_packed(head[:, i, j], rest[:, i, j], L) for j in range(i + 1)]
-               for i in range(head.shape[1])]
+    # Sigma_l / 2 at (l, m >= 1), so a one-time law gets sqrt(v_l), sqrt(v_l / 2);
+    # None for a column that is zero at every degree (its pivots zeroed: a
+    # time exactly correlated with the ones before it, or of variance zero)
+    live = np.any(head, axis=(0, 1)) | np.any(rest, axis=(0, 1))
+    weights = [[_packed(head[:, i, j], rest[:, i, j], L) if live[j] else None
+                for j in range(i + 1)] for i in range(head.shape[1])]
     roles = (ROLE_INC_RE, ROLE_INC_IM) if increment else (ROLE_LAW_RE, ROLE_LAW_IM)
     n = (L + 1) * (L + 2) // 2
     re, im = (_combine(weights, rng, realization, role, n) for role in roles)

@@ -7,17 +7,19 @@ A real field with coefficients {V_{l,m} : m >= 0} is evaluated as
 
 in two passes.  First the ring sums g_m(theta_j) = sum_l V_{l,m}
 N_{l,m}(cos theta_j) for every order and latitude come from one all-orders
-normalized Legendre recurrence over the packed coefficients
-(specfun._norm_assoc_rows: L array steps, O(L^2 nLat) work, no (l, m, ring)
-table and no (L+1)^2 coefficient square).  Every grid kind has mirrored
-rings, theta_{nLat-1-j} = pi - theta_j, and N_{l,m}(-x) = (-1)^(l-m)
-N_{l,m}(x), so the recurrence runs on the northern rings only (the equator
-ring included when nLat is odd) and keeps the sums over even and odd l - m
-apart: their sum is the northern ring and their difference its southern
-mirror, evaluated at -cos theta_j.  Then each ring is one FFT over
-longitude: order m is folded into bin m mod nLon of a length-nLon spectrum,
-which keeps the sum exact when nLon < 2L+1 (aliased orders land on the
-same phases e^{2 pi i m k / nLon} as their bins).
+normalized Legendre recurrence over the packed coefficients, one per call
+however many sets of one L it synthesizes (specfun._norm_assoc_rows: ring
+sums by per-order matrix products over blocks of diagonals d = l - m,
+O(L^2 nLat) work per set, no (l, m, ring) table and no (L+1)^2 coefficient
+square).  Every grid kind has mirrored rings, theta_{nLat-1-j} =
+pi - theta_j, and N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x), so the recurrence
+runs on the northern rings only (the equator ring included when nLat is
+odd) and keeps the sums over even and odd l - m apart: their sum is the
+northern ring and their difference its southern mirror, evaluated at
+-cos theta_j.  Then, one set at a time, each ring is one FFT over
+longitude: order m is folded into bin m mod nLon of a length-nLon
+spectrum, which keeps the sum exact when nLon < 2L+1 (aliased orders land
+on the same phases e^{2 pi i m k / nLon} as their bins).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError, check_degree
 from .specfun import _norm_assoc_rows
-from .stochastic import _layout
+from .stochastic import CoefficientSet, _layout
 
 __all__ = ["GridSpec", "FieldMap", "synthesize", "write_map_csv",
            "read_map_csv", "write_map_image"]
@@ -101,27 +103,39 @@ class FieldMap:
 
 
 def synthesize(coeffs, grid):
-    """Evaluate a coefficient set on a grid (see module docstring)."""
-    L = coeffs.L
+    """Evaluate a coefficient set on a grid, returning its FieldMap, or a
+    sequence of sets that share one L, returning their list of FieldMaps
+    (see module docstring).  A set's map has the same bits either way."""
+    single = isinstance(coeffs, CoefficientSet)
+    sets = [coeffs] if single else list(coeffs)
+    degrees = sorted({c.L for c in sets})
+    if len(degrees) != 1:
+        raise DomainError(f"synthesize: need one or more coefficient sets of one "
+                          f"degree L, got degrees {degrees}")
+    L = degrees[0]
     n_lat, n_lon = grid.n_lat, grid.n_lon
     north = (n_lat + 1) // 2  # rings 0..north-1, the equator ring included
     south = n_lat // 2  # ring n_lat-1-j mirrors ring j < south
-    even, odd = _norm_assoc_rows(coeffs.re, coeffs.im, _layout(L)[1],
-                                 np.cos(grid.colatitudes()[:north]))
-    even[:, 1:] *= 2.0
-    odd[:, 1:] *= 2.0
-    spectrum = np.zeros((n_lat, n_lon), dtype=complex)
-    parts = spectrum.view(float).reshape(n_lat, n_lon, 2)  # [ring, bin, re/im]
-    for start in range(0, L + 1, n_lon):
-        e = even[:, start:start + n_lon].T  # [ring, order, re/im]
-        o = odd[:, start:start + n_lon].T
-        width = e.shape[1]
-        parts[:north, :width] += e + o
-        parts[::-1][:south, :width] += e[:south] - o[:south]
-    del even, odd, e, o  # views of the ring sums, freed before the FFT
-    # unscaled inverse DFT, in place: sum_b spectrum[b] e^{2 pi i b k / n_lon}
-    vals = np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum).real.copy()
-    return FieldMap(grid=grid, values=vals)
+    sums = _norm_assoc_rows([c.re for c in sets], [c.im for c in sets], _layout(L)[1],
+                            np.cos(grid.colatitudes()[:north]))
+    maps = []
+    for _ in sets:
+        even, odd = sums.pop(0)
+        even[:, 1:] *= 2.0
+        odd[:, 1:] *= 2.0
+        spectrum = np.zeros((n_lat, n_lon), dtype=complex)
+        parts = spectrum.view(float).reshape(n_lat, n_lon, 2)  # [ring, bin, re/im]
+        for start in range(0, L + 1, n_lon):
+            e = even[:, start:start + n_lon].T  # [ring, order, re/im]
+            o = odd[:, start:start + n_lon].T
+            width = e.shape[1]
+            parts[:north, :width] += e + o
+            parts[::-1][:south, :width] += e[:south] - o[:south]
+        del even, odd, e, o  # views of this set's ring sums, freed before its FFT
+        # unscaled inverse DFT, in place: sum_b spectrum[b] e^{2 pi i b k / n_lon}
+        vals = np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum).real.copy()
+        maps.append(FieldMap(grid=grid, values=vals))
+    return maps[0] if single else maps
 
 
 # --------------------------------------------------------------------------

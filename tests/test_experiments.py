@@ -289,6 +289,48 @@ def test_snapshots_shared_draw(small_model, tmp_path):
     assert manifest["rng_scheme"] == 7
 
 
+def test_snapshots_one_legendre_pass(small_model, tmp_path, record_calls):
+    # every time's map comes from one shared Legendre recurrence
+    from fracsphere import synthesis
+
+    calls = record_calls(synthesis, "_norm_assoc_rows")
+    maps = evolution_snapshots(small_model, 12, [5e-6, 2e-5, 1e-4], GridSpec(7, 16),
+                               seed=2, out_dir=str(tmp_path))
+    assert len(maps) == 3 and calls == ["_norm_assoc_rows"]
+
+
+def test_snapshots_refuse_decreasing_times_before_drawing(small_model, tmp_path,
+                                                          record_calls):
+    # the error used to name sample_combined_times, a function the caller
+    # never called, and came after the output checks
+    from fracsphere import experiments
+
+    calls = record_calls(experiments, "sample_combined_times")
+    out = tmp_path / "maps"
+    with pytest.raises(DomainError, match="evolution_snapshots: times"):
+        evolution_snapshots(small_model, 8, [1e-4, 1e-5], GridSpec(6, 8), seed=1,
+                            out_dir=str(out))
+    assert not calls and not out.exists()
+
+
+def test_zero_factor_column_draws_no_normals(small_model, monkeypatch):
+    # before the noise onset tau the field only decays, so time tau is
+    # exactly correlated with 1e-12: its factor column is zero and draws
+    # neither its Re nor its Im normals; the other columns keep their roles
+    roles, normals = [], RngStream.normals
+
+    def recorded(self, realization, ell, role, n):
+        roles.append(role)
+        return normals(self, realization, ell, role, n)
+
+    monkeypatch.setattr(RngStream, "normals", recorded)
+    tau = small_model.tau
+    sets = sample_combined_times(small_model, 8, [1e-12, tau, 10 * tau], RngStream(4))
+    assert sorted(roles) == [stochastic.ROLE_LAW_RE, stochastic.ROLE_LAW_IM,
+                             stochastic.ROLE_LAW_RE + 4, stochastic.ROLE_LAW_IM + 4]
+    assert len(sets) == 3 and all(np.any(c.re) for c in sets)
+
+
 def test_snapshots_time_zero_is_initial_draw(small_model, tmp_path):
     # numerically t=0 is not allowed (t > 0), but a tiny t reproduces the
     # initial field up to the decay factor ~ 1

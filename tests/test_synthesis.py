@@ -9,7 +9,7 @@ import pytest
 from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
                         FractionalModel, GridSpec, RngStream, evolution_snapshots,
                         sample_combined, synthesize, write_map_csv, write_map_image)
-from fracsphere.specfun import _norm_assoc_order, assoc_legendre_norm_table
+from fracsphere.specfun import _ROWS_BLOCK, _norm_assoc_order, assoc_legendre_norm_table
 from fracsphere.synthesis import _format_g17, read_map_csv
 
 
@@ -24,6 +24,16 @@ def naive_eval(coeffs, thetas, phis):
         ring = coeffs.values[m:, m] @ radial
         total += (1.0 if m == 0 else 2.0) * (ring * np.exp(1j * m * phis)).real
     return total
+
+
+def dense_map(coeffs, grid):
+    """Dense oracle: every ring's order sums from the full
+    assoc_legendre_norm_table, times every order's phases."""
+    radial = assoc_legendre_norm_table(coeffs.L, np.cos(grid.colatitudes()))  # [j, l, m]
+    ring = np.einsum("jlm,lm->jm", radial, coeffs.values)
+    ring[:, 1:] *= 2.0
+    phases = np.exp(1j * np.outer(np.arange(coeffs.L + 1), grid.longitudes()))
+    return (ring @ phases).real
 
 
 def zero_square(L):
@@ -144,12 +154,39 @@ def test_fft_fold_matches_dense_sum(n_lon):
         for gauss in (False, True):
             grid = GridSpec(n_lat, n_lon, gauss=gauss)
             fmap = synthesize(c, grid)
-            radial = assoc_legendre_norm_table(L, np.cos(grid.colatitudes()))  # [j, l, m]
-            ring = np.einsum("jlm,lm->jm", radial, c.values)
-            ring[:, 1:] *= 2.0
-            phases = np.exp(1j * np.outer(np.arange(L + 1), grid.longitudes()))
-            dense = (ring @ phases).real
+            dense = dense_map(c, grid)
             assert np.max(np.abs(fmap.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("L", [0, 1, _ROWS_BLOCK - 1, _ROWS_BLOCK, 2 * _ROWS_BLOCK + 3])
+def test_joint_synthesis_matches_dense_sum(L):
+    # one call for several sets shares the recurrence and sums blocks of
+    # _ROWS_BLOCK diagonals per matrix product: degrees below, at and past
+    # one block, on grids that resolve every order and on ones that alias
+    sets = [random_coeffs(L, seed=s) for s in range(3)]
+    for grid in (GridSpec(9, 2 * L + 2), GridSpec(8, max(1, L), gauss=True)):
+        maps = synthesize(sets, grid)
+        assert len(maps) == len(sets)
+        for c, fmap in zip(sets, maps):
+            dense = dense_map(c, grid)
+            assert np.max(np.abs(fmap.values - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("gauss", [False, True])
+@pytest.mark.parametrize("n_lat", [8, 9])
+def test_joint_synthesis_bits_match_single(gauss, n_lat):
+    # a set's map has the same bits whether it is synthesized alone or with
+    # other sets of its degree
+    grid = GridSpec(n_lat, 40, gauss=gauss)
+    sets = [random_coeffs(20, seed=s) for s in (3, 4, 5)]
+    for c, fmap in zip(sets, synthesize(sets, grid)):
+        assert np.array_equal(fmap.values, synthesize(c, grid).values)
+
+
+@pytest.mark.parametrize("sets", [[], [zero_coeffs(4), zero_coeffs(5)]])
+def test_synthesize_needs_sets_of_one_degree(sets):
+    with pytest.raises(DomainError):
+        synthesize(sets, GridSpec(5, 8))
 
 
 @pytest.mark.parametrize("gauss", [False, True])
