@@ -34,5 +34,5 @@ for h, emp, bound, _ in curve.rows:
 
 fit = fit_loglog_slope(curve)
 print(f"\nfitted slope {fit.slope:.3f} (exact square-root law: 0.5)")
-print(f"envelope constant (measured): {curve.meta['increment_c']:.4f}")
+print(f"envelope constant 1/Gamma(alpha): {curve.meta['increment_c']:.4f}")
 print("wrote increment_curve.csv")

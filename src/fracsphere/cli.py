@@ -353,7 +353,7 @@ def build_parser():
 
     sp = sub.add_parser("ml", help="evaluate E_{alpha,beta}(-x)")
     sp.add_argument("--alpha", type=float, required=True, help="order alpha in (0,1]")
-    sp.add_argument("--beta", type=float, default=1.0, help="second parameter, > 0")
+    sp.add_argument("--beta", type=float, default=1.0, help="second parameter, >= alpha")
     sp.add_argument("--x", type=float, nargs="+", required=True,
                     help="one or more arguments x >= 0 (dimensionless)")
     sp.set_defaults(func=cmd_ml)

@@ -149,7 +149,8 @@ def truncation_error_curve(model, l_tilde, l_grid, t, n_real, seed):
 def increment_curve(model, L, t, h_grid, n_real, seed):
     """Estimate the mean-square temporal increment curve
     empirical(h) = sqrt( mean_j ||U_L(t+h) - U_L(t)||^2 ) against the
-    q(t) sqrt(h) bound with the measured constant (measured_increment_c).
+    q(t) sqrt(h) bound with the constant C = 1/Gamma(alpha)
+    (measured_increment_c).
 
     Each h is one row: realization i of row i is drawn directly from the
     increment's exact law (sample_combined_pair) and reduced, and the

@@ -9,7 +9,6 @@ noise spectrum A_l (decay kappa2); lambda_l = l(l+1).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,9 @@ import numpy as np
 
 from .errors import (DomainError, check_alpha, check_degree, check_degrees,
                      check_real)
-from .specfun import gamma, ml_neg
+from .specfun import gamma
+# perfbench/tracer.py wraps ml_neg under this module's name too
+from .specfun import ml_neg  # noqa: F401
 
 __all__ = [
     "AlgebraicSpectrum",
@@ -190,17 +191,10 @@ def bound_q_combined(L, t, tau, alpha, spec_c, spec_a):
 
 
 def measured_increment_c(alpha):
-    """The generic constant C of the increment bound, measured once per
-    alpha as max over a log grid x in [1e-6, 1e8] of (1+x) E_{alpha,alpha}(-x)."""
-    return _measured_c(check_alpha("measured_increment_c: alpha", alpha))
-
-
-@functools.cache
-def _measured_c(alpha):
-    xs = np.logspace(-6.0, 8.0, 200)
-    vals = (1.0 + xs) * ml_neg(alpha, xs, beta=alpha)
-    # include the x -> 0 limit E_{a,a}(0) = 1/Gamma(a)
-    return max(float(np.max(vals)), 1.0 / gamma(alpha))
+    """The generic constant C of the increment bound, sup over x >= 0 of
+    (1+x) E_{alpha,alpha}(-x): its x -> 0 value 1/Gamma(alpha), which the
+    tests check against a dense grid of ml_neg and the mpmath oracle."""
+    return 1.0 / gamma(check_alpha("measured_increment_c: alpha", alpha))
 
 
 def increment_bound(t, h, tau, alpha, spec_c, spec_a, c):

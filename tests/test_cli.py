@@ -70,6 +70,18 @@ def test_bounds_keys():
     assert payload["increment_c"] > 0.0
 
 
+def test_small_alpha_increment_constant(tmp_path):
+    # increment_c used to be measured from E_{alpha,alpha} on a grid through
+    # x = 1.12, which ml_neg refuses at alpha <= 0.07: both exited 3
+    code, out = run_cli("bounds", "--alpha", "0.05")
+    assert code == 0
+    assert json.loads(out)["increment_c"] == 1.0 / math.gamma(0.05)
+    code, _ = run_cli("increments", "--alpha", "0.05", "--L", "64", "--n-real", "4",
+                      "--out", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "inc_0.05.csv").exists()
+
+
 def test_missing_config_exit_code():
     code, out = run_cli("truncation", "--config", "/no/such/config.json")
     assert code == 4

@@ -7,7 +7,10 @@ from fracsphere import (AlgebraicSpectrum, DomainError, bound_q_combined,
                         bound_qh, bound_qi, gamma_alpha_kappa, holder_envelope,
                         increment_bound, m_alpha, measured_increment_c, psi_h,
                         psi_i, tail_constant)
+from fracsphere.specfun import gamma, ml_neg
 from fracsphere.spectra import combined_case
+
+from conftest import ml_oracle
 
 
 @pytest.fixture
@@ -209,11 +212,28 @@ def test_increment_bound_values(spec_c, spec_a):
 
 
 def test_measured_increment_c():
-    # alpha = 1: (1+x) exp(-x) peaks at 1 (x -> 0)
-    assert measured_increment_c(1.0) == pytest.approx(1.0, rel=1e-6)
-    # alpha = 1/2: E_{1/2,1/2}(0) = 1/Gamma(1/2)
-    assert measured_increment_c(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-4)
-    assert measured_increment_c(0.75) > 0.0
+    # the sup of (1+x) E_{alpha,alpha}(-x) is its x -> 0 value 1/Gamma(alpha)
+    for alpha in np.append(np.linspace(0.01, 1.0, 100), [0.4999999, 0.5000001, 0.9999]):
+        assert measured_increment_c(alpha) == 1.0 / gamma(alpha)
+    assert measured_increment_c(1.0) == 1.0
+    with pytest.raises(DomainError):
+        measured_increment_c(0.0)
+
+
+def test_increment_c_bounds_ml_neg():
+    # the evidence for the closed form: (1+x) E_{alpha,alpha}(-x) stays at
+    # or below 1/Gamma(alpha) on a dense grid, its largest value at x -> 0
+    xs = np.geomspace(1e-8, 1e8, 4001)
+    for alpha in (0.08, 0.1, 0.3, 0.5, 0.75, 0.9, 0.99, 1.0):
+        scaled = (1.0 + xs) * ml_neg(alpha, xs, beta=alpha)
+        assert np.all(scaled <= 1.0 / gamma(alpha)), alpha
+        assert xs[np.argmax(scaled)] <= 1e-7, alpha
+    # below alpha = 0.08 ml_neg refuses x of about 1.03 to 3 at beta = alpha:
+    # the mpmath oracle stands in there (the ratio peaks near 0.990)
+    for alpha in (0.02, 0.05):
+        for x in np.geomspace(0.01, 3.0, 10):
+            scaled = (1.0 + x) * float(ml_oracle(alpha, float(x), alpha, dps=15))
+            assert 0.0 < scaled * gamma(alpha) <= 0.991, (alpha, x)
 
 
 def test_holder_envelope(spec_c, spec_a):
