@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext imports it on first use; import it here
 import math
 import os
 import sys
@@ -24,7 +25,7 @@ from .errors import AccuracyError, DomainError, check_path, check_real
 from .spectra import (AlgebraicSpectrum, gamma_alpha_kappa, m_alpha,
                       measured_increment_c, tail_constant)
 from .stochastic import FractionalModel, RngStream, sigma_squared, sigma_squared_bound
-from .specfun import _ml_contour, ml_neg
+from .specfun import _ml_contour, erfcx, ml_neg
 from .synthesis import GridSpec, _format_g17
 from .experiments import (evolution_snapshots, fit_loglog_slope,
                           increment_curve, run_record, truncation_error_curve,
@@ -223,11 +224,11 @@ def _selftest_checks(cfg):
             worst = max(worst, abs(s - ref) / (2 * ell + 1))
     yield "addition-theorem", worst <= 1e-9, f"max rel dev {worst:.2e}"
 
-    # 2. Mittag-Leffler identities; ml_neg itself evaluates E_{1/2,1} by
-    # erfcx, so the general-alpha contour sum is checked against it directly
+    # 2. Mittag-Leffler identities; ml_neg itself evaluates E_{1/2,1} by the
+    # in-repo erfcx, so the general-alpha contour sum is checked against it
+    # directly: one algorithm against another
     xs = np.linspace(0.0, 30.0, 61)
     e1 = max(abs(fs.ml_neg(1.0, x) - math.exp(-x)) / math.exp(-x) for x in xs)
-    from scipy.special import erfcx
     val, rel = _ml_contour(0.5, 1.0, xs)
     ok = rel <= 1e-12
     eh = float(np.max(np.abs(val[ok] - erfcx(xs[ok])) / erfcx(xs[ok]), initial=0.0))

@@ -36,10 +36,14 @@ scaled time u = lambda^(1/alpha) r the kernel is E_alpha(-u^alpha), so
     F_alpha(z) = int_0^z E_alpha(-u^alpha)^2 du,
 
 one function per alpha, tabulated lazily on fixed 20-point Gauss-Legendre
-panels that every degree shares.  cross_sigma integrates each degree over
-graded panels in u, passing whole blocks of nodes to ml_neg.  Every panel
-carries an error estimate from an embedded lower-order rule; a value whose
-summed estimate exceeds 1e-10 of itself raises AccuracyError.
+panels that every degree shares; the table keeps E_alpha(-u^alpha) at their
+nodes.  cross_sigma integrates each degree in u on the table's knots,
+passing whole blocks of nodes to ml_neg: on a whole table panel it
+evaluates only E_alpha(-(u + H)^alpha) and reads the unshifted factor from
+the table; on its graded head panel, below the table's first knot and on
+the partial panel ending at S it evaluates both.  Every panel carries an
+error estimate from an embedded lower-order rule; a value whose summed
+estimate exceeds 1e-10 of itself raises AccuracyError.
 
 Randomness is counter-based (RNG scheme 7): each (seed, realization,
 role) has its own Philox key, and variate number l(l+1)/2 + m of that
@@ -72,12 +76,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use; load it here
 
 from .errors import (AccuracyError, DomainError, check_alpha, check_degree,
                      check_degrees, check_increasing, check_real, check_unit_interval,
                      whole)
 from .spectra import AlgebraicSpectrum, m_alpha
-from .specfun import _panels, _rule, ml_neg
+from .specfun import _nodes, _panels, _rule, ml_neg
 
 __all__ = [
     "FractionalModel",
@@ -230,7 +235,8 @@ _REL_TOL = 1e-10         # summed panel error estimates, relative to the value
 _HEAD_X = 1e-3           # sigma^2 table: power series while u^alpha <= _HEAD_X
 _HEAD_TERMS = 8          # ... truncated at (u^alpha)^8 <= 1e-24
 _TABLE_BLOCK = 16        # panels added per table extension (four decades)
-_CROSS_NODES = 1 << 15   # nodes per cross_sigma degree block (256 KB per array)
+_CROSS_NODES = 12_000    # nodes per cross_sigma degree block: its arrays stay below
+                         # 128 KiB, past which malloc maps fresh pages for each one
 
 
 def _accuracy_check(name, val, err, ells, **where):
@@ -249,9 +255,10 @@ class _SquaredKernelTable:
 
     Below z0 = _HEAD_X^(1/alpha) F is the integrated power series.  Above
     it the table holds F and its accumulated error estimate at the knots
-    z0 10^(k/4), and for every panel between two knots the Legendre
-    coefficients of the antiderivative of the degree-19 polynomial through
-    the panel's 20 Gauss nodes, so F anywhere in a panel costs no new
+    z0 10^(k/4), and for every panel k between knots k and k + 1 its 20
+    Gauss nodes, E_alpha(-u^alpha) at them (cross_sigma reads these), and
+    the Legendre coefficients of the antiderivative of the degree-19
+    polynomial through the squares, so F anywhere in a panel costs no new
     E_alpha evaluation.  The table grows in blocks of _TABLE_BLOCK panels,
     always from the first block on, so a value never depends on which
     queries came before it.
@@ -266,34 +273,50 @@ class _SquaredKernelTable:
         self.head_coef = np.convolve(e, e)[:_HEAD_TERMS] / (1.0 + alpha * m)
         # knots z0 10^(k/4) overflow past the last block end with k/4 <= 308.25
         k_end = _TABLE_BLOCK * int(308.25 * _PANELS_PER_DECADE // _TABLE_BLOCK)
-        self.z_end = self.z0 * 10.0 ** (k_end / _PANELS_PER_DECADE)
+        self.z_end = self.knot(k_end)
         self.knots = np.array([self.z0])
         self.cum = self._head(self.knots)
         self.cum_err = np.zeros(1)
         self.anti = np.empty((0, 21))
+        self.nodes = self.kernel = np.empty((0, 20))
+        self.half = np.empty(0)
+
+    def knot(self, k):
+        """z0 10^(k/4) for an integer k or an array of them, also k < 0."""
+        return self.z0 * 10.0 ** (k / _PANELS_PER_DECADE)
 
     def _head(self, z):
         return z * np.polynomial.polynomial.polyval(z ** self.alpha, self.head_coef)
 
-    def _grow(self, zmax):
+    def cover(self, z, name, var, t):
+        """Grow the table past z.max(), the scaled lambda^(1/alpha) var of
+        the caller name; AccuracyError if that is past its last knot."""
+        if z.max() >= self.z_end:
+            raise AccuracyError(
+                f"{name}: lambda^(1/alpha) {var} = {z.max():.3e} is past the kernel "
+                f"table's last knot {self.z_end:.3e} at alpha={self.alpha}, {var}={t}")
         _, _, _, to_coef = _rule()
-        while self.knots[-1] <= zmax:
+        while self.knots[-1] <= z.max():
             n = len(self.knots) - 1
-            k = np.arange(n, n + _TABLE_BLOCK + 1)
-            knots = self.z0 * 10.0 ** (k / _PANELS_PER_DECADE)
-            q, e, g = _panels(lambda u: ml_neg(self.alpha, u ** self.alpha) ** 2,
-                              knots[:-1], knots[1:])
-            coef = (g[:, None, :] * to_coef).sum(axis=2)
+            knots = self.knot(np.arange(n, n + _TABLE_BLOCK + 1))
+            u, half = _nodes(knots[:-1], knots[1:])
+            e = ml_neg(self.alpha, u ** self.alpha)
+            sq = e ** 2
+            q, err = _panels(sq, half)
+            coef = (sq[:, None, :] * to_coef).sum(axis=2)
             self.knots = np.concatenate([self.knots, knots[1:]])
             self.cum = np.concatenate([self.cum, np.cumsum(np.append(self.cum[-1], q))[1:]])
             self.cum_err = np.concatenate(
-                [self.cum_err, np.cumsum(np.append(self.cum_err[-1], e))[1:]])
+                [self.cum_err, np.cumsum(np.append(self.cum_err[-1], err))[1:]])
             self.anti = np.concatenate(
                 [self.anti, np.polynomial.legendre.legint(coef, lbnd=-1, axis=1)])
+            self.nodes = np.concatenate([self.nodes, u])
+            self.kernel = np.concatenate([self.kernel, e])
+            self.half = np.concatenate([self.half, half])
 
     def __call__(self, z):
-        """F(z) and its error estimate, elementwise over a 1-d array z > 0."""
-        self._grow(z.max())
+        """F(z) and its error estimate, elementwise over a 1-d array z > 0
+        that the table covers."""
         val = np.empty_like(z)
         err = np.zeros_like(z)
         head = z <= self.z0
@@ -332,10 +355,7 @@ def _sigma_squared(ells, t, alpha):
     if t > 0.0 and np.any(pos):
         scale, z = _scaled(ells[pos], alpha, t)
         table = _table(alpha)
-        if z.max() >= table.z_end:
-            raise AccuracyError(
-                f"sigma_squared: lambda^(1/alpha) t = {z.max():.3e} is past the "
-                f"kernel table's last knot {table.z_end:.3e} at alpha={alpha}, t={t}")
+        table.cover(z, "sigma_squared", "t", t)
         val, err = table(z)
         _accuracy_check("sigma_squared", val, err, ells[pos], t=t, alpha=alpha)
         out[pos] = np.minimum(val / scale, t)  # integrand <= 1, so sigma^2 <= t
@@ -377,29 +397,33 @@ def sigma_squared_bound(ell, t, alpha):
     return lam ** (-1.0 / alpha) * (1.0 + m_alpha(alpha))
 
 
-def _cross_block(big_s, big_h, u_h, npan, alpha):
+def _cross_block(big_s, big_h, k_h, k_s, table):
     """int_0^S E(-(u+H)^alpha) E(-u^alpha) du and its error estimate per
-    degree: a head panel [0, u_h] in u = u_h t^4, which smooths the
-    u^alpha behaviour at 0, then npan geometric panels from u_h to S."""
-    first = np.cumsum(npan) - npan
-    owner = np.repeat(np.arange(big_s.size), npan)
-    j = np.arange(owner.size) - first[owner]
-    ratio = (big_s / u_h)[owner]
-    lo = u_h[owner] * ratio ** (j / npan[owner])
-    hi = u_h[owner] * ratio ** ((j + 1) / npan[owner])
-    hi[first + npan - 1] = big_s
-
-    def kernel(u, shift):
-        return ml_neg(alpha, (u + shift) ** alpha) * ml_neg(alpha, u ** alpha)
-
-    def head(y):
-        t = 0.5 * (y + 1.0)
-        return kernel(u_h[:, None] * t ** 4, big_h[:, None]) * (2.0 * u_h[:, None] * t ** 3)
-
-    q, e, _ = _panels(lambda u: kernel(u, big_h[owner][:, None]), lo, hi)
-    ones = np.ones(big_s.size)
-    q_head, e_head, _ = _panels(head, -ones, ones)
-    return q_head + np.add.reduceat(q, first), e_head + np.add.reduceat(e, first)
+    degree, on the table's knots u_k = z0 10^(k/4): a head panel
+    [0, u_{k_h}] in u = u_{k_h} t^4, which smooths the u^alpha behaviour at
+    0, the whole panels [u_k, u_{k+1}] for k_h <= k < k_s, and a last panel
+    [u_{k_s}, S].  On a whole panel above z0 (k >= 0) E(-u^alpha) is the
+    table's, at the table's nodes; on the others both factors are
+    evaluated."""
+    n = big_s.size
+    npan = k_s - k_h
+    owner = np.repeat(np.arange(n), npan)
+    k = np.arange(owner.size) - (np.cumsum(npan) - npan)[owner] + k_h[owner]
+    low, tab = k < 0, k >= 0
+    u_h = table.knot(k_h)[:, None]
+    t = 0.5 * (_rule()[0] + 1.0)
+    u_new, half_new = _nodes(np.concatenate([table.knot(k[low]), table.knot(k_s)]),
+                             np.concatenate([table.knot(k[low] + 1), big_s]))
+    u = np.concatenate([u_h * t ** 4, u_new, table.nodes[k[tab]]])
+    half = np.concatenate([np.ones(n), half_new, table.half[k[tab]]])
+    own = np.concatenate([np.arange(n), owner[low], np.arange(n), owner[tab]])
+    fresh = n + half_new.size  # the panels whose E(-u^alpha) is evaluated
+    f = ml_neg(table.alpha, (u + big_h[own][:, None]) ** table.alpha)
+    f[:fresh] *= ml_neg(table.alpha, u[:fresh] ** table.alpha)
+    f[fresh:] *= table.kernel[k[tab]]
+    f[:n] *= 2.0 * u_h * t ** 3  # du of the head's t^4 grading
+    q, e = _panels(f, half)
+    return np.bincount(own, q, n), np.bincount(own, e, n)
 
 
 def _cross_sigma(ells, s, h, alpha):
@@ -410,14 +434,22 @@ def _cross_sigma(ells, s, h, alpha):
     if s > 0.0 and np.any(pos):
         scale, big_s = _scaled(ells[pos], alpha, s)
         big_h = scale * h
-        # the head panel also grades the kink of (u + H)^alpha at u = -H
-        u_h = 0.01 * np.minimum(np.minimum(big_s, 1.0), big_h)
-        npan = np.ceil(_PANELS_PER_DECADE * np.log10(big_s / u_h)).astype(np.int64)
+        table = _table(alpha)
+        table.cover(big_s, "cross_sigma", "s", s)
+        # the head panel ends at the last knot at or below 0.01 min(S, 1, H),
+        # so it also grades the kink of (u + H)^alpha at u = -H; the last
+        # panel starts at the last knot below S
+        u_cap = 0.01 * np.minimum(np.minimum(big_s, 1.0), big_h)
+        k_h = np.floor(_PANELS_PER_DECADE * np.log10(u_cap / table.z0)).astype(np.int64)
+        k_h -= table.knot(k_h) > u_cap
+        k_s = np.ceil(_PANELS_PER_DECADE * np.log10(big_s / table.z0)).astype(np.int64)
+        k_s -= table.knot(k_s) >= big_s
+        k_s += table.knot(k_s + 1) < big_s
         # blocks of whole degrees, about _CROSS_NODES nodes each
-        cuts = np.flatnonzero(np.diff(np.cumsum(20 * (npan + 1)) // _CROSS_NODES)) + 1
+        cuts = np.flatnonzero(np.diff(np.cumsum(20 * (k_s - k_h + 2)) // _CROSS_NODES)) + 1
         val, err = np.empty_like(big_s), np.empty_like(big_s)
         for b in np.split(np.arange(big_s.size), cuts):
-            val[b], err[b] = _cross_block(big_s[b], big_h[b], u_h[b], npan[b], alpha)
+            val[b], err[b] = _cross_block(big_s[b], big_h[b], k_h[b], k_s[b], table)
         _accuracy_check("cross_sigma", val, err, ells[pos], s=s, h=h, alpha=alpha)
         out[pos] = np.minimum(val / scale, s)
     return out

@@ -31,6 +31,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it on first use; load it here
 
 from .errors import DomainError, check_degree
 from .specfun import _norm_assoc_rows

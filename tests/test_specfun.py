@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -14,7 +15,7 @@ from fracsphere import (AccuracyError, DomainError, SphPoint, gamma, legendre_p,
                         spherical_harmonic, specfun)
 from fracsphere.cli import main
 from fracsphere.specfun import (_ml_asymptotic, _ml_contour, _ml_integral, _ml_series,
-                                assoc_legendre_norm, assoc_legendre_norm_table)
+                                assoc_legendre_norm, assoc_legendre_norm_table, erfcx)
 
 from conftest import addition_sum, harmonic_table, ml_oracle, unit_points
 
@@ -230,6 +231,33 @@ def test_ml_half_identity_vs_mpmath():
             assert ml_neg(0.5, float(x)) == pytest.approx(ref, rel=1e-10)
 
 
+def test_erfcx_vs_mpmath_dense():
+    # E_{1/2,1}(-x) is the in-repo erfcx: x = 0, 4000 log-spaced x in
+    # [1e-300, 1e150] and 3001 in [0, 60] against 40 digits
+    xs = np.concatenate([[0.0], np.geomspace(1e-300, 1e150, 4000),
+                         np.linspace(0.0, 60.0, 3001)])
+    with mp.workdps(40):
+        ref = np.array([float(mp.exp(mp.mpf(x) ** 2) * mp.erfc(mp.mpf(x)))
+                        for x in xs.tolist()])
+    got = erfcx(xs)
+    assert got[0] == 1.0
+    assert np.max(np.abs(got - ref) / ref) <= 4e-15
+
+
+def test_erfcx_array_matches_scalar_bitwise():
+    rng = np.random.default_rng(3)
+    xs = rng.permutation(np.concatenate([[0.0, 10.0, 1e300, np.finfo(float).max],
+                                         rng.uniform(0.0, 60.0, 500),
+                                         np.geomspace(1e-12, 1e12, 300)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = erfcx(xs)
+    assert np.all((vals > 0.0) & (vals <= 1.0))
+    assert all(v == erfcx(np.array([x]))[0] == ml_neg(0.5, float(x))
+               for v, x in zip(vals, xs))
+    assert np.array_equal(erfcx(xs[3::5]), vals[3::5])  # a strided view
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.25, 1.0), (0.4, 1.0), (0.6, 1.0),
                                         (0.75, 1.0), (0.9, 1.0),
                                         (0.75, 0.75), (0.75, 1.75), (0.3, 1.3)])
@@ -415,6 +443,18 @@ def test_ml_refuses_beta_below_alpha(alpha, beta, x, capsys):
     assert out == "" and re.fullmatch(f"error: {what}\n", err)
 
 
+def test_ml_branch_cut_recursion_overflow_is_quiet():
+    # at alpha = 0.01, beta = 3 the integral's beta > 1 recursion runs 200
+    # levels deep and overflows for x below about 0.03; those elements lose
+    # to the series, with no RuntimeWarning
+    xs = np.geomspace(1e-3, 1.0, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = ml_neg(0.01, xs, beta=3.0)
+    ref = np.array([float(ml_oracle(0.01, x, 3.0, dps=20)) for x in xs[::400].tolist()])
+    assert vals[::400] == pytest.approx(ref, rel=1e-10, abs=0)
+
+
 def test_ml_refuses_in_small_alpha_band():
     # beta = alpha <= 0.07 at x of about 1.03 to 3: neither the branch-cut
     # integral nor the series meets 1e-10 (the better estimate is 1.3e-10)
@@ -497,9 +537,38 @@ def test_ml_integral_raises_when_panels_too_coarse(monkeypatch):
         ml_neg(0.95, np.array([0.5, 20.0, 500.0]), beta=0.95)
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    code = "import sys, fracsphere.cli; print('scipy.integrate' in sys.modules)"
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import fracsphere.cli as cli
+
+def scipy_modules():
+    return [m for m in sys.modules if m.startswith("scipy")]
+
+loaded = {"import": scipy_modules()}
+out = Path(sys.argv[1])
+runs = {"truncation": {"alpha": 0.75, "l_tilde": 40, "l_grid": [5, 10, 20], "n_real": 4},
+        "increments": {"alpha": 0.5, "L": 24, "h_grid": [1e-6, 2e-6, 3e-6], "n_real": 4},
+        "simulate": {"L": 16, "n_lat": 16, "n_lon": 32}}
+for command, cfg in runs.items():
+    path = out / (command + ".json")
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(path), "--out", str(out / command)])
+    loaded[command] = scipy_modules() if rc == 0 else f"exit {rc}"
+print(json.dumps(loaded))
+cli.main(["ml", "--alpha", "1", "--beta", "2", "--x", "1"])
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # scipy.special alone took 0.26 s of a 0.44 s import; only ml_neg at
+    # alpha = 1, beta != 1 needs it, and imports it there
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    lines = out.stdout.strip().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith('{"import"'))
+    assert json.loads(lines[at]) == {"import": [], "truncation": [], "increments": [],
+                                     "simulate": []}
+    value = json.loads("\n".join(lines[at + 1:]))["value"]  # ml's output
+    assert value == pytest.approx(float(ml_oracle(1.0, 1.0, 2.0)), rel=1e-12, abs=0)

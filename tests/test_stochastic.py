@@ -154,6 +154,18 @@ def test_cross_sigma_vs_oracle_alpha_075():
     assert cross_sigma(50, 9e-5, 1.1e-5, 0.75) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("alpha,ell,s,h", [(0.3, 1, 0.1, 1e-10), (0.9, 2, 1.0, 1e-4),
+                                           (0.99, 10, 0.02, 1e-5), (0.9, 1, 1e-4, 1e-6)])
+def test_cross_sigma_vs_oracle_below_table_start(alpha, ell, s, h):
+    # 0.01 H is below the kernel table's first knot z0 = 1e-3^(1/alpha), so
+    # the head and the panels up to z0 evaluate both factors; the panels
+    # above read E(-u^alpha) from the table (none in the last case, S < z0)
+    scale = (ell * (ell + 1.0)) ** (1.0 / alpha)
+    assert 0.01 * scale * h < 1e-3 ** (1.0 / alpha)
+    ref = _kernel_oracle(_e_general(alpha), alpha, ell, s, h, -35.0, 20, dps=20)
+    assert cross_sigma(ell, s, h, alpha) == pytest.approx(float(ref), rel=1e-10, abs=0.0)
+
+
 def test_sigma_squared_vs_oracle_alpha_01_degree_1500():
     # lambda^10 s = 3e59: the integrand is algebraic, u^(-0.2), over the
     # last decades, which carry all but e^-30 of the integral
@@ -234,6 +246,14 @@ def test_sigma_squared_past_table_end_refused():
         sigma_squared(5, 1e300, 0.5)
     with pytest.raises(AccuracyError, match="alpha=0.1"):
         sigma_squared(1, 1e279, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cross_sigma_past_table_end_refused():
+    # cross_sigma reads E(-u^alpha) from the same table, up to S
+    assert cross_sigma(5, 1e298, 1.0, 0.5) == pytest.approx(0.2432, rel=1e-3)
+    with pytest.raises(AccuracyError, match=r"cross_sigma.*alpha=0.5, s=1e\+300"):
+        cross_sigma(5, 1e300, 1.0, 0.5)
 
 
 # --------------------------------------------------------------------------
