@@ -315,6 +315,25 @@ def _selftest_checks(cfg):
               for row, v in zip(text, sample.tolist()))
     yield "map-csv-format", bad == 0, f"{bad} of {sample.size} values differ from '%.17g'"
 
+    # 9. the bytes write_map_csv writes, through one full block of latitude
+    # rows and a partial one, against per-value '%.17g' lines
+    import tempfile  # only here, off the start-up path
+
+    grid = GridSpec(33, 64)
+    values = rng.standard_normal((33, 64)) * 10.0 ** rng.integers(-6, 7, (33, 64))
+    values[1, :4] = [-0.0, 5e-324, 1e-17, -1e300]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.csv")
+        fs.write_map_csv(fs.FieldMap(grid, values), path)
+        with open(path, "rb") as f:
+            written = f.read().split(b"\n")
+    ref = [b"theta,phi,value"] + [b"%.17g,%.17g,%.17g" % (th, ph, v)
+                                   for th, row in zip(grid.colatitudes().tolist(), values.tolist())
+                                   for ph, v in zip(grid.longitudes().tolist(), row)] + [b""]
+    bad = sum(a != b for a, b in zip(written, ref)) + abs(len(written) - len(ref))
+    yield "map-csv-bytes", bad == 0, \
+        f"{bad} of {values.size} lines differ from '%.17g,%.17g,%.17g'"
+
 
 def cmd_selftest(args):
     cfg = _config(args)

@@ -169,7 +169,7 @@ def _norm_assoc_diagonals(L, x):
         prev2, prev1 = prev1, cur
 
 
-_ROWS_BLOCK = 8  # diagonals d = l - m whose rows are buffered per matmul
+_ROWS_BLOCK = 16  # diagonals d = l - m whose rows are buffered per matmul
 
 
 def _norm_assoc_rows(re, im, starts, x):
@@ -186,19 +186,22 @@ def _norm_assoc_rows(re, im, starts, x):
 
     One all-orders recurrence serves every set.  The rows of _ROWS_BLOCK
     consecutive diagonals go into an (L+1, block, len(x)) buffer, and at
-    each block end every set adds, per order m, one matrix product: its
-    (2*2 x block) coefficients V_{m+d,m}, zero at the other parity, times
-    that order's rows.  A set's products have the same shapes and operands
-    whatever the other sets are, so its sums have the same bits; neither
-    the (l, m, ring) table nor an (L+1, L+1) coefficient square is formed.
+    each block end one matrix product per order m adds every set at once:
+    the (4k x block) coefficients V_{m+d,m} of all sets stacked, four rows
+    per set (even/odd parity x Re/Im, zero at the other parity), times that
+    order's rows.  Each output row is the same dot products over the same
+    operands whatever the other rows are, so a set's sums have the same bits
+    alone or with others; neither the (l, m, ring) table nor an (L+1, L+1)
+    coefficient square is formed.
     """
     x = np.asarray(x, dtype=float)
     L = len(starts) - 1
+    k = len(re)
     orders = np.arange(L + 1)
-    sums = [np.zeros((L + 1, 4, x.size)) for _ in re]  # [m, 2 parity + re/im, ring]
+    sums = np.zeros((L + 1, 4 * k, x.size))  # [m, set x (2 parity + re/im), ring]
     rows = np.zeros((L + 1, _ROWS_BLOCK, x.size))
-    coef = np.zeros((len(re), L + 1, 4, _ROWS_BLOCK))
-    product = np.empty((L + 1, 4, x.size))
+    coef = np.zeros((L + 1, k, 4, _ROWS_BLOCK))
+    product = np.empty_like(sums)
     for d, diagonal in _norm_assoc_diagonals(L, x):
         b = d % _ROWS_BLOCK
         if b == 0:  # rows past a diagonal's last order keep finite values
@@ -207,15 +210,17 @@ def _norm_assoc_rows(re, im, starts, x):
         rows[:n, b] = diagonal
         at = starts[d:] + orders[:n]  # V_{m+d,m}
         p = 2 * (d & 1)
-        for c, re_s, im_s in zip(coef, re, im):
-            c[:n, p, b] = re_s[at]
-            c[:n, p + 1, b] = im_s[at]
+        for s, (re_s, im_s) in enumerate(zip(re, im)):
+            coef[:n, s, p, b] = re_s[at]
+            coef[:n, s, p + 1, b] = im_s[at]
         if b == _ROWS_BLOCK - 1 or d == L:
             top = n + b  # the orders the block's first diagonal reaches
-            for c, s in zip(coef, sums):
-                np.matmul(c[:top], rows[:top], out=product[:top])
-                s[:top] += product[:top]
-    return [(s[:, :2].transpose(1, 0, 2), s[:, 2:].transpose(1, 0, 2)) for s in sums]
+            np.matmul(coef[:top].reshape(top, 4 * k, _ROWS_BLOCK), rows[:top],
+                      out=product[:top])
+            sums[:top] += product[:top]
+    sums = sums.reshape(L + 1, k, 4, x.size)
+    return [(sums[:, s, :2].transpose(1, 0, 2), sums[:, s, 2:].transpose(1, 0, 2))
+            for s in range(k)]
 
 
 def assoc_legendre_norm(ell, m, x):

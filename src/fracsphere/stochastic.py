@@ -440,6 +440,10 @@ def _cross_sigma(ells, s, h, alpha):
         # so it also grades the kink of (u + H)^alpha at u = -H; the last
         # panel starts at the last knot below S
         u_cap = 0.01 * np.minimum(np.minimum(big_s, 1.0), big_h)
+        if not np.all(u_cap > 0.0):
+            raise AccuracyError(
+                f"cross_sigma: the head panel's end 0.01 lambda^(1/alpha) h underflows "
+                f"to 0 at s={s}, h={h}, alpha={alpha}")
         k_h = np.floor(_PANELS_PER_DECADE * np.log10(u_cap / table.z0)).astype(np.int64)
         k_h -= table.knot(k_h) > u_cap
         k_s = np.ceil(_PANELS_PER_DECADE * np.log10(big_s / table.z0)).astype(np.int64)

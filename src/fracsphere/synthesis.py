@@ -16,10 +16,11 @@ pi - theta_j, and N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x), so the recurrence
 runs on the northern rings only (the equator ring included when nLat is
 odd) and keeps the sums over even and odd l - m apart: their sum is the
 northern ring and their difference its southern mirror, evaluated at
--cos theta_j.  Then, one set at a time, each ring is one FFT over
-longitude: order m is folded into bin m mod nLon of a length-nLon
-spectrum, which keeps the sum exact when nLon < 2L+1 (aliased orders land
-on the same phases e^{2 pi i m k / nLon} as their bins).
+-cos theta_j.  Then, one set at a time, each ring is one real inverse FFT
+over longitude of a Hermitian half spectrum, bins b = 0..nLon//2 (see
+synthesize); order m lands in bin m mod nLon or its mirror, which keeps
+the sum exact when nLon < 2L+1 (aliased orders land on the same phases
+e^{2 pi i m k / nLon} as their bins).
 """
 
 from __future__ import annotations
@@ -106,7 +107,18 @@ class FieldMap:
 def synthesize(coeffs, grid):
     """Evaluate a coefficient set on a grid, returning its FieldMap, or a
     sequence of sets that share one L, returning their list of FieldMaps
-    (see module docstring).  A set's map has the same bits either way."""
+    (see module docstring).  A set's map has the same bits either way.
+
+    Ring j's values are sum_b S_b e^{2 pi i b k / nLon}, real part, where
+    S_b sums w_m g_m(theta_j) over the orders m = b mod nLon (w_0 = 1,
+    w_m = 2 above).  The same real values come from the Hermitian half
+    spectrum H_b = (S_b + conj(S_{nLon-b}))/2, b = 0..nLon//2, through
+    np.fft.irfft, which reads only the real parts of H_0 and, for even
+    nLon, of the Nyquist bin: half the spectrum's memory and no complex
+    output to copy.  The 1/2 goes into the weights, 1/2 at m = 0 and 1
+    above, so order m adds g_m to bin m mod nLon and conj(g_m) to bin
+    -m mod nLon, wherever either bin is at most nLon//2.
+    """
     single = isinstance(coeffs, CoefficientSet)
     sets = [coeffs] if single else list(coeffs)
     degrees = sorted({c.L for c in sets})
@@ -119,22 +131,28 @@ def synthesize(coeffs, grid):
     south = n_lat // 2  # ring n_lat-1-j mirrors ring j < south
     sums = _norm_assoc_rows([c.re for c in sets], [c.im for c in sets], _layout(L)[1],
                             np.cos(grid.colatitudes()[:north]))
+    half = n_lon // 2 + 1
+    conj = np.array([1.0, -1.0])
     maps = []
     for _ in sets:
         even, odd = sums.pop(0)
-        even[:, 1:] *= 2.0
-        odd[:, 1:] *= 2.0
-        spectrum = np.zeros((n_lat, n_lon), dtype=complex)
-        parts = spectrum.view(float).reshape(n_lat, n_lon, 2)  # [ring, bin, re/im]
+        even[:, 0] *= 0.5
+        odd[:, 0] *= 0.5
+        spectrum = np.zeros((n_lat, half), dtype=complex)
+        parts = spectrum.view(float).reshape(n_lat, half, 2)  # [ring, bin, re/im]
         for start in range(0, L + 1, n_lon):
-            e = even[:, start:start + n_lon].T  # [ring, order, re/im]
+            e = even[:, start:start + n_lon].T  # [ring, order - start, re/im]
             o = odd[:, start:start + n_lon].T
             width = e.shape[1]
-            parts[:north, :width] += e + o
-            parts[::-1][:south, :width] += e[:south] - o[:south]
-        del even, odd, e, o  # views of this set's ring sums, freed before its FFT
-        # unscaled inverse DFT, in place: sum_b spectrum[b] e^{2 pi i b k / n_lon}
-        vals = np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum).real.copy()
+            low = max(1, n_lon - width + 1)  # the least bin b > 0 whose n_lon - b is here
+            for rings, g in ((parts[:north], e + o), (parts[::-1][:south], e[:south] - o[:south])):
+                rings[:, :min(width, half)] += g[:, :half]
+                rings[:, 0, 0] += g[:, 0, 0]  # bin 0 is its own mirror
+                rings[:, low:half] += g[:, n_lon - low:n_lon - half:-1] * conj
+        del g  # the last ring temporary, freed before the FFT
+        # unscaled inverse real DFT: 2 Re sum_{0<b<n_lon/2} spectrum[b] e^{2 pi i b k / n_lon}
+        # plus the real parts of bin 0 and of the Nyquist bin
+        vals = np.fft.irfft(spectrum, n=n_lon, axis=1, norm="forward")
         maps.append(FieldMap(grid=grid, values=vals))
     return maps[0] if single else maps
 
@@ -175,9 +193,10 @@ def _g17_tables():
     return tables
 
 
-def _format_g17(values):
+def _format_g17(values, out=None):
     """The bytes of '%.17g' % v for every value, as the rows of an
-    (n, _G17_WIDTH) uint8 array padded with NUL.
+    (n, _G17_WIDTH) uint8 array padded with NUL: `out` if given (any
+    strided view, every byte of which is overwritten), else a new array.
 
     A value whose decimal exponent X = floor(log10 |v|) lies in [-4, 16],
     which %g prints in fixed notation, takes a few array operations:
@@ -192,13 +211,14 @@ def _format_g17(values):
     - D is cut into 4-digit groups through a 10^4-entry digit table whose
       trailing zeros are NUL, and the sign, the "0." with its leading zeros
       and the decimal point are placed with static slices, one slice per
-      (X, sign) group.
+      (X, sign) group, and the groups' rows are scattered into `out`.
     Every other value (+-0, |v| < 1e-4, |v| >= 1e17, subnormals, inf, nan)
     is formatted by Python, one element at a time.
     """
     v = np.asarray(values, dtype=float).ravel()
     pow10, pow10_hi, pow10_lo, floors, quads = _g17_tables()
-    out = np.zeros((v.size, _G17_WIDTH), np.uint8)
+    if out is None:
+        out = np.empty((v.size, _G17_WIDTH), np.uint8)
     a = np.abs(v)
     fixed = (a >= floors[0]) & (a < floors[-1])
     at = np.flatnonzero(fixed)
@@ -270,26 +290,30 @@ def write_map_csv(fmap, path):
     Every number has the bytes of '%.17g' % v, from the exact array
     formatter _format_g17: values in [1e-4, 1e17) on whole arrays, every
     other value by Python one at a time.  Blocks of _CSV_BLOCK_ROWS latitude
-    rows are laid out as fixed-width fields padded with NUL, the NULs are
-    deleted, and each block is written as soon as it is formatted, so the
+    rows are laid out as fixed-width lines padded with NUL in one bytearray,
+    whose numpy view _format_g17 fills in place; the bytearray's NULs are
+    deleted and the rest written as soon as the block is formatted, so the
     temporaries stay at a few MB."""
     grid = fmap.grid
     theta = _trimmed(_format_g17(grid.colatitudes()))
     phi = _trimmed(_format_g17(grid.longitudes()))
     wt = theta.shape[1]
     wv = wt + phi.shape[1] + 2  # where the value field starts
-    block = np.zeros((_CSV_BLOCK_ROWS, grid.n_lon, wv + _G17_WIDTH + 1), np.uint8)
+    width = wv + _G17_WIDTH + 1
+    buf = bytearray(_CSV_BLOCK_ROWS * grid.n_lon * width)
+    block = np.frombuffer(buf, np.uint8).reshape(_CSV_BLOCK_ROWS, grid.n_lon, width)
     block[:, :, wt] = block[:, :, wv - 1] = ord(",")
     block[:, :, wt + 1:wv - 1] = phi
     block[:, :, -1] = ord("\n")
+    field = block.reshape(-1, width)[:, wv:-1]  # one value's bytes per line
     with open(path, "wb") as f:
         f.write(b"theta,phi,value\n")
         for top in range(0, grid.n_lat, _CSV_BLOCK_ROWS):
             rows = fmap.values[top:top + _CSV_BLOCK_ROWS]
-            lines = block[:len(rows)]
-            lines[:, :, :wt] = theta[top:top + len(rows), None]
-            lines[:, :, wv:-1] = _format_g17(rows).reshape(len(rows), grid.n_lon, _G17_WIDTH)
-            f.write(lines.tobytes().translate(None, b"\0"))
+            n = rows.size
+            block[:len(rows), :, :wt] = theta[top:top + len(rows), None]
+            _format_g17(rows, field[:n])
+            f.write((buf if n * width == len(buf) else buf[:n * width]).translate(None, b"\0"))
 
 
 def read_map_csv(path, grid):
@@ -332,19 +356,23 @@ def write_map_image(fmap, path, colormap="coolwarm"):
     the scaling used, exactly {"colormap", "vmax", "vmin"}.
 
     Values map linearly onto the 256-entry colormap over the data range
-    [vmin, vmax]; a degenerate range maps everything to index 0.  Output is
-    written in a single call so a failed open leaves no partial file.
+    [vmin, vmax]; a degenerate range maps everything to index 0.  The
+    rounded indices lie in [0, 255] (vmin gives 0 and vmax gives exactly
+    255), so they are cast to uint8 and looked up with one np.take.  The
+    pixels are ready before the file is opened, so a failed open leaves no
+    partial file.
     """
     vmin, vmax = float(fmap.values.min()), float(fmap.values.max())
+    idx = fmap.values - vmin
     if vmax > vmin:
-        idx = np.rint((fmap.values - vmin) / (vmax - vmin) * 255.0)  # in [0, 255]
-    else:
-        idx = np.zeros_like(fmap.values)
-    table = _colormap_table(colormap)
-    pixels = table[idx.astype(np.intp)]
+        idx /= vmax - vmin
+        idx *= 255.0
+        np.rint(idx, out=idx)
+    pixels = np.take(_colormap_table(colormap), idx.astype(np.uint8), axis=0)
     header = b"P6\n%d %d\n255\n" % (fmap.grid.n_lon, fmap.grid.n_lat)
     with open(path, "wb") as f:
-        f.write(header + pixels.tobytes())
+        f.write(header)
+        f.write(pixels)
     sidecar = {"vmin": vmin, "vmax": vmax, "colormap": colormap}
     with open(os.path.splitext(path)[0] + ".json", "w") as f:
         json.dump(sidecar, f, indent=1, sort_keys=True)

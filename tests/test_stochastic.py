@@ -256,6 +256,16 @@ def test_cross_sigma_past_table_end_refused():
         cross_sigma(5, 1e300, 1.0, 0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cross_sigma_head_underflow_refused():
+    # 0.01 lambda^(1/alpha) h underflows to 0 at the least subnormal h: an
+    # AccuracyError naming s, h and alpha, with no log10(0) warning first;
+    # a subnormal h whose head end stays positive is still evaluated
+    with pytest.raises(AccuracyError, match=r"cross_sigma.*s=1.0, h=5e-324, alpha=0.5"):
+        cross_sigma(1, 1.0, 5e-324, 0.5)
+    assert cross_sigma(2, 1.0, 1e-320, 0.5) == pytest.approx(sigma_squared(2, 1.0, 0.5), rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # samplers: determinism and shape
 

@@ -10,7 +10,7 @@ from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
                         FractionalModel, GridSpec, RngStream, evolution_snapshots,
                         sample_combined, synthesize, write_map_csv, write_map_image)
 from fracsphere.specfun import _ROWS_BLOCK, _norm_assoc_order, assoc_legendre_norm_table
-from fracsphere.synthesis import _format_g17, read_map_csv
+from fracsphere.synthesis import _colormap_table, _format_g17, read_map_csv
 
 
 def naive_eval(coeffs, thetas, phis):
@@ -141,10 +141,12 @@ def test_l400_pixels_match_scipy_harmonics():
     assert worst <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("n_lon", [1, 2, 7, 13, 40, 64])
+@pytest.mark.parametrize("n_lon", [1, 2, 7, 13, 40, 41, 42, 64])
 def test_fft_fold_matches_dense_sum(n_lon):
     # L = 20 needs 41 longitudes to resolve every order; fewer alias, and
     # the fold must still give the dense sum over all orders exactly.  The
+    # half spectrum takes orders past n_lon/2 as mirrored bins, and an even
+    # n_lon has a Nyquist bin (42, and 40 and 64 with aliased orders).  The
     # southern rings, mirrored from the northern ones, are checked against
     # sums at their own cos(theta): poles only, an equator ring, even and
     # odd ring counts, on both grid kinds
@@ -158,11 +160,13 @@ def test_fft_fold_matches_dense_sum(n_lon):
             assert np.max(np.abs(fmap.values - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
-@pytest.mark.parametrize("L", [0, 1, _ROWS_BLOCK - 1, _ROWS_BLOCK, 2 * _ROWS_BLOCK + 3])
+@pytest.mark.parametrize("L", sorted({0, 1, 7, 8, 19, _ROWS_BLOCK - 1, _ROWS_BLOCK,
+                                       2 * _ROWS_BLOCK + 3}))
 def test_joint_synthesis_matches_dense_sum(L):
     # one call for several sets shares the recurrence and sums blocks of
     # _ROWS_BLOCK diagonals per matrix product: degrees below, at and past
-    # one block, on grids that resolve every order and on ones that alias
+    # one block, and degrees whose last diagonal ends a block part-filled,
+    # on grids that resolve every order and on ones that alias
     sets = [random_coeffs(L, seed=s) for s in range(3)]
     for grid in (GridSpec(9, 2 * L + 2), GridSpec(8, max(1, L), gauss=True)):
         maps = synthesize(sets, grid)
@@ -176,11 +180,13 @@ def test_joint_synthesis_matches_dense_sum(L):
 @pytest.mark.parametrize("n_lat", [8, 9])
 def test_joint_synthesis_bits_match_single(gauss, n_lat):
     # a set's map has the same bits whether it is synthesized alone or with
-    # other sets of its degree
+    # other sets of its degree: the stacked product has 4 rows per set, and
+    # no row may depend on how many rows the matrix product has
     grid = GridSpec(n_lat, 40, gauss=gauss)
-    sets = [random_coeffs(20, seed=s) for s in (3, 4, 5)]
-    for c, fmap in zip(sets, synthesize(sets, grid)):
-        assert np.array_equal(fmap.values, synthesize(c, grid).values)
+    for n_sets in (1, 2, 3, 5):
+        sets = [random_coeffs(20, seed=s) for s in range(3, 3 + n_sets)]
+        for c, fmap in zip(sets, synthesize(sets, grid)):
+            assert np.array_equal(fmap.values, synthesize(c, grid).values)
 
 
 @pytest.mark.parametrize("sets", [[], [zero_coeffs(4), zero_coeffs(5)]])
@@ -391,6 +397,28 @@ def test_ppm_bytes_documented_example(tmp_path):
     assert sidecar["vmin"] == 0.0 and sidecar["vmax"] == 1.0
     assert sidecar["colormap"] == "gray"
     assert set(sidecar) == {"colormap", "vmax", "vmin"}
+
+
+@pytest.mark.parametrize("colormap", ["gray", "coolwarm"])
+def test_ppm_pixels_hit_every_index(tmp_path, colormap):
+    # values that round to each of the 256 colour indices, vmin and vmax
+    # included: the pixels are the table rows of the float indices, and the
+    # uint8 indices never wrap
+    grid = GridSpec(4, 128)
+    fmap = synthesize(zero_coeffs(1), grid)
+    fmap.values = -3.0 + 7.0 * np.random.default_rng(5).permutation(
+        np.concatenate([np.arange(256) / 255.0, np.linspace(0.0, 1.0, 256)])).reshape(4, 128)
+    path = tmp_path / "map.ppm"
+    write_map_image(fmap, str(path), colormap=colormap)
+    pixels = np.frombuffer(path.read_bytes().split(b"\n", 3)[3], np.uint8).reshape(4, 128, 3)
+    vmin, vmax = fmap.values.min(), fmap.values.max()
+    idx = np.rint((fmap.values - vmin) / (vmax - vmin) * 255.0).astype(np.intp)
+    assert np.unique(idx).size == 256
+    table = _colormap_table(colormap)
+    assert np.array_equal(pixels, table[idx])
+    for value, index in ((vmin, 0), (vmax, 255)):
+        at = fmap.values == value
+        assert at.any() and np.all(pixels[at] == table[index])
 
 
 def test_constant_map_single_color(tmp_path):
