@@ -301,15 +301,18 @@ def _selftest_checks(cfg):
         f"pointwise dev {worst:.2e}, Parseval dev {pdev:.2e}"
 
     # 8. the map CSVs' array '%.17g' against Python's, on a fixed sample
-    # across the fixed-notation window [1e-4, 1e17) and its edges
+    # across the fixed-notation window [1e-4, 1e17), its edges and the
+    # binade edges 2^e whose decimal exponent the formatter looks up
     rng = np.random.default_rng(17)
     tens = np.array([float(f"1e{j}") for j in range(-6, 19)])
+    twos = np.ldexp(1.0, np.arange(-15, 59))
     bits = rng.integers(0, 2 ** 64, 2000, dtype=np.uint64).view(np.float64)
     sample = np.concatenate([
         rng.uniform(1.0, 10.0, 18000) * 10.0 ** rng.integers(-5, 18, 18000),
         bits[np.isfinite(bits)], tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
         [0.0, 5e-324, np.finfo(float).tiny, np.finfo(float).max]])
     sample *= rng.choice([-1.0, 1.0], sample.size)
+    sample = np.concatenate([sample, twos, np.nextafter(twos, 0.0), -np.nextafter(twos, np.inf)])
     text = _format_g17(sample)
     bad = sum(row.tobytes().rstrip(b"\0") != b"%.17g" % v
               for row, v in zip(text, sample.tolist()))

@@ -132,44 +132,61 @@ def _norm_assoc_order(L, m, x):
     return rows
 
 
-def _norm_assoc_diagonals(L, x):
+_ROWS_BLOCK = 16  # diagonals d = l - m per block of recurrence coefficients and ring sums
+
+
+def _norm_assoc_diagonals(L, x, slabs=None):
     """All-orders recurrence: for d = 0..L yield (d, N) with
     N[m, j] = N_{m+d,m}(x_j) for m = 0..L-d.
 
     One step per d = l - m over every order at once (L numpy steps instead
     of ~L^2/2).  Each element goes through the same floating-point
     operations as in _norm_assoc_order, so the values are bit-identical to
-    the per-degree recurrence.  Only the last two steps are kept, so a
-    caller that consumes each step as it comes needs O(L len(x)) memory.
+    the per-degree recurrence.  Step d is written in place into rows
+    0..L-d of slabs[d % len(slabs)], a ring of at least three
+    (L+1, len(x)) slabs (three new ones if none are given), from the two
+    slabs before it; the yielded N is that slab's view, valid until the
+    ring comes round to it again.  Rows past L-d keep what an earlier step
+    wrote there.  The coefficient columns a and b of _ROWS_BLOCK steps at a
+    time are one (_ROWS_BLOCK, L+1-d) array each, from the same expressions
+    as the per-degree ones.
     """
     x = np.asarray(x, dtype=float)
+    if slabs is None:
+        slabs = np.empty((3, L + 1, x.size))
+    ring = len(slabs)
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     j = np.arange(1, L + 1, dtype=float)[:, None]
     factors = np.empty((L + 1, x.size))
     factors[0] = 1.0
     factors[1:] = -s * np.sqrt((2 * j + 1) / (2 * j))
-    prev2 = np.multiply.accumulate(factors, axis=0)  # N_{m,m}
+    prev2 = np.multiply.accumulate(factors, axis=0, out=slabs[0])  # N_{m,m}
+    del factors
     yield 0, prev2
     if L == 0:
         return
-    m = np.arange(L + 1, dtype=float)[:, None]
-    prev1 = np.sqrt(2 * m[:L] + 3) * x * prev2[:L]
+    m = np.arange(L + 1, dtype=float)
+    prev1 = np.multiply(np.sqrt(2 * m[:L] + 3)[:, None], x, out=slabs[1][:L])
+    prev1 *= prev2[:L]
     yield 1, prev1
-    for d in range(2, L + 1):
-        k = L - d + 1
-        mk = m[:k]
-        ell = mk + d
-        a = np.sqrt((2 * ell + 1) * (2 * ell - 1) / (d * (2 * mk + d)))
-        b = np.sqrt((2 * ell + 1) * (d - 1) * (2 * mk + d - 1)
-                    / ((2 * ell - 3) * d * (2 * mk + d)))
-        cur = a * x
-        cur *= prev1[:k]
-        cur -= b * prev2[:k]
-        yield d, cur
-        prev2, prev1 = prev1, cur
-
-
-_ROWS_BLOCK = 16  # diagonals d = l - m whose rows are buffered per matmul
+    if L == 1:
+        return
+    tmp = np.empty((L - 1, x.size))  # b N_{m+d-2,m}
+    for first in range(0, L + 1, _ROWS_BLOCK):
+        steps = range(max(first, 2), min(first + _ROWS_BLOCK, L + 1))
+        ds = np.array(steps, dtype=float)[:, None]
+        mk = m[:L + 1 - steps[0]]
+        ell = mk + ds
+        a = np.sqrt((2 * ell + 1) * (2 * ell - 1) / (ds * (2 * mk + ds)))
+        b = np.sqrt((2 * ell + 1) * (ds - 1) * (2 * mk + ds - 1)
+                    / ((2 * ell - 3) * ds * (2 * mk + ds)))
+        for i, d in enumerate(steps):
+            k = L - d + 1
+            cur = np.multiply(a[i, :k, None], x, out=slabs[d % ring][:k])
+            cur *= prev1[:k]
+            cur -= np.multiply(b[i, :k, None], prev2[:k], out=tmp[:k])
+            yield d, cur
+            prev2, prev1 = prev1, cur
 
 
 def _norm_assoc_rows(re, im, starts, x):
@@ -184,12 +201,15 @@ def _norm_assoc_rows(re, im, starts, x):
     even + odd is the ring sum at x_j and even - odd the ring sum at -x_j,
     so one pass serves a ring and its mirror.
 
-    One all-orders recurrence serves every set.  The rows of _ROWS_BLOCK
-    consecutive diagonals go into an (L+1, block, len(x)) buffer, and at
-    each block end one matrix product per order m adds every set at once:
-    the (4k x block) coefficients V_{m+d,m} of all sets stacked, four rows
-    per set (even/odd parity x Re/Im, zero at the other parity), times that
-    order's rows.  Each output row is the same dot products over the same
+    One all-orders recurrence serves every set.  It writes each diagonal in
+    place into a ring of _ROWS_BLOCK contiguous (L+1, len(x)) slabs, one per
+    diagonal of a block, and at each block end one matrix product per order
+    m adds every set at once: the (4k x block) coefficients V_{m+d,m} of all
+    sets stacked, four rows per set (even/odd parity x Re/Im, zero at the
+    other parity and past a diagonal's last order), times that order's rows
+    of the slabs, read as a strided (orders, block, len(x)) batch.  The
+    coefficients of a block are gathered once, through one (orders, block)
+    index array.  Each output row is the same dot products over the same
     operands whatever the other rows are, so a set's sums have the same bits
     alone or with others; neither the (l, m, ring) table nor an (L+1, L+1)
     coefficient square is formed.
@@ -199,24 +219,28 @@ def _norm_assoc_rows(re, im, starts, x):
     k = len(re)
     orders = np.arange(L + 1)
     sums = np.zeros((L + 1, 4 * k, x.size))  # [m, set x (2 parity + re/im), ring]
-    rows = np.zeros((L + 1, _ROWS_BLOCK, x.size))
-    coef = np.zeros((L + 1, k, 4, _ROWS_BLOCK))
+    # slab d % block holds diagonal d; rows past a diagonal's last order keep
+    # finite values of an earlier one, and their coefficients are zero
+    rows = np.zeros((_ROWS_BLOCK, L + 1, x.size))
+    coef = np.zeros((L + 1, k, 4, _ROWS_BLOCK))  # never written at the other parity
     product = np.empty_like(sums)
-    for d, diagonal in _norm_assoc_diagonals(L, x):
+    block = np.arange(_ROWS_BLOCK)
+    for d, _ in _norm_assoc_diagonals(L, x, rows):
         b = d % _ROWS_BLOCK
-        if b == 0:  # rows past a diagonal's last order keep finite values
-            coef[:] = 0.0  # of an earlier block; their coefficients are zero
-        n = L + 1 - d  # orders m = 0..L-d
-        rows[:n, b] = diagonal
-        at = starts[d:] + orders[:n]  # V_{m+d,m}
-        p = 2 * (d & 1)
-        for s, (re_s, im_s) in enumerate(zip(re, im)):
-            coef[:n, s, p, b] = re_s[at]
-            coef[:n, s, p + 1, b] = im_s[at]
+        top = L + 1 - (d - b)  # the orders the block's first diagonal reaches
+        if b == 0:
+            ell = orders[:top, None] + (d + block)
+            at = starts[np.minimum(ell, L)] + orders[:top, None]  # V_{m+d,m}
+            for p in (0, 1):  # blocks start at even d, so column b has the parity of b
+                cols = at[:, p::2]
+                for s, (re_s, im_s) in enumerate(zip(re, im)):
+                    coef[:top, s, 2 * p, p::2] = re_s[cols]
+                    coef[:top, s, 2 * p + 1, p::2] = im_s[cols]
+            past = max(0, top - _ROWS_BLOCK)  # only these rows can have m + d > L
+            np.copyto(coef[past:top], 0.0, where=(ell[past:] > L)[:, None, None, :])
         if b == _ROWS_BLOCK - 1 or d == L:
-            top = n + b  # the orders the block's first diagonal reaches
-            np.matmul(coef[:top].reshape(top, 4 * k, _ROWS_BLOCK), rows[:top],
-                      out=product[:top])
+            np.matmul(coef[:top].reshape(top, 4 * k, _ROWS_BLOCK),
+                      rows[:, :top].transpose(1, 0, 2), out=product[:top])
             sums[:top] += product[:top]
     sums = sums.reshape(L + 1, k, 4, x.size)
     return [(sums[:, s, :2].transpose(1, 0, 2), sums[:, s, 2:].transpose(1, 0, 2))

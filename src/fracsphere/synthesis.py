@@ -170,9 +170,13 @@ def _g17_tables():
     """The exact formatter's tables, built on first use.
 
     10^k for k = 0..20 (exact doubles) with their Veltkamp halves; the least
-    double >= 10^X for X = -4..17, so that X = floor(log10 a) is one search;
-    and the ASCII digits of 0..9999 as one uint32 each, plain in entries
-    0..9999 and with trailing zeros turned into NUL in entries 10^4..2*10^4-1.
+    double >= 10^X for X = -4..17 (`floors`); per biased binary exponent
+    e = 0..2047, X = floor(log10 a) of the binade's least double 2^(e-1023)
+    and the least double >= 10^(X+1) if the binade holds one, else inf, so
+    that floor(log10 a) = low[e] + (a >= thr[e]) for every a in the window
+    (a binade holds at most one power of ten); and the ASCII digits of
+    0..9999 as one uint32 each, plain in entries 0..9999 and with trailing
+    zeros turned into NUL in entries 10^4..2*10^4-1.
     """
     pow10 = np.concatenate(([1.0], np.cumprod(np.full(20, 10.0))))
     split = _SPLIT * pow10
@@ -183,11 +187,17 @@ def _g17_tables():
         num, den = t.as_integer_ratio()
         below = num * 10 ** max(-x, 0) < den * 10 ** max(x, 0)
         floors.append(math.nextafter(t, math.inf) if below else t)
+    floors = np.array(floors)
+    least = (np.arange(2048) << 52).view(np.float64)  # 2^(e-1023); 0 and inf at the ends
+    above = np.searchsorted(floors, least, side="right")  # floors <= the binade's least double
+    low = above - 5
+    thr = np.append(floors, np.inf)[above]
+    thr[:-1][thr[:-1] >= least[1:]] = np.inf  # not in the binade
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
     kept = np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
     chars = digits + ord("0")
     quads = np.concatenate([chars, chars * kept]).astype(np.uint8)
-    tables = (pow10, pow10_hi, pow10 - pow10_hi, np.array(floors), quads.view(np.uint32).ravel())
+    tables = (pow10, pow10_hi, pow10 - pow10_hi, floors, low, thr, quads.view(np.uint32).ravel())
     for a in tables:
         a.flags.writeable = False
     return tables
@@ -200,7 +210,8 @@ def _format_g17(values, out=None):
 
     A value whose decimal exponent X = floor(log10 |v|) lies in [-4, 16],
     which %g prints in fixed notation, takes a few array operations:
-    - X is found exactly, by a search in the least doubles >= 10^X;
+    - X is found exactly from the biased binary exponent e of |v|, as
+      low[e] + (|v| >= thr[e]) over two 2048-entry tables;
     - with k = 16 - X <= 20, 10^k is an exact double, and Dekker's
       error-free product (Numer. Math. 18 (1971) 224) gives |v| 10^k = p + e
       exactly, p an integer above 2^53.  D = p + floor(e), plus a carry
@@ -208,7 +219,8 @@ def _format_g17(values, out=None):
       17-digit significand.  It never rounds up to 10^17: the largest double
       below each power of ten in the window lies more than half a unit of
       the 17th digit below it;
-    - D is cut into 4-digit groups through a 10^4-entry digit table whose
+    - D is cut into 4-digit groups, by integer division by constants and a
+      multiply-subtract for each remainder, through a 10^4-entry digit table whose
       trailing zeros are NUL, and the sign, the "0." with its leading zeros
       and the decimal point are placed with static slices, one slice per
       (X, sign) group, and the groups' rows are scattered into `out`.
@@ -216,14 +228,15 @@ def _format_g17(values, out=None):
     is formatted by Python, one element at a time.
     """
     v = np.asarray(values, dtype=float).ravel()
-    pow10, pow10_hi, pow10_lo, floors, quads = _g17_tables()
+    pow10, pow10_hi, pow10_lo, floors, low, thr, quads = _g17_tables()
     if out is None:
         out = np.empty((v.size, _G17_WIDTH), np.uint8)
     a = np.abs(v)
     fixed = (a >= floors[0]) & (a < floors[-1])
     at = np.flatnonzero(fixed)
     a = a[at]
-    x = np.searchsorted(floors, a, side="right") - 5
+    expo = a.view(np.int64) >> 52  # the biased exponent: a >= 0
+    x = low[expo] + (a >= thr[expo])
     k = 16 - x
     b, b_hi, b_lo = pow10[k], pow10_hi[k], pow10_lo[k]
     split = _SPLIT * a
@@ -231,9 +244,10 @@ def _format_g17(values, out=None):
     a_lo = a - a_hi
     p = a * b
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    floor_e = np.floor(e)
+    floor_e = e.astype(np.int64)  # truncated, then floored
+    floor_e -= e < floor_e
     frac = e - floor_e
-    d = p.astype(np.int64) + floor_e.astype(np.int64)
+    d = p.astype(np.int64) + floor_e
     d += (frac > 0.5) | ((frac == 0.5) & (d & 1).astype(bool))
     # sort by (X, sign), so that each group is one run of rows
     code = (2 * (x + 4) + (v[at] < 0)).astype(np.int8)
@@ -241,13 +255,18 @@ def _format_g17(values, out=None):
     d = d[order]
     # 17 digits as 1 + 4 x 4; a group whose later groups are all zero takes
     # the table half with its trailing zeros as NUL
-    high, low = np.divmod(d, 10 ** 8)
-    lead, mid = np.divmod(high, 10 ** 8)
+    # (d >= 0, so // is also truncation; numpy's // by a constant is much
+    # faster than its divmod)
+    high = d // 10 ** 8
+    low8 = d - high * 10 ** 8
     groups = np.empty((d.size, 5), np.int64)
-    groups[:, 0] = lead
-    groups[:, 1], groups[:, 2] = np.divmod(mid, 10 ** 4)
-    groups[:, 3], groups[:, 4] = np.divmod(low, 10 ** 4)
-    tail = 10 ** 4 * (low == 0)
+    groups[:, 0] = lead = high // 10 ** 8
+    mid = high - lead * 10 ** 8
+    groups[:, 1] = mid // 10 ** 4
+    groups[:, 2] = mid - groups[:, 1] * 10 ** 4
+    groups[:, 3] = low8 // 10 ** 4
+    groups[:, 4] = low8 - groups[:, 3] * 10 ** 4
+    tail = 10 ** 4 * (low8 == 0)
     groups[:, 1] += tail * (groups[:, 2] == 0)
     groups[:, 2] += tail
     groups[:, 3] += 10 ** 4 * (groups[:, 4] == 0)
@@ -356,16 +375,21 @@ def write_map_image(fmap, path, colormap="coolwarm"):
     the scaling used, exactly {"colormap", "vmax", "vmin"}.
 
     Values map linearly onto the 256-entry colormap over the data range
-    [vmin, vmax]; a degenerate range maps everything to index 0.  The
-    rounded indices lie in [0, 255] (vmin gives 0 and vmax gives exactly
-    255), so they are cast to uint8 and looked up with one np.take.  The
-    pixels are ready before the file is opened, so a failed open leaves no
-    partial file.
+    [vmin, vmax]; a degenerate range maps everything to index 0.  A finite
+    map whose vmax - vmin overflows has its values and both bounds halved
+    first (exact for normal doubles); every other map takes them as they
+    are.  The rounded indices lie in [0, 255] (vmin gives 0 and vmax gives
+    exactly 255), so they are cast to uint8 and looked up with one np.take.
+    The pixels are ready before the file is opened, so a failed open leaves
+    no partial file.
     """
     vmin, vmax = float(fmap.values.min()), float(fmap.values.max())
-    idx = fmap.values - vmin
-    if vmax > vmin:
-        idx /= vmax - vmin
+    values, lo, hi = fmap.values, vmin, vmax
+    if math.isinf(vmax - vmin):  # a finite range too wide for a double
+        values, lo, hi = values * 0.5, vmin * 0.5, vmax * 0.5
+    idx = values - lo
+    if hi > lo:
+        idx /= hi - lo
         idx *= 255.0
         np.rint(idx, out=idx)
     pixels = np.take(_colormap_table(colormap), idx.astype(np.uint8), axis=0)

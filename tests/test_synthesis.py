@@ -10,7 +10,7 @@ from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
                         FractionalModel, GridSpec, RngStream, evolution_snapshots,
                         sample_combined, synthesize, write_map_csv, write_map_image)
 from fracsphere.specfun import _ROWS_BLOCK, _norm_assoc_order, assoc_legendre_norm_table
-from fracsphere.synthesis import _colormap_table, _format_g17, read_map_csv
+from fracsphere.synthesis import _colormap_table, _format_g17, _g17_tables, read_map_csv
 
 
 def naive_eval(coeffs, thetas, phis):
@@ -161,12 +161,17 @@ def test_fft_fold_matches_dense_sum(n_lon):
 
 
 @pytest.mark.parametrize("L", sorted({0, 1, 7, 8, 19, _ROWS_BLOCK - 1, _ROWS_BLOCK,
-                                       2 * _ROWS_BLOCK + 3}))
+                                       2 * _ROWS_BLOCK + 3, 2 * _ROWS_BLOCK - 1,
+                                       2 * _ROWS_BLOCK, 2 * _ROWS_BLOCK + 1,
+                                       3 * _ROWS_BLOCK - 1}))
 def test_joint_synthesis_matches_dense_sum(L):
     # one call for several sets shares the recurrence and sums blocks of
     # _ROWS_BLOCK diagonals per matrix product: degrees below, at and past
-    # one block, and degrees whose last diagonal ends a block part-filled,
-    # on grids that resolve every order and on ones that alias
+    # one block, and degrees whose last diagonal ends a block part-filled;
+    # the recurrence writes diagonal d into slab d % _ROWS_BLOCK, so degrees
+    # that end a second or third block, or start one, cover the slab ring's
+    # wrap across block ends; on grids that resolve every order and on ones
+    # that alias
     sets = [random_coeffs(L, seed=s) for s in range(3)]
     for grid in (GridSpec(9, 2 * L + 2), GridSpec(8, max(1, L), gauss=True)):
         maps = synthesize(sets, grid)
@@ -353,6 +358,23 @@ def test_g17_powers_of_ten_neighbours():
     assert_g17(np.concatenate([values, -values]))
 
 
+def test_g17_binade_edges():
+    # the decimal exponent comes from two tables over the biased binary
+    # exponent; check both neighbours of every binade edge 2^e that can reach
+    # the fixed-notation window, and of every power of ten, against '%.17g',
+    # and the tables' X against the exact floor(log10 v)
+    values = []
+    for t in [2.0 ** e for e in range(-14, 58)] + [float(f"1e{j}") for j in range(-5, 18)]:
+        values += [np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)]
+    values = np.array(values)
+    assert_g17(np.concatenate([values, -values]))
+    _, _, _, floors, low, thr, _ = _g17_tables()
+    a = values[(values >= floors[0]) & (values < floors[-1])]
+    expo = a.view(np.int64) >> 52
+    for v, x in zip(a.tolist(), (low[expo] + (a >= thr[expo])).tolist()):
+        assert Fraction(10) ** x <= Fraction(v) < Fraction(10) ** (x + 1)
+
+
 def test_g17_special_values():
     tiny = np.finfo(float).tiny
     assert_g17([0.0, -0.0, 5e-324, -5e-324, np.nextafter(tiny, 0.0), tiny, 1e300, -1e300,
@@ -419,6 +441,20 @@ def test_ppm_pixels_hit_every_index(tmp_path, colormap):
     for value, index in ((vmin, 0), (vmax, 255)):
         at = fmap.values == value
         assert at.any() and np.all(pixels[at] == table[index])
+
+
+@pytest.mark.filterwarnings("error")
+def test_ppm_range_past_largest_double(tmp_path):
+    # vmax - vmin overflows for this finite map; halving the values and the
+    # bounds keeps the indices exact: 0, 1/2 (rounded up), 1/2 and 1
+    grid = GridSpec(2, 2)
+    fmap = synthesize(zero_coeffs(1), grid)
+    fmap.values = np.array([[-1e308, 0.0], [1.0, 1e308]])
+    path = tmp_path / "wide.ppm"
+    write_map_image(fmap, str(path), colormap="gray")
+    assert path.read_bytes() == b"P6\n2 2\n255\n" + bytes(np.repeat([0, 128, 128, 255], 3).tolist())
+    sidecar = json.loads((tmp_path / "wide.json").read_text())
+    assert sidecar["vmin"] == -1e308 and sidecar["vmax"] == 1e308
 
 
 def test_constant_map_single_color(tmp_path):
