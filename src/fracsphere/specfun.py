@@ -2,7 +2,9 @@
 
 Gamma, Legendre polynomials, pre-normalized associated Legendre functions,
 complex spherical harmonics, and the two-parameter Mittag-Leffler function
-E_{alpha,beta}(-x) on the negative real axis.
+E_{alpha,beta}(-x) on the negative real axis.  The Legendre functions here
+are the per-point scalar reference; map synthesis runs its own all-orders
+recurrence, fused with the ring sums, in synthesis._norm_assoc_rows.
 
 Spherical-harmonic convention
 -----------------------------
@@ -22,6 +24,7 @@ the usual unit-measure orthonormal ones, so the addition theorem reads
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +39,6 @@ __all__ = [
     "gamma",
     "legendre_p",
     "assoc_legendre_norm",
-    "assoc_legendre_norm_table",
     "spherical_harmonic",
     "erfcx",
     "ml_neg",
@@ -71,8 +73,8 @@ def _cospi(y):
 def _rgamma(y):
     """1/Gamma(y) for any real y (zero at the poles y = 0, -1, -2, ...)."""
     if y > 0.5:
-        if y > 170.0:
-            return math.exp(-math.lgamma(y))
+        if y > 170.0:  # past y = 180, 1/Gamma(y) rounds to 0; lgamma overflows near 1e306
+            return math.exp(-math.lgamma(y)) if y < 200.0 else 0.0
         return 1.0 / math.gamma(y)
     # reflection: 1/Gamma(y) = sin(pi*y) * Gamma(1-y) / pi
     s = _sinpi(y)
@@ -109,9 +111,10 @@ def _norm_assoc_order(L, m, x):
     Returns an array of shape (L-m+1, len(x)).  The recurrence works on the
     fully normalized functions so magnitudes stay O(sqrt(l)); no overflow up
     to l of a few thousand (values underflow harmlessly to 0 near |x| = 1
-    for large m).  This per-degree form is the scalar path's own
-    recurrence, kept separate from the all-orders one below so that each
-    can check the other.
+    for large m).  This per-degree form is the scalar path's own recurrence
+    and the reference, to the last bit, for the all-orders one fused with
+    the ring sums in synthesis._norm_assoc_rows (which the benchmark's
+    tracer still names specfun.legendre_rows).
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
@@ -132,121 +135,6 @@ def _norm_assoc_order(L, m, x):
     return rows
 
 
-_ROWS_BLOCK = 16  # diagonals d = l - m per block of recurrence coefficients and ring sums
-
-
-def _norm_assoc_diagonals(L, x, slabs=None):
-    """All-orders recurrence: for d = 0..L yield (d, N) with
-    N[m, j] = N_{m+d,m}(x_j) for m = 0..L-d.
-
-    One step per d = l - m over every order at once (L numpy steps instead
-    of ~L^2/2).  Each element goes through the same floating-point
-    operations as in _norm_assoc_order, so the values are bit-identical to
-    the per-degree recurrence.  Step d is written in place into rows
-    0..L-d of slabs[d % len(slabs)], a ring of at least three
-    (L+1, len(x)) slabs (three new ones if none are given), from the two
-    slabs before it; the yielded N is that slab's view, valid until the
-    ring comes round to it again.  Rows past L-d keep what an earlier step
-    wrote there.  The coefficient columns a and b of _ROWS_BLOCK steps at a
-    time are one (_ROWS_BLOCK, L+1-d) array each, from the same expressions
-    as the per-degree ones.
-    """
-    x = np.asarray(x, dtype=float)
-    if slabs is None:
-        slabs = np.empty((3, L + 1, x.size))
-    ring = len(slabs)
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    j = np.arange(1, L + 1, dtype=float)[:, None]
-    factors = np.empty((L + 1, x.size))
-    factors[0] = 1.0
-    factors[1:] = -s * np.sqrt((2 * j + 1) / (2 * j))
-    prev2 = np.multiply.accumulate(factors, axis=0, out=slabs[0])  # N_{m,m}
-    del factors
-    yield 0, prev2
-    if L == 0:
-        return
-    m = np.arange(L + 1, dtype=float)
-    prev1 = np.multiply(np.sqrt(2 * m[:L] + 3)[:, None], x, out=slabs[1][:L])
-    prev1 *= prev2[:L]
-    yield 1, prev1
-    if L == 1:
-        return
-    tmp = np.empty((L - 1, x.size))  # b N_{m+d-2,m}
-    for first in range(0, L + 1, _ROWS_BLOCK):
-        steps = range(max(first, 2), min(first + _ROWS_BLOCK, L + 1))
-        ds = np.array(steps, dtype=float)[:, None]
-        mk = m[:L + 1 - steps[0]]
-        ell = mk + ds
-        a = np.sqrt((2 * ell + 1) * (2 * ell - 1) / (ds * (2 * mk + ds)))
-        b = np.sqrt((2 * ell + 1) * (ds - 1) * (2 * mk + ds - 1)
-                    / ((2 * ell - 3) * ds * (2 * mk + ds)))
-        for i, d in enumerate(steps):
-            k = L - d + 1
-            cur = np.multiply(a[i, :k, None], x, out=slabs[d % ring][:k])
-            cur *= prev1[:k]
-            cur -= np.multiply(b[i, :k, None], prev2[:k], out=tmp[:k])
-            yield d, cur
-            prev2, prev1 = prev1, cur
-
-
-def _norm_assoc_rows(re, im, starts, x):
-    """Ring sums of k coefficient sets split by the parity of d = l - m:
-    returns one (even, odd) pair per set, each of shape (2, L+1, len(x)),
-    where even[:, m, j] holds the real and imaginary parts of
-    sum_{l-m even} V_{l,m} N_{l,m}(x_j) and odd the same over odd l - m.
-
-    `re` and `im` are sequences of k packed arrays, Re V and Im V of each
-    set by degree, V_{l,m} at starts[l] + m for 0 <= m <= l <= L
-    (CoefficientSet's layout).  As N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x),
-    even + odd is the ring sum at x_j and even - odd the ring sum at -x_j,
-    so one pass serves a ring and its mirror.
-
-    One all-orders recurrence serves every set.  It writes each diagonal in
-    place into a ring of _ROWS_BLOCK contiguous (L+1, len(x)) slabs, one per
-    diagonal of a block, and at each block end one matrix product per order
-    m adds every set at once: the (4k x block) coefficients V_{m+d,m} of all
-    sets stacked, four rows per set (even/odd parity x Re/Im, zero at the
-    other parity and past a diagonal's last order), times that order's rows
-    of the slabs, read as a strided (orders, block, len(x)) batch.  The
-    coefficients of a block are gathered once, through one (orders, block)
-    index array.  Each output row is the same dot products over the same
-    operands whatever the other rows are, so a set's sums have the same bits
-    alone or with others; neither the (l, m, ring) table nor an (L+1, L+1)
-    coefficient square is formed.
-    """
-    x = np.asarray(x, dtype=float)
-    L = len(starts) - 1
-    k = len(re)
-    orders = np.arange(L + 1)
-    sums = np.zeros((L + 1, 4 * k, x.size))  # [m, set x (2 parity + re/im), ring]
-    # slab d % block holds diagonal d; rows past a diagonal's last order keep
-    # finite values of an earlier one, and their coefficients are zero
-    rows = np.zeros((_ROWS_BLOCK, L + 1, x.size))
-    coef = np.zeros((L + 1, k, 4, _ROWS_BLOCK))  # never written at the other parity
-    product = np.empty_like(sums)
-    block = np.arange(_ROWS_BLOCK)
-    for d, _ in _norm_assoc_diagonals(L, x, rows):
-        b = d % _ROWS_BLOCK
-        top = L + 1 - (d - b)  # the orders the block's first diagonal reaches
-        if b == 0:
-            ell = orders[:top, None] + (d + block)
-            at = starts[np.minimum(ell, L)] + orders[:top, None]  # V_{m+d,m}
-            for p in (0, 1):  # blocks start at even d, so column b has the parity of b
-                cols = at[:, p::2]
-                for s, (re_s, im_s) in enumerate(zip(re, im)):
-                    coef[:top, s, 2 * p, p::2] = re_s[cols]
-                    coef[:top, s, 2 * p + 1, p::2] = im_s[cols]
-            past = max(0, top - _ROWS_BLOCK)  # only these rows can have m + d > L
-            np.copyto(coef[past:top], 0.0, where=(ell[past:] > L)[:, None, None, :])
-        if b == _ROWS_BLOCK - 1 or d == L:
-            np.matmul(coef[:top].reshape(top, 4 * k, _ROWS_BLOCK),
-                      rows[:, :top].transpose(1, 0, 2), out=product[:top])
-            sums[:top] += product[:top]
-    sums = sums.reshape(L + 1, k, 4, x.size)
-    return [(sums[:, s, :2].transpose(1, 0, 2), sums[:, s, 2:].transpose(1, 0, 2))
-            for s in range(k)]
-
-
 def assoc_legendre_norm(ell, m, x):
     """Pre-normalized associated Legendre function N_{l,m}(x).
 
@@ -261,22 +149,6 @@ def assoc_legendre_norm(ell, m, x):
     x = float(check_unit_interval("assoc_legendre_norm", x))
     rows = _norm_assoc_order(ell, m, np.array([x]))
     return float(rows[-1, 0])
-
-
-def assoc_legendre_norm_table(L, x):
-    """N_{l,m}(x_j) for every 0 <= m <= l <= L and every point x_j.
-
-    Returns shape (len(x), L+1, L+1), indexed [j, l, m], zero for m > l;
-    one pass of the all-orders recurrence, bit-identical to
-    assoc_legendre_norm.
-    """
-    L = check_degree("assoc_legendre_norm_table: degree", L)
-    xs = np.atleast_1d(check_unit_interval("assoc_legendre_norm_table", x))
-    table = np.zeros((xs.size, L + 1, L + 1))
-    orders = np.arange(L + 1)
-    for d, rows in _norm_assoc_diagonals(L, xs):
-        table[:, orders[:L + 1 - d] + d, orders[:L + 1 - d]] = rows.T
-    return table
 
 
 # --------------------------------------------------------------------------
@@ -469,6 +341,8 @@ _HALF_ULP = 2.0 ** -54   # a term below this times the sum cannot change it
 _TINY = 2.0 ** -1074     # the least subnormal: a value bounded below it rounds to +-0
 _CUT_R = 55.0            # the integrand carries exp(-r), r = v^(1/alpha) <= 55
 _CUT_BLOCK = 1 << 15     # integrand nodes evaluated at once
+_CUT_LEVELS = 1 << 12    # the most beta -> beta - alpha steps the integral takes
+_KUMMER_X_MAX = 700.0    # alpha = 1: e^x and the series' sum stay finite up to here
 
 
 @functools.lru_cache(maxsize=64)
@@ -616,6 +490,43 @@ def _ml_asymptotic(alpha, beta, xs):
     return total, rel
 
 
+def _ml1_series(beta, xs):
+    """E_{1,beta}(-x) = e^-x / Gamma(beta) sum_k (beta - 1)/(beta - 1 + k)
+    x^k / k! (Kummer's transformation of M(1, beta, -x)/Gamma(beta)) for a
+    1-d array of 0 < x <= _KUMMER_X_MAX, beta > 1; returns (value, relative
+    rounding bound).  The terms are positive, term k carries at most 2k + 3
+    roundings, so the bound is 2^-53 (3n + 19) for n terms (1/Gamma(beta) to
+    10 ulps: beta <= 170).  An element needs term k until k > x and the term
+    is below 2^-54 of the sum; later terms fall and cannot change it, so an
+    element has a scalar call's bits.
+    """
+    b1 = beta - 1.0
+    term, total = np.ones_like(xs), np.ones_like(xs)
+    for k in itertools.count(1):
+        term = term * xs / k
+        t = term * (b1 / (b1 + k))
+        need = (k <= xs) | (t >= _HALF_ULP * total)
+        total += t
+        if not need.any():
+            return np.exp(-xs) * total * _rgamma(beta), np.full_like(xs, (3 * k + 19) * _ROUNDOFF)
+
+
+def _ml1_asymptotic(beta, xs):
+    """E_{1,beta}(-x) for a 1-d array of x > _KUMMER_X_MAX and 1 < beta <
+    180 by 60 terms of the algebraic series sum_{k>=1} (-1)^(k+1) x^-k /
+    Gamma(beta - k), with 1/Gamma(beta - k) as prod_{i<k} (beta - 1 - i) /
+    Gamma(beta), whose factors stay exact where beta - k would round
+    beta - 1 away.  The terms fall by |k - beta|/x < 0.26 per k, and the
+    exponential part, below e^-x x of the value, is left out.  Returns
+    (value, relative rounding bound 2^-53 * 150 for beta <= 170).
+    """
+    term, total = -np.ones_like(xs), np.zeros_like(xs)
+    for k in range(1, 61):
+        term = term * (k - beta) / xs
+        total += term
+    return total * _rgamma(beta), np.full_like(xs, 150.0 * _ROUNDOFF)
+
+
 @functools.lru_cache(maxsize=16)
 def _cut_layout(alpha):
     """The panel knots in v that every x shares, and the knots of the dip
@@ -646,17 +557,33 @@ def _cut_layout(alpha):
     return base, dip
 
 
-def _branch_cut(alpha, beta, xs):
-    """The branch-cut integral of E_{alpha,beta}(-x) and its summed panel
-    error estimate, per element of the 1-d array xs, in blocks of at most
-    _CUT_BLOCK nodes; beta > 1 by the recursion."""
+def _ml_integral(alpha, beta, xs):
+    """Spectral (branch-cut) integral for E_{alpha,beta}(-x), 0 < alpha < 1,
+    for a 1-d array xs.  For beta <= 1,
+
+        E_{a,b}(-x) = 1/(a*pi) * int_0^vmax exp(-v^(1/a)) v^((1-b)/a)
+                      * [x sin(pi(b-a)) + v sin(pi b)]
+                      / ((v + x cos(pi a))^2 + (x sin(pi a))^2) dv,
+
+    the Hankel contour collapsed onto the negative axis, with v = r^a and
+    vmax = 55^a (the tail is below exp(-55) of the value).  For beta > 1
+    the recursion E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x))/x, run as a
+    loop, reduces to the first of beta - alpha, beta - 2 alpha, ... at or
+    below 1 (NaN, with an infinite estimate, past _CUT_LEVELS steps).
+
+    The integrand is smooth and non-oscillatory; it is summed with the
+    20-point Gauss-Legendre rule on the fixed panels of _cut_layout, over
+    every element at once, in blocks of at most _CUT_BLOCK nodes.  Returns
+    (value, relative estimate), arrays like xs: the summed panel estimates,
+    carried through the recursion, over |value|.
+    """
     a, b = alpha, beta
-    if b > 1.0:
-        val, err = _branch_cut(a, b - a, xs)
-        # beta / alpha levels deep this overflows at small alpha and tiny x;
-        # such an element's inf or NaN estimate loses to the series
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (_rgamma(b - a) - val) / xs, err / xs
+    steps = []
+    while b > 1.0:
+        if len(steps) == _CUT_LEVELS:
+            return np.full_like(xs, math.nan), np.full_like(xs, math.inf)
+        steps.append(b)
+        b -= a
     base, dip = _cut_layout(a)
     c, s = _cospi(a), _sinpi(a)
     s_ba, s_b = _sinpi(b - a), _sinpi(b)
@@ -677,29 +604,12 @@ def _branch_cut(alpha, beta, xs):
         q, e = _panels(fv * v ** pw if pw else fv, half)
         val[i:i + per] = q.reshape(x.size, npan).sum(axis=1)
         err[i:i + per] = e.reshape(x.size, npan).sum(axis=1)
-    return val / (a * math.pi), err / (a * math.pi)
-
-
-def _ml_integral(alpha, beta, xs):
-    """Spectral (branch-cut) integral for E_{alpha,beta}(-x), 0 < alpha < 1,
-    for a 1-d array xs.  For beta <= 1,
-
-        E_{a,b}(-x) = 1/(a*pi) * int_0^vmax exp(-v^(1/a)) v^((1-b)/a)
-                      * [x sin(pi(b-a)) + v sin(pi b)]
-                      / ((v + x cos(pi a))^2 + (x sin(pi a))^2) dv,
-
-    the Hankel contour collapsed onto the negative axis, with v = r^a and
-    vmax = 55^a (the tail is below exp(-55) of the value).  For beta > 1
-    the recursion E_{a,b}(-x) = (1/Gamma(b-a) - E_{a,b-a}(-x))/x reduces to
-    beta <= 1.
-
-    The integrand is smooth and non-oscillatory; it is summed with the
-    20-point Gauss-Legendre rule on the fixed panels of _cut_layout, over
-    every element at once.  Returns (value, relative estimate), arrays like
-    xs: the summed panel estimates over |value|.
-    """
-    val, err = _branch_cut(alpha, beta, xs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    val, err = val / (a * math.pi), err / (a * math.pi)
+    # beta / alpha steps up this overflows at small alpha and tiny x; such
+    # an element's inf or NaN estimate loses to the series
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for b in reversed(steps):
+            val, err = (_rgamma(b - a) - val) / xs, err / xs
         return val, err / np.abs(val)
 
 
@@ -724,9 +634,11 @@ def ml_neg(alpha, x, beta=1.0):
         the in-repo erfcx (relative error below 4e-15), on the whole array:
         exact at x = 0 as well, so the decay kernel's hot path (alpha = 1/2
         in the benchmark's increments and simulate runs) takes no mask;
-      - x = 0, where the value is 1/Gamma(beta);
-      - alpha = 1 by Kummer's M(1, beta, -x)/Gamma(beta), scipy's hyp1f1,
-        imported only here: the contour sum below is derived for alpha < 1;
+      - x = 0, where the value is 1/Gamma(beta), and every x once that
+        bound on the value rounds to 0 (beta above about 180);
+      - alpha = 1, where the regimes below do not apply, by Kummer's series
+        for x <= 700 and the algebraic series past it (_ml1_series,
+        _ml1_asymptotic), accepted at 1e-10;
       - the two-term series for x <= 1e-8, where the contour sum is about
         60 ulps off (7e-15 at alpha = 3/4, x = 1e-9);
       - for x <= 1e150, the Bromwich integral as a 16-term sum on a fixed
@@ -762,10 +674,16 @@ def _ml_general(a, b, xs):
     if b == 1.0 and a in (0.5, 1.0):  # exact at x = 0 too: no mask on the hot path
         return erfcx(xs) if a == 0.5 else np.exp(-xs)
     out = np.full_like(xs, _rgamma(b))  # the value at x = 0
+    if _rgamma(b) == 0.0:  # every value lies in [0, 1/Gamma(b)], which rounds to 0
+        return out
     todo = xs != 0.0
-    if a == 1.0:  # E_{1,b}(-x) = M(1, b, -x)/Gamma(b)  (Kummer)
-        from scipy.special import hyp1f1  # the only scipy use: imported here
-        out[todo] = hyp1f1(1.0, b, -xs[todo]) * _rgamma(b)
+    if a == 1.0:  # the contour sum and the integral below are derived for alpha < 1
+        for regime, gate in ((_ml1_series, xs <= _KUMMER_X_MAX),
+                             (_ml1_asymptotic, xs > _KUMMER_X_MAX)):
+            i = np.flatnonzero(todo & gate)
+            if i.size and not _accept(out, todo, i, b, *regime(b, xs[i]), _REL_TOL):
+                raise AccuracyError(f"ml_neg: no evaluation met the accuracy target at "
+                                    f"alpha=1, beta={b}")
         return out
     tiny = todo & (xs <= 1e-8)
     out[tiny] = _rgamma(b) - xs[tiny] * _rgamma(a + b)

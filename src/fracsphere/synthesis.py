@@ -8,10 +8,11 @@ A real field with coefficients {V_{l,m} : m >= 0} is evaluated as
 in two passes.  First the ring sums g_m(theta_j) = sum_l V_{l,m}
 N_{l,m}(cos theta_j) for every order and latitude come from one all-orders
 normalized Legendre recurrence over the packed coefficients, one per call
-however many sets of one L it synthesizes (specfun._norm_assoc_rows: ring
-sums by per-order matrix products over blocks of diagonals d = l - m,
-O(L^2 nLat) work per set, no (l, m, ring) table and no (L+1)^2 coefficient
-square).  Every grid kind has mirrored rings, theta_{nLat-1-j} =
+however many sets of one L it synthesizes (_norm_assoc_rows: each block
+of diagonals d = l - m takes its recurrence steps and its per-order matrix
+products in one loop, O(L^2 nLat) work per set, no (l, m, ring) table and
+no (L+1)^2 coefficient square; specfun's per-degree recurrence is its
+reference).  Every grid kind has mirrored rings, theta_{nLat-1-j} =
 pi - theta_j, and N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x), so the recurrence
 runs on the northern rings only (the equator ring included when nLat is
 odd) and keeps the sums over even and odd l - m apart: their sum is the
@@ -35,7 +36,6 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy loads it on first use; load it here
 
 from .errors import DomainError, check_degree
-from .specfun import _norm_assoc_rows
 from .stochastic import CoefficientSet, _layout
 
 __all__ = ["GridSpec", "FieldMap", "synthesize", "write_map_csv",
@@ -102,6 +102,87 @@ class FieldMap:
             raise DomainError("FieldMap: values shape does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("FieldMap: values must be finite")
+
+
+_ROWS_BLOCK = 16  # diagonals d = l - m per block of recurrence steps and ring sums
+
+
+def _norm_assoc_rows(re, im, starts, x):
+    """Ring sums of k coefficient sets split by the parity of d = l - m:
+    returns one (even, odd) pair per set, each of shape (2, L+1, len(x)),
+    where even[:, m, j] holds the real and imaginary parts of
+    sum_{l-m even} V_{l,m} N_{l,m}(x_j) and odd the same over odd l - m.
+
+    `re` and `im` are sequences of k packed arrays, Re V and Im V of each
+    set by degree, V_{l,m} at starts[l] + m for 0 <= m <= l <= L
+    (CoefficientSet's layout).  As N_{l,m}(-x) = (-1)^(l-m) N_{l,m}(x),
+    even + odd is the ring sum at x_j and even - odd the ring sum at -x_j,
+    so one pass serves a ring and its mirror.
+
+    One all-orders recurrence serves every set: one numpy step per diagonal
+    d over every order at once, each element through the same operations as
+    specfun._norm_assoc_order, so N_{m+d,m} has its bits.  Per block of
+    _ROWS_BLOCK diagonals, the steps' coefficients a and b are one array
+    each, each diagonal is written in place into its slab of a ring of
+    (L+1, len(x)) slabs, and one matrix product per order m adds every set
+    at once: the (4k x block) coefficients V_{m+d,m}, gathered once through
+    one index array and stacked four rows per set (parity x Re/Im, zero at
+    the other parity and past a diagonal's last order), times that order's
+    rows of the slabs, a strided (orders, block, len(x)) batch.  Each output
+    row is the same dot products whatever the other rows are, so a set's
+    sums have the same bits alone or with others.  No (l, m, ring) table or
+    (L+1, L+1) coefficient square is formed.
+    """
+    x = np.asarray(x, dtype=float)
+    L = len(starts) - 1
+    k = len(re)
+    orders = np.arange(L + 1)
+    m = orders.astype(float)
+    sums = np.zeros((L + 1, 4 * k, x.size))  # [m, set x (2 parity + re/im), ring]
+    # rows past a diagonal's last order keep finite values of an earlier
+    # one, and their coefficients are zero
+    rows = np.zeros((_ROWS_BLOCK, L + 1, x.size))
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    rows[1, 0] = 1.0  # slab 1 holds the factors of N_{m,m} until d = 1
+    rows[1, 1:] = -s * np.sqrt((2 * m[1:, None] + 1) / (2 * m[1:, None]))
+    np.multiply.accumulate(rows[1], axis=0, out=rows[0])  # N_{m,m}
+    if L:
+        np.multiply(np.sqrt(2 * m[:L] + 3)[:, None], x, out=rows[1, :L])
+        rows[1, :L] *= rows[0, :L]
+    tmp = np.empty_like(rows[0])  # b N_{m+d-2,m}
+    coef = np.zeros((L + 1, k, 4, _ROWS_BLOCK))  # never written at the other parity
+    product = np.empty_like(sums)
+    block = np.arange(_ROWS_BLOCK)
+    for first in range(0, L + 1, _ROWS_BLOCK):
+        top = L + 1 - first  # the orders the block's first diagonal reaches
+        ell = orders[:top, None] + (first + block)
+        at = starts[np.minimum(ell, L)] + orders[:top, None]  # V_{m+d,m}
+        for p in (0, 1):  # blocks start at even d, so column b has the parity of b
+            cols = at[:, p::2]
+            for c, (re_c, im_c) in enumerate(zip(re, im)):
+                coef[:top, c, 2 * p, p::2] = re_c[cols]
+                coef[:top, c, 2 * p + 1, p::2] = im_c[cols]
+        past = max(0, top - _ROWS_BLOCK)  # only these rows can have m + d > L
+        np.copyto(coef[past:top], 0.0, where=(ell[past:] > L)[:, None, None, :])
+        low = max(first, 2)  # diagonals 0 and 1 are written above
+        steps = range(low, min(first + _ROWS_BLOCK, L + 1))
+        ds = np.array(steps, dtype=float)[:, None]
+        mk = m[:L + 1 - low]
+        deg = mk + ds
+        a = np.sqrt((2 * deg + 1) * (2 * deg - 1) / (ds * (2 * mk + ds)))
+        b = np.sqrt((2 * deg + 1) * (ds - 1) * (2 * mk + ds - 1)
+                    / ((2 * deg - 3) * ds * (2 * mk + ds)))
+        for i, d in enumerate(steps):
+            n = L - d + 1
+            cur = np.multiply(a[i, :n, None], x, out=rows[d - first, :n])
+            cur *= rows[(d - 1) % _ROWS_BLOCK, :n]
+            cur -= np.multiply(b[i, :n, None], rows[(d - 2) % _ROWS_BLOCK, :n], out=tmp[:n])
+        np.matmul(coef[:top].reshape(top, 4 * k, _ROWS_BLOCK),
+                  rows[:, :top].transpose(1, 0, 2), out=product[:top])
+        sums[:top] += product[:top]
+    sums = sums.reshape(L + 1, k, 4, x.size)
+    return [(sums[:, c, :2].transpose(1, 0, 2), sums[:, c, 2:].transpose(1, 0, 2))
+            for c in range(k)]
 
 
 def synthesize(coeffs, grid):

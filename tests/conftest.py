@@ -132,12 +132,35 @@ def unit_points(n, seed):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def harmonic_table(point, lmax):
-    """Y_{l,m}(point) for 0 <= m <= l <= lmax via the package's all-orders
-    normalized Legendre table (vectorized companion to spherical_harmonic)."""
-    from fracsphere.specfun import assoc_legendre_norm_table
+def legendre_table(lmax, xs):
+    """N_{l,m}(x_j) for 0 <= m <= l <= lmax, indexed [j, l, m], zero for
+    m > l, read off the ring sums of the package's all-orders recurrence,
+    synthesis._norm_assoc_rows.  Coefficient set s has V_{l,m} = 1 at every
+    order of the degrees l = 4s, 4s + 1 (in Re V) and 4s + 2, 4s + 3 (in
+    Im V), 0 elsewhere; the two degrees of a part differ in the parity of
+    l - m, so each of the set's even and odd sums at order m is exactly one
+    N_{l,m}(x_j)."""
+    from fracsphere.stochastic import _layout
+    from fracsphere.synthesis import _norm_assoc_rows
 
-    radial = assoc_legendre_norm_table(lmax, [math.cos(point.theta)])[0]
+    starts = _layout(lmax)[1]
+    re = np.zeros((lmax // 4 + 1, starts[lmax] + lmax + 1))
+    im = np.zeros_like(re)
+    for ell in range(lmax + 1):
+        (re if ell % 4 < 2 else im)[ell // 4, starts[ell]:starts[ell] + ell + 1] = 1.0
+    sums = _norm_assoc_rows(list(re), list(im), starts, np.asarray(xs, dtype=float))
+    table = np.zeros((len(xs), lmax + 1, lmax + 1))
+    for ell in range(lmax + 1):
+        even, odd = (part[ell % 4 // 2, :ell + 1] for part in sums[ell // 4])
+        own = ((ell - np.arange(ell + 1)) % 2 == 0)[:, None]  # [m, j]: l - m even
+        table[:, ell, :ell + 1] = np.where(own, even, odd).T
+    return table
+
+
+def harmonic_table(point, lmax):
+    """Y_{l,m}(point) for 0 <= m <= l <= lmax via legendre_table
+    (vectorized companion to spherical_harmonic)."""
+    radial = legendre_table(lmax, [math.cos(point.theta)])[0]
     phase = np.array([complex(math.cos(m * point.phi), math.sin(m * point.phi))
                       for m in range(lmax + 1)])
     return radial * phase

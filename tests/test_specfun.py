@@ -15,9 +15,9 @@ from fracsphere import (AccuracyError, DomainError, SphPoint, gamma, legendre_p,
                         spherical_harmonic, specfun)
 from fracsphere.cli import main
 from fracsphere.specfun import (_ml_asymptotic, _ml_contour, _ml_integral, _ml_series,
-                                assoc_legendre_norm, assoc_legendre_norm_table, erfcx)
+                                _norm_assoc_order, assoc_legendre_norm, erfcx)
 
-from conftest import addition_sum, harmonic_table, ml_oracle, unit_points
+from conftest import addition_sum, harmonic_table, legendre_table, ml_oracle, unit_points
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_assoc_legendre_self_normalization():
 
 
 def test_assoc_legendre_no_overflow_high_degree():
-    rows = assoc_legendre_norm_table(2000, [0.3])[0, :, 0]
+    rows = _norm_assoc_order(2000, 0, [0.3])[:, 0]
     assert np.all(np.isfinite(rows))
     v = assoc_legendre_norm(2000, 1000, 0.3)
     assert math.isfinite(v)
@@ -118,10 +118,11 @@ def test_assoc_legendre_no_overflow_high_degree():
 
 def test_all_orders_table_bitwise_matches_scalar():
     # the all-orders recurrence and the scalar per-degree one must agree to
-    # the last bit for every (l, m)
+    # the last bit for every (l, m); legendre_table reads N_{l,m} off the
+    # ring sums of unit coefficient sets
     L = 60
     xs = [-1.0, -0.77, 0.0, 0.3, 0.999, 1.0]
-    table = assoc_legendre_norm_table(L, xs)
+    table = legendre_table(L, xs)
     ref = np.zeros_like(table)
     for j, x in enumerate(xs):
         for ell in range(L + 1):
@@ -290,6 +291,45 @@ def test_ml_alpha1_general_beta():
     for x in (0.5, 4.0):
         ref = float(ml_oracle(1.0, x, 1.6))
         assert ml_neg(1.0, x, beta=1.6) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [1 + 2.0 ** -52, 1 + 1e-8, 1.0001, 1.5, 2.0, 3.0, 10.0])
+def test_ml_alpha1_matches_mpmath(beta):
+    # Kummer's positive series up to x = 700, the algebraic series past it
+    # (scipy's hyp1f1, used before, was 6.9x off near beta = 1 and NaN at
+    # beta = 3, x = 1e200).  A value below the least normal double has only
+    # its rounding's precision, one subnormal step
+    xs = np.logspace(-6, 300, 400)
+    vals = ml_neg(1.0, xs, beta=beta)
+    for x, v in zip(xs, vals):
+        ref = float(ml_oracle(1.0, float(x), beta, dps=40))
+        assert v == pytest.approx(ref, rel=1e-10, abs=2.0 ** -1074)
+    assert all(v == ml_neg(1.0, float(x), beta=beta) for v, x in zip(vals[::13], xs[::13]))
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.1, 99.0), (0.5, 490.0), (0.5, 1e308)])
+def test_ml_large_beta_has_no_traceback(alpha, beta, capsys):
+    # the integral's beta > 1 recursion ran beta/alpha levels deep
+    # (RecursionError) and 1/Gamma(1e308) overflowed lgamma (OverflowError);
+    # past beta of about 180, 1/Gamma(beta), which bounds the value, rounds to 0
+    rc = main(["ml", "--alpha", repr(alpha), "--beta", repr(beta), "--x", "1"])
+    out, _ = capsys.readouterr()
+    assert rc in (0, 2, 3)
+    if rc == 0:
+        value = json.loads(out)["value"]
+        with mp.workdps(60):
+            ref = float(mp.fsum((-1) ** k * mp.rgamma(alpha * mp.mpf(k) + beta)
+                                for k in range(3000)))
+        assert value == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_ml_integral_gives_up_past_its_step_limit():
+    # 10^4 steps of beta -> beta - alpha: NaN with an infinite estimate, and
+    # ml_neg's AccuracyError where no other regime takes x
+    val, rel = _ml_integral(1e-4, 2.0, np.array([1.0]))
+    assert np.isnan(val[0]) and rel[0] == math.inf
+    with pytest.raises(AccuracyError):
+        ml_neg(0.002, 1.5, beta=20.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0])
@@ -557,12 +597,13 @@ for command, cfg in runs.items():
     loaded[command] = scipy_modules() if rc == 0 else f"exit {rc}"
 print(json.dumps(loaded))
 cli.main(["ml", "--alpha", "1", "--beta", "2", "--x", "1"])
+print(json.dumps({"ml": scipy_modules()}))
 """
 
 
 def test_cli_loads_no_scipy(tmp_path):
-    # scipy.special alone took 0.26 s of a 0.44 s import; only ml_neg at
-    # alpha = 1, beta != 1 needs it, and imports it there
+    # scipy.special alone took 0.26 s of a 0.44 s import; numpy is the only
+    # run-time dependency, ml_neg at alpha = 1, beta != 1 included
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
                          capture_output=True, text=True, check=True, env=env)
@@ -570,5 +611,6 @@ def test_cli_loads_no_scipy(tmp_path):
     at = next(i for i, ln in enumerate(lines) if ln.startswith('{"import"'))
     assert json.loads(lines[at]) == {"import": [], "truncation": [], "increments": [],
                                      "simulate": []}
-    value = json.loads("\n".join(lines[at + 1:]))["value"]  # ml's output
+    assert json.loads(lines[-1]) == {"ml": []}
+    value = json.loads("\n".join(lines[at + 1:-1]))["value"]  # ml's output
     assert value == pytest.approx(float(ml_oracle(1.0, 1.0, 2.0)), rel=1e-12, abs=0)

@@ -9,8 +9,9 @@ import pytest
 from fracsphere import (AlgebraicSpectrum, CoefficientSet, DomainError,
                         FractionalModel, GridSpec, RngStream, evolution_snapshots,
                         sample_combined, synthesize, write_map_csv, write_map_image)
-from fracsphere.specfun import _ROWS_BLOCK, _norm_assoc_order, assoc_legendre_norm_table
-from fracsphere.synthesis import _colormap_table, _format_g17, _g17_tables, read_map_csv
+from fracsphere.specfun import _norm_assoc_order
+from fracsphere.synthesis import (_ROWS_BLOCK, _colormap_table, _format_g17, _g17_tables,
+                                  read_map_csv)
 
 
 def naive_eval(coeffs, thetas, phis):
@@ -27,10 +28,11 @@ def naive_eval(coeffs, thetas, phis):
 
 
 def dense_map(coeffs, grid):
-    """Dense oracle: every ring's order sums from the full
-    assoc_legendre_norm_table, times every order's phases."""
-    radial = assoc_legendre_norm_table(coeffs.L, np.cos(grid.colatitudes()))  # [j, l, m]
-    ring = np.einsum("jlm,lm->jm", radial, coeffs.values)
+    """Dense oracle: every ring's order sums from the per-order recurrence
+    at every ring's own cos(theta), times every order's phases."""
+    x = np.cos(grid.colatitudes())
+    ring = np.array([coeffs.values[m:, m] @ _norm_assoc_order(coeffs.L, m, x)
+                     for m in range(coeffs.L + 1)]).T  # [j, m]
     ring[:, 1:] *= 2.0
     phases = np.exp(1j * np.outer(np.arange(coeffs.L + 1), grid.longitudes()))
     return (ring @ phases).real
